@@ -11,7 +11,8 @@ graphs with entirely unseen vocabularies.
 __version__ = "0.1.0"
 
 from .errors import (BundleParseError, ConfigError, ContractError, DataError,
-                     HyrelError, ParseError, ShapeError, SplitError, VocabularyError)
+                     HyrelError, NumericalError, ParseError, ShapeError, SplitError,
+                     VocabularyError)
 from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
                          RelInteraction, build_entity_graph, build_relation_graph,
                          graph_stats, preset)

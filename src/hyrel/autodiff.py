@@ -6,6 +6,10 @@ cross-entropy and sum/mean reductions, which is everything the encoders and
 decoder compose from.  Arithmetic is 32-bit by default; gradient checking
 builds the same graphs over 64-bit parameters.
 
+Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
+is a sorted-segment sum over a :class:`Segments` plan, built once per index
+array and reused by every layer that sums over it.
+
 Calling :func:`backward` twice without zeroing accumulates gradients
 additively; that is the documented contract, not a bug.
 """
@@ -234,38 +238,88 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
     return out
 
 
-def gather(x: Value, rows: Sequence[int] | Array) -> Value:
-    """Select rows of ``x`` (with repetition) by index."""
-    idx = np.asarray(rows, dtype=np.int64)
+class Segments:
+    """A grouping plan for summing rows that share an index.
+
+    ``order`` is a stable permutation that brings equal entries of ``index``
+    together (None when ``index`` is already sorted), ``starts`` the offset
+    of each run of equal entries in that order, and ``rows`` the index value
+    of each run, ascending and distinct.  ``index`` is kept as given, not
+    copied, when it is already a 1-D int64 array.
+    """
+
+    __slots__ = ("index", "order", "starts", "rows")
+
+    def __init__(self, index: Sequence[int] | Array):
+        idx = np.asarray(index, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ShapeError(f"index must be 1-D, got shape {idx.shape}")
+        self.index = idx
+        self.order = None
+        ordered = idx
+        if idx.size > 1 and (idx[1:] < idx[:-1]).any():
+            self.order = np.argsort(idx, kind="stable")
+            ordered = idx[self.order]
+        bounds = np.empty(idx.size, dtype=bool)
+        bounds[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=bounds[1:])
+        self.starts = np.flatnonzero(bounds)
+        self.rows = ordered[self.starts]
+
+    def sums(self, values: Array) -> Array:
+        """Sum of the ``values`` rows of each run, one row per entry of ``rows``."""
+        if not self.rows.size:
+            return np.zeros((0, values.shape[1]), dtype=values.dtype)
+        grouped = values if self.order is None else np.take(values, self.order, axis=0)
+        return np.add.reduceat(grouped, self.starts, axis=0)
+
+
+def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
+    """Select rows of ``x`` (with repetition) by index.
+
+    ``rows`` may be a :class:`Segments` plan of the index, which the backward
+    pass then sums over instead of building its own.
+    """
+    plan = rows if isinstance(rows, Segments) else None
+    idx = plan.index if plan is not None else np.asarray(rows, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"row index list must be 1-D, got shape {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+    if plan is None and idx.size > 4:  # tiny gathers dominate decoding: they loop instead
+        plan = Segments(idx)
+    hit = plan.rows if plan is not None else idx  # distinct rows: fewer to check
+    if hit.size and (hit.min() < 0 or hit.max() >= x.shape[0]):
         raise IndexError(f"row index out of range for {x.shape[0]} rows")
     out = Value(x.data[idx], (x,))
 
     def bwd(g: Array):
         buf = x.grad
-        if idx.size <= 4:  # np.add.at is slow; tiny gathers dominate decoding
+        if plan is None:
             for k in range(idx.size):
                 buf[idx[k]] += g[k]
         else:
-            np.add.at(buf, idx, g)
+            buf[plan.rows] += plan.sums(g)
 
     out._backward = bwd
     return out
 
 
-def scatter_add(messages: Value, dst: Sequence[int] | Array, num_rows: int) -> Value:
-    """Sum message rows into their destination rows; absent rows stay zero."""
-    idx = np.asarray(dst, dtype=np.int64)
-    if idx.ndim != 1 or idx.size != messages.shape[0]:
-        raise ShapeError(f"need one destination per message row, got {idx.shape} "
+def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
+                num_rows: int) -> Value:
+    """Sum message rows into their destination rows; absent rows stay zero.
+
+    ``dst`` may be a :class:`Segments` plan of the destination index.
+    """
+    plan = dst if isinstance(dst, Segments) else Segments(dst)
+    if plan.index.size != messages.shape[0]:
+        raise ShapeError(f"need one destination per message row, got {plan.index.shape} "
                          f"for {messages.shape[0]} rows")
-    if idx.size and (idx.min() < 0 or idx.max() >= num_rows):
+    rows = plan.rows
+    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
         raise IndexError(f"destination index out of range for {num_rows} rows")
     acc = np.zeros((num_rows, messages.shape[1]), dtype=messages.data.dtype)
-    np.add.at(acc, idx, messages.data)
+    acc[rows] = plan.sums(messages.data)
     out = Value(acc, (messages,))
+    idx = plan.index
 
     def bwd(g: Array):
         messages.grad += g[idx]
@@ -404,23 +458,34 @@ class ParamStore:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamStore":
+        """Parse a checkpoint; any truncation or trailing byte is a DataError."""
         if blob[:8] != cls.MAGIC:
             raise DataError("not a parameter checkpoint (bad magic header)")
-        store = cls()
         offset = 8
-        (count,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            rows, cols = struct.unpack_from("<II", blob, offset)
-            offset += 8
-            nbytes = rows * cols * 4
-            arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(rows, cols)
+
+        def take(nbytes: int, what: str) -> bytes:
+            nonlocal offset
+            if offset + nbytes > len(blob):
+                raise DataError(f"truncated parameter checkpoint: {what} needs {nbytes} "
+                                f"byte(s) at offset {offset}, {len(blob) - offset} left")
+            chunk = blob[offset:offset + nbytes]
             offset += nbytes
+            return chunk
+
+        store = cls()
+        (count,) = struct.unpack("<I", take(4, "record count"))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", take(2, "name length"))
+            try:
+                name = take(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"parameter name is not UTF-8: {e}") from None
+            rows, cols = struct.unpack("<II", take(8, f"shape of {name!r}"))
+            raw = take(rows * cols * 4, f"values of {name!r}")
+            arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)
             store.add(name, arr.astype(np.float32))
+        if offset != len(blob):
+            raise DataError(f"parameter checkpoint has {len(blob) - offset} trailing byte(s)")
         return store
 
     @classmethod

@@ -34,7 +34,7 @@ MASK_TOKEN = "[MASK]"
 
 _TRAIN_KEYS = set(TrainConfig().to_dict())
 _SPLIT_KEYS = {"method", "seed_count", "hops", "ratios", "relation_disjoint", "seed"}
-_KNOWN_CONFIG_KEYS = _TRAIN_KEYS | _SPLIT_KEYS | {"ablation", "threads"}
+_KNOWN_CONFIG_KEYS = _TRAIN_KEYS | _SPLIT_KEYS | {"ablation"}
 
 
 class _Exit(Exception):
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("valid", "test"), default="test")
     p.add_argument("--raw", action="store_true", help="disable filtered ranking")
     p.add_argument("--tsv", action="store_true", help="also emit metric TSV lines")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("graph-stats", help="foundation-graph statistics for a fact file")
     p.add_argument("--kg", required=True)
@@ -222,15 +221,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    effective = _merge({"threads": "1"}, file_cfg,
-                       {"threads": str(args.threads)} if args.threads else {})
+    effective = _read_config_file(args.config) if args.config else {}
     checkpoint = Checkpoint.load(args.checkpoint)
     effective["seed"] = str(checkpoint.train_config.seed)
     _print_header(effective)
     bundle = load_bundle(args.bundle)
     metrics = evaluate_bundle(checkpoint.predictor(), bundle, split=args.split,
-                              filtered=not args.raw, threads=int(effective["threads"]))
+                              filtered=not args.raw)
     print(metrics.table())
     if args.tsv:
         for line in metrics.tsv_lines():

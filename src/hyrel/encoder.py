@@ -110,8 +110,8 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
         raise ConfigError(
             f"encoder knows {layer.type_vectors.shape[0]} interaction types but the "
             f"graph alphabet has {len(g.alphabet)}")
-    src, trow, dst = g.arrays()
-    if len(src) == 0:
+    src, trow, dst = g.segments()
+    if g.num_edges == 0:
         agg = Value(np.zeros_like(states.data))
     else:
         messages = ad.mul(ad.gather(states, src), ad.gather(layer.type_vectors, trow))
@@ -140,12 +140,12 @@ def encode_with_edge_states(g: FoundationGraph, query_nodes: Iterable[int],
     annotated relation's row of ``edge_states`` (typically the relation
     encoder's output), replacing the learned per-type vectors.
     """
-    erel = g.relation_array()
+    erel = g.relation_segments()
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
-    src, _, dst = g.arrays()
+    src, _, dst = g.segments()
     for layer in params.layers:
-        if len(src) == 0:
+        if g.num_edges == 0:
             agg = Value(np.zeros_like(states.data))
         else:
             messages = ad.mul(ad.gather(states, src), ad.gather(edge_states, erel))

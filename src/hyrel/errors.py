@@ -23,6 +23,10 @@ class DataError(HyrelError, ValueError):
     """Input data violates a documented contract."""
 
 
+class NumericalError(HyrelError, ArithmeticError):
+    """A computation produced NaN or infinity where finite values are required."""
+
+
 class VocabularyError(DataError):
     """An entity or relation id is not part of the expected vocabulary."""
 

@@ -13,13 +13,12 @@ come from the same ranked lists.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .errors import ContractError, VocabularyError
+from .errors import ContractError, NumericalError, VocabularyError
 from .model import Hkg, HyperFact, QueryFact
 
 HITS_KS = (1, 3, 10)
@@ -32,8 +31,16 @@ class ScoringModel(Protocol):
 
 
 def rank_of(scores: np.ndarray, answer: int, filter_out: Iterable[int] = ()) -> float:
-    """Mean-tie rank of ``answer`` among the non-filtered candidates."""
+    """Mean-tie rank of ``answer`` among the non-filtered candidates.
+
+    Raises :class:`NumericalError` when any score is NaN or infinite: NaN
+    compares false both ways, so a diverged model would otherwise rank first.
+    """
     scores = np.asarray(scores).reshape(-1)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise NumericalError(f"{scores.size - int(finite.sum())} of {scores.size} "
+                             "scores are NaN or infinite")
     filtered = set(filter_out)
     if answer in filtered:
         raise ContractError("the answer itself may not be filtered out")
@@ -122,17 +129,17 @@ def bundle_known_facts(bundle) -> list[HyperFact]:
 
 
 def evaluate_bundle(model: ScoringModel, bundle, split: str = "test",
-                    filtered: bool = True, threads: int = 1) -> Metrics:
+                    filtered: bool = True) -> Metrics:
     """Evaluate one split of a bundle under the standard protocol."""
     from .model import queries_from_facts
     facts = bundle.valid if split == "valid" else bundle.test
     return evaluate(model, bundle.inference, queries_from_facts(facts),
-                    bundle_known_facts(bundle), filtered=filtered, threads=threads)
+                    bundle_known_facts(bundle), filtered=filtered)
 
 
 def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
              known_facts: Iterable[HyperFact], filtered: bool = True,
-             threads: int = 1, ks: Sequence[int] = HITS_KS) -> Metrics:
+             ks: Sequence[int] = HITS_KS) -> Metrics:
     """Score every query against all entities of ``kg_inf`` and aggregate.
 
     ``known_facts`` feeds the filter; pass the union of the inference, valid
@@ -152,9 +159,5 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
         out = filter_set(query, kg_inf, index) if filtered else set()
         return rank_of(scores, answer_idx, out)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = list(pool.map(rank_one, queries))
-    else:
-        ranks = [rank_one(q) for q in queries]
+    ranks = [rank_one(q) for q in queries]
     return _aggregate(ranks, [q.is_head_or_tail for q in queries], ks)

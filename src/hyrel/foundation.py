@@ -31,6 +31,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .autodiff import Segments
 from .errors import ConfigError, ContractError
 from .model import Hkg
 
@@ -189,6 +190,18 @@ class FoundationGraph:
         if "er" not in self._arrays:
             self._arrays["er"] = np.asarray(self.edge_relations, dtype=np.int64)
         return self._arrays["er"]
+
+    def segments(self) -> tuple[Segments, Segments, Segments]:
+        """Grouping plans over the (src, type_row, dst) arrays, for segment sums."""
+        if "sd_plans" not in self._arrays:
+            self._arrays["sd_plans"] = tuple(Segments(a) for a in self.arrays())
+        return self._arrays["sd_plans"]
+
+    def relation_segments(self) -> Segments:
+        """Grouping plan over :meth:`relation_array`."""
+        if "er_plan" not in self._arrays:
+            self._arrays["er_plan"] = Segments(self.relation_array())
+        return self._arrays["er_plan"]
 
 
 def _finish(num_nodes: int, enum_cls, active: frozenset, edges: set,

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hyrel.autodiff as ad
-from hyrel import ContractError, ShapeError
-from hyrel.autodiff import (Adam, ParamStore, Value, backward, check_gradients,
+from hyrel import ContractError, DataError, ShapeError
+from hyrel.autodiff import (Adam, ParamStore, Segments, Value, backward, check_gradients,
                             clip_global_norm, finite_difference)
 
 
@@ -101,15 +103,24 @@ def test_layer_norm_gradient(rng):
 
 def test_gather_gradient(rng):
     x = Value(rng.normal(size=(5, 3)))
-    idx = [0, 2, 2, 4]
-    fd_check(lambda: ad.total_sum(ad.gather(x, idx)), {"x": x})
-    out = ad.gather(x, idx)
-    assert np.allclose(out.data, x.data[idx])
+    w = Value(rng.normal(size=(3, 1)))
+    # The short index takes the per-row loop; the longer ones a segment plan.
+    for idx in ([0, 2, 2, 4], [4, 0, 2, 2, 4, 1], Segments([3, 1, 1, 0, 3])):
+        fd_check(lambda: ad.total_sum(ad.matmul(ad.gather(x, idx), w)), {"x": x})
+        out = ad.gather(x, idx)
+        rows = idx.index if isinstance(idx, Segments) else idx
+        assert np.allclose(out.data, x.data[rows])
 
 
 def test_gather_out_of_range():
     with pytest.raises(IndexError):
         ad.gather(val([[1.0]]), [1])
+    with pytest.raises(IndexError):
+        ad.gather(val([[1.0]] * 3), Segments([0, 1, 2, 3, 0]))
+    with pytest.raises(IndexError):
+        ad.gather(val([[1.0]] * 3), [0, 1, -1, 2, 0])
+    with pytest.raises(ShapeError):
+        ad.gather(val([[1.0]] * 3), [[0, 1], [1, 2], [2, 0]])
 
 
 def test_scatter_add_hand_value():
@@ -127,6 +138,53 @@ def test_scatter_add_empty():
 def test_scatter_add_index_error():
     with pytest.raises(IndexError):
         ad.scatter_add(val([[1.0]]), [3], 2)
+    with pytest.raises(IndexError):
+        ad.scatter_add(val([[1.0], [1.0]]), Segments([1, -1]), 2)
+
+
+def test_scatter_add_shape_error():
+    with pytest.raises(ShapeError):
+        ad.scatter_add(val([[1.0], [1.0]]), [0], 2)
+    with pytest.raises(ShapeError):
+        ad.scatter_add(val([[1.0], [1.0]]), Segments([0, 1, 1]), 2)
+    with pytest.raises(ShapeError):
+        ad.scatter_add(val([[1.0], [1.0]]), [[0], [1]], 2)
+
+
+def _check_segment_sum(index, num_rows, width, seed):
+    """Plan-based sums (scatter_add forward, gather backward) against np.add.at."""
+    values = np.random.default_rng(seed).normal(size=(len(index), width))
+    expected = np.zeros((num_rows, width))
+    np.add.at(expected, np.asarray(index, dtype=np.int64), values)
+    for dst in (index, Segments(index)):
+        out = ad.scatter_add(Value(values), dst, num_rows)
+        assert np.allclose(out.data, expected, rtol=1e-6)
+        x = Value(np.zeros((num_rows, width)))
+        backward(ad.total_sum(ad.mul(ad.gather(x, dst), Value(values))))
+        assert np.allclose(x.grad, expected, rtol=1e-6)
+
+
+@pytest.mark.parametrize("index, num_rows", [
+    ([], 3),                        # empty index
+    ([2], 4),                       # a single row
+    ([1] * 9, 3),                   # every edge into one row
+    ([4, 0, 3, 0, 4, 1, 3, 3], 5),  # unsorted
+    ([0, 0, 1, 3, 3, 3, 4, 6], 7),  # already sorted, rows 2 and 5 receive nothing
+    ([5, 2, 2, 0, 5, 7], 12),       # num_rows larger than max + 1
+])
+def test_segment_sum_cases_match_add_at(index, num_rows):
+    _check_segment_sum(index, num_rows, 3, len(index))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_segment_sum_matches_add_at(data):
+    num_rows = data.draw(st.integers(1, 10))
+    index = data.draw(st.lists(st.integers(0, num_rows - 1), max_size=40))
+    if data.draw(st.booleans()):
+        index.sort()
+    _check_segment_sum(index, num_rows, data.draw(st.integers(1, 4)),
+                       data.draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def test_scatter_then_gather_matches_grouping_oracle(rng):
@@ -145,10 +203,10 @@ def test_scatter_then_gather_matches_grouping_oracle(rng):
 
 def test_scatter_add_gradient(rng):
     messages = Value(rng.normal(size=(6, 3)))
-    dst = [0, 1, 1, 2, 0, 2]
     w = Value(rng.normal(size=(3, 1)))
-    fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(messages, dst, 4), w)),
-             {"messages": messages, "w": w})
+    for dst in ([0, 1, 1, 2, 0, 2], Segments([0, 1, 1, 2, 0, 2])):
+        fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(messages, dst, 4), w)),
+                 {"messages": messages, "w": w})
 
 
 def test_cross_entropy_uniform():
@@ -233,6 +291,21 @@ def test_param_store_round_trip(tmp_path, rng):
         assert (loaded[name].data == store[name].data).all()
     # Byte-exact round trip: save -> load -> save reproduces the same bytes.
     assert loaded.to_bytes() == store.to_bytes()
+
+
+def test_param_store_rejects_truncated_and_trailing_bytes(rng):
+    store = ParamStore()
+    store.add("w1", rng.normal(size=(3, 2)).astype(np.float32))
+    store.add("w2", rng.normal(size=(1, 5)).astype(np.float32))
+    blob = store.to_bytes()
+    for cut in range(len(blob)):
+        with pytest.raises(DataError):
+            ParamStore.from_bytes(blob[:cut])
+    with pytest.raises(DataError):
+        ParamStore.from_bytes(blob + b"\x00")
+    with pytest.raises(DataError):
+        ParamStore.from_bytes(blob[:14] + b"\xff\xfe" + blob[16:])  # name not UTF-8
+    assert ParamStore.from_bytes(blob).to_bytes() == blob
 
 
 def test_param_store_rejects_duplicates():

@@ -110,6 +110,16 @@ def test_unknown_config_key_rejected(tmp_path):
     cfg_file.write_text("zzz = 1\n", encoding="utf-8")
     assert dispatch(["split", "--config", str(cfg_file), "--input", "x",
                      "--out", "y"]) == 1
+    cfg_file.write_text("threads = 4\n", encoding="utf-8")  # eval is single-threaded
+    assert dispatch(["eval", "--config", str(cfg_file), "--bundle", "x",
+                     "--checkpoint", "y"]) == 1
+
+
+def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt.bin"
+    ckpt.write_bytes(b"HYRELP1\n\x01\x00")
+    assert dispatch(["eval", "--bundle", "x", "--checkpoint", str(ckpt)]) == 2
+    assert "truncated parameter checkpoint" in capsys.readouterr().err
 
 
 def test_selfcheck_quick(capsys):

@@ -224,3 +224,16 @@ def test_annotated_entity_graph_carries_relations():
     # Reciprocity of the plain (src, type, dst) view still holds.
     edges = g.edge_set()
     assert all((d, ENT_RECIPROCAL[t], s) in edges for s, t, d in edges)
+
+
+def test_segment_plans_are_cached_over_the_edge_arrays():
+    kg = Hkg([HyperFact("h", "r", "t", (("k", "v"),)), HyperFact("t", "s", "v")])
+    g = build_entity_graph(kg, with_fact_relations=True)
+    plans = g.segments()
+    assert g.segments() is plans and g.relation_segments() is g.relation_segments()
+    assert all(p.index is a for p, a in zip(plans, g.arrays()))
+    assert g.relation_segments().index is g.relation_array()
+    assert plans[0].order is None  # edges are sorted by source already
+    src, _, dst = g.arrays()
+    for plan, idx in ((plans[0], src), (plans[2], dst)):
+        assert plan.rows.tolist() == sorted(set(idx.tolist()))
