@@ -26,15 +26,16 @@ from .foundation import (InteractionConfig, build_entity_graph, build_relation_g
                          export_edge_list, graph_stats, preset)
 from .io import load_bundle, load_kg
 from .model import HEAD, TAIL, QueryFact, value_role
-from .predictor import RELATION_DRIVEN
+from .config import format_value
+from .predictor import ablation_overrides
 from .splitting import KHOP, LOUVAIN, SplitConfig, make_bundle, write_split
 from .training import Checkpoint, TrainConfig, config_hash, fit
 
 MASK_TOKEN = "[MASK]"
 
-_TRAIN_KEYS = set(TrainConfig().to_dict())
-_SPLIT_KEYS = {"method", "seed_count", "hops", "ratios", "relation_disjoint", "seed"}
-_KNOWN_CONFIG_KEYS = _TRAIN_KEYS | _SPLIT_KEYS | {"ablation"}
+_TRAIN_DEFAULTS = TrainConfig().to_dict() | {"ablation": ""}
+_SPLIT_DEFAULTS = SplitConfig().to_dict()
+_KNOWN_CONFIG_KEYS = set(_TRAIN_DEFAULTS) | set(_SPLIT_DEFAULTS)
 
 
 class _Exit(Exception):
@@ -58,12 +59,12 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _merge(defaults: dict[str, str], file_cfg: dict[str, str],
-           flag_cfg: dict[str, str]) -> dict[str, str]:
-    merged = dict(defaults)
-    merged.update(file_cfg)
-    merged.update({k: v for k, v in flag_cfg.items() if v is not None})
-    return merged
+def _effective(args, defaults: dict[str, str]) -> dict[str, str]:
+    """Defaults, overridden by the config file, overridden by the flags given."""
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    flag_cfg = {k: format_value(v) for k, v in vars(args).items()
+                if k in defaults and v is not None}
+    return defaults | file_cfg | flag_cfg
 
 
 def _print_header(effective: dict[str, str]) -> None:
@@ -72,23 +73,6 @@ def _print_header(effective: dict[str, str]) -> None:
     print(f"# hyrel {__version__} seed={seed} config={digest[:12]}")
     for key in sorted(effective):
         print(f"# {key} = {effective[key]}")
-
-
-def _train_config(effective: dict[str, str]) -> TrainConfig:
-    base = TrainConfig().to_dict()
-    ablation = effective.get("ablation", "").strip()
-    structure = effective.get("structure", base["structure"])
-    interactions = effective.get("interactions", base["interactions"])
-    if ablation:
-        if ablation.lower().replace("_", "-") == "ultra-alike":
-            structure = RELATION_DRIVEN
-        else:
-            preset(ablation)  # validate the name
-            interactions = ablation
-    merged = {k: effective.get(k, v) for k, v in base.items()}
-    merged["structure"] = structure
-    merged["interactions"] = interactions
-    return TrainConfig.from_dict(merged)
 
 
 def _add_config_flag(p: argparse.ArgumentParser) -> None:
@@ -125,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--head-count", type=int, default=None, dest="head_count")
     p.add_argument("--decoder-depth", type=int, default=None, dest="decoder_depth")
     p.add_argument("--checkpoint-every", type=int, default=None, dest="checkpoint_every")
-    p.add_argument("--no-leakage-guard", action="store_true")
+    p.add_argument("--no-leakage-guard", action="store_false", default=None,
+                   dest="leakage_guard")
     p.add_argument("--ablation", default=None,
                    help="noR2K, noPrim, addK2K, addShareV, addAllFI, noV2V, noP2V, noV "
                         "or ultra-alike")
@@ -158,28 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_split(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    flag_cfg = {
-        "method": args.method,
-        "seed_count": None if args.seed_count is None else str(args.seed_count),
-        "hops": None if args.hops is None else str(args.hops),
-        "ratios": args.ratios,
-        "relation_disjoint": None if args.relation_disjoint is None else "True",
-        "seed": None if args.seed is None else str(args.seed),
-    }
-    defaults = {"method": KHOP, "seed_count": "5", "hops": "2",
-                "ratios": "0.6,0.2,0.2", "relation_disjoint": "False", "seed": "0"}
-    effective = _merge(defaults, file_cfg, flag_cfg)
+    effective = _effective(args, _SPLIT_DEFAULTS)
     _print_header(effective)
-    ratios = tuple(float(x) for x in effective["ratios"].split(","))
-    cfg = SplitConfig(
-        method=effective["method"],
-        seed_count=int(effective["seed_count"]),
-        hops=int(effective["hops"]),
-        ratios=ratios,  # type: ignore[arg-type]
-        seed=int(effective["seed"]),
-        relation_disjoint=effective["relation_disjoint"] == "True",
-    )
+    cfg = SplitConfig.from_dict(effective)
     raw = load_kg(args.input)
     print(f"loaded {raw!r}")
     bundle, report = make_bundle(raw, cfg)
@@ -193,24 +159,10 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    flag_cfg = {
-        "epochs": None if args.epochs is None else str(args.epochs),
-        "batch_size": None if args.batch_size is None else str(args.batch_size),
-        "step_size": None if args.step_size is None else repr(args.step_size),
-        "seed": None if args.seed is None else str(args.seed),
-        "width": None if args.width is None else str(args.width),
-        "encoder_depth": None if args.encoder_depth is None else str(args.encoder_depth),
-        "head_count": None if args.head_count is None else str(args.head_count),
-        "decoder_depth": None if args.decoder_depth is None else str(args.decoder_depth),
-        "checkpoint_every": None if args.checkpoint_every is None
-        else str(args.checkpoint_every),
-        "leakage_guard": "False" if args.no_leakage_guard else None,
-        "ablation": args.ablation,
-    }
-    effective = _merge(TrainConfig().to_dict() | {"ablation": ""}, file_cfg, flag_cfg)
+    effective = _effective(args, _TRAIN_DEFAULTS)
     _print_header(effective)
-    cfg = _train_config(effective)
+    ablation = effective["ablation"].strip()
+    cfg = TrainConfig.from_dict(effective | (ablation_overrides(ablation) if ablation else {}))
     bundle = load_bundle(args.bundle)
     for line in bundle.diagnostics().report_lines():
         print(line)

@@ -131,7 +131,6 @@ class DecoderParams:
     mask_token: Value   # (1, d)
     out_bias: Value     # (1, 1), shared over every candidate entity
     layers: list[DecoderLayerParams] = field(default_factory=list)
-    zero_other_bias: bool = False
 
     @property
     def head_width(self) -> int:
@@ -139,8 +138,8 @@ class DecoderParams:
 
 
 def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: int,
-                        depth: int, rng: np.random.Generator, dtype=np.float32,
-                        zero_other_bias: bool = False) -> DecoderParams:
+                        depth: int, rng: np.random.Generator,
+                        dtype=np.float32) -> DecoderParams:
     if width % head_count != 0:
         raise ConfigError(f"width {width} not divisible by head count {head_count}")
     dh = width // head_count
@@ -149,7 +148,6 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
         mask_token=store.add(f"{prefix}/mask_token",
                              rng.normal(0.0, width ** -0.5, (1, width)).astype(dtype)),
         out_bias=store.add(f"{prefix}/out_bias", np.zeros((1, 1), dtype=dtype)),
-        zero_other_bias=zero_other_bias,
     )
     limit_qkv = np.sqrt(6.0 / (width + dh))
     limit_f1 = np.sqrt(6.0 / (width + 4 * width))
@@ -220,8 +218,6 @@ def attention_layer(seq: Value, layout: SequenceLayout, layer: DecoderLayerParam
     n = len(layout)
     dtype_name = seq.data.dtype.name
     present = _present_bias_types(layout.roles, dtype_name)
-    if params.zero_other_bias:
-        present = tuple((i, m) for i, m in present if i != BiasType.OTHER.value)
     inv_scale = np.asarray(params.head_width ** -0.5, dtype=seq.data.dtype).reshape(1, 1)
     ones_col = _ones_column(n, dtype_name)
     head_outputs: list[Value] = []

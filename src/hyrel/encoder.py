@@ -8,10 +8,16 @@ node relates to the query", which survives arbitrary relabeling of the
 vocabulary.
 
 Per layer, the message sent along an edge (w, t, u) is the source state
-gated elementwise by the type vector of t; messages are sum-aggregated at
-their destination; the update concatenates the previous state with the
-aggregate and applies a linear map plus relu.  Nodes without incoming edges
-still pass through the update with a zero aggregate.
+gated elementwise by a vector; messages are sum-aggregated at their
+destination; the update concatenates the previous state with the aggregate
+and applies a linear map plus relu.  Nodes without incoming edges still pass
+through the update with a zero aggregate.
+
+Where the gate comes from depends on the model structure.  In the parallel
+structure it is the layer's learned type vector of t.  In the
+relation-driven structure the caller passes ``edge_states`` (the relation
+encoder's output) and the gate of an edge is the row of the relation that
+induced it, read from the graph's per-edge relation annotations.
 """
 
 from __future__ import annotations
@@ -29,11 +35,9 @@ from .foundation import FoundationGraph
 
 @dataclass
 class EncoderLayerParams:
-    type_vectors: Value | None  # (num_types, d); None in the rewired variant
+    type_vectors: Value | None  # (num_types, d); None when edge states gate the messages
     update_w: Value             # (2d, d)
     update_b: Value             # (1, d)
-    ln_gain: Value | None = None
-    ln_bias: Value | None = None
 
 
 @dataclass
@@ -43,21 +47,13 @@ class EncoderParams:
     alphabet: tuple
     width: int
     layers: list[EncoderLayerParams] = field(default_factory=list)
-    residual: bool = False
-    layer_norm: bool = False
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
 
 def init_encoder_params(store: ParamStore, prefix: str, alphabet: Sequence,
                         depth: int, width: int, rng: np.random.Generator,
-                        dtype=np.float32, residual: bool = False,
-                        layer_norm: bool = False,
-                        typed_messages: bool = True) -> EncoderParams:
+                        dtype=np.float32, typed_messages: bool = True) -> EncoderParams:
     """Create and register encoder parameters under ``prefix``."""
-    params = EncoderParams(tuple(alphabet), width, residual=residual, layer_norm=layer_norm)
+    params = EncoderParams(tuple(alphabet), width)
     for layer in range(depth):
         tv = None
         if typed_messages:
@@ -68,13 +64,7 @@ def init_encoder_params(store: ParamStore, prefix: str, alphabet: Sequence,
         w = store.add(f"{prefix}/layer{layer}/update_w",
                       rng.uniform(-limit, limit, (2 * width, width)).astype(dtype))
         b = store.add(f"{prefix}/layer{layer}/update_b", np.zeros((1, width), dtype=dtype))
-        lp = EncoderLayerParams(tv, w, b)
-        if layer_norm:
-            lp.ln_gain = store.add(f"{prefix}/layer{layer}/ln_gain",
-                                   np.ones((1, width), dtype=dtype))
-            lp.ln_bias = store.add(f"{prefix}/layer{layer}/ln_bias",
-                                   np.zeros((1, width), dtype=dtype))
-        params.layers.append(lp)
+        params.layers.append(EncoderLayerParams(tv, w, b))
     return params
 
 
@@ -89,20 +79,13 @@ def indicator_init(g: FoundationGraph, query_nodes: Iterable[int], width: int,
     return Value(init)
 
 
-def _update(states: Value, agg: Value, layer: EncoderLayerParams,
-            params: EncoderParams) -> Value:
-    h = ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
-                       layer.update_b))
-    if params.residual:
-        h = ad.add(h, states)
-    if params.layer_norm:
-        h = ad.layer_norm(h, layer.ln_gain, layer.ln_bias)
-    return h
-
-
 def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
-             params: EncoderParams) -> Value:
-    """One round of typed message passing plus the node update."""
+             edge_states: Value | None = None) -> Value:
+    """One round of gated message passing plus the node update.
+
+    An edge's gate is its type's row of ``layer.type_vectors``, or, given
+    ``edge_states``, the row of the relation annotated on the edge.
+    """
     if states.shape[0] != g.num_nodes:
         raise ConfigError(f"state matrix has {states.shape[0]} rows for a graph of "
                           f"{g.num_nodes} nodes")
@@ -111,16 +94,21 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
             f"encoder knows {layer.type_vectors.shape[0]} interaction types but the "
             f"graph alphabet has {len(g.alphabet)}")
     src, trow, dst = g.segments()
+    if edge_states is None:
+        gates, gate_rows = layer.type_vectors, trow
+    else:
+        gates, gate_rows = edge_states, g.relation_segments()
     if g.num_edges == 0:
         agg = Value(np.zeros_like(states.data))
     else:
-        messages = ad.mul(ad.gather(states, src), ad.gather(layer.type_vectors, trow))
+        messages = ad.mul(ad.gather(states, src), ad.gather(gates, gate_rows))
         agg = ad.scatter_add(messages, dst, g.num_nodes)
-    return _update(states, agg, layer, params)
+    return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
+                          layer.update_b))
 
 
-def encode(g: FoundationGraph, query_nodes: Iterable[int],
-           params: EncoderParams) -> Value:
+def encode(g: FoundationGraph, query_nodes: Iterable[int], params: EncoderParams,
+           edge_states: Value | None = None) -> Value:
     """Indicator initialization followed by every layer of message passing."""
     if params.alphabet != g.alphabet:
         raise ConfigError(f"encoder alphabet {[t.value for t in params.alphabet]} does not "
@@ -128,27 +116,5 @@ def encode(g: FoundationGraph, query_nodes: Iterable[int],
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
     for layer in params.layers:
-        states = mp_layer(states, g, layer, params)
-    return states
-
-
-def encode_with_edge_states(g: FoundationGraph, query_nodes: Iterable[int],
-                            params: EncoderParams, edge_states: Value) -> Value:
-    """Rewired variant: per-edge message gates come from another encoder.
-
-    Each edge must carry a relation annotation; the gate for an edge is the
-    annotated relation's row of ``edge_states`` (typically the relation
-    encoder's output), replacing the learned per-type vectors.
-    """
-    erel = g.relation_segments()
-    dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
-    states = indicator_init(g, query_nodes, params.width, dtype)
-    src, _, dst = g.segments()
-    for layer in params.layers:
-        if g.num_edges == 0:
-            agg = Value(np.zeros_like(states.data))
-        else:
-            messages = ad.mul(ad.gather(states, src), ad.gather(edge_states, erel))
-            agg = ad.scatter_add(messages, dst, g.num_nodes)
-        states = _update(states, agg, layer, params)
+        states = mp_layer(states, g, layer, edge_states)
     return states

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
+from .config import TextConfig
 from .errors import ConfigError, VocabularyError
 from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
                          RelInteraction, build_entity_graph, build_relation_graph, preset)
@@ -31,7 +32,7 @@ STRUCTURES = (PARALLEL, RELATION_DRIVEN)
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(TextConfig):
     """Architecture knobs shared by training, evaluation and prediction."""
 
     width: int = 32
@@ -40,9 +41,6 @@ class ModelConfig:
     decoder_depth: int = 2
     interactions: InteractionConfig = field(default_factory=InteractionConfig)
     structure: str = PARALLEL
-    encoder_residual: bool = False
-    encoder_layer_norm: bool = False
-    zero_other_bias: bool = False
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
@@ -52,48 +50,25 @@ class ModelConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
 
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "width": str(self.width),
-            "encoder_depth": str(self.encoder_depth),
-            "head_count": str(self.head_count),
-            "decoder_depth": str(self.decoder_depth),
-            "relation_set": ",".join(sorted(t.value for t in self.interactions.relation_set)),
-            "entity_set": ",".join(sorted(t.value for t in self.interactions.entity_set)),
-            "structure": self.structure,
-            "encoder_residual": str(self.encoder_residual),
-            "encoder_layer_norm": str(self.encoder_layer_norm),
-            "zero_other_bias": str(self.zero_other_bias),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, str]) -> "ModelConfig":
-        from .foundation import EntInteraction, RelInteraction
-        rel = frozenset(t for t in RelInteraction if t.value in d["relation_set"].split(","))
-        ent = frozenset(t for t in EntInteraction if t.value in d["entity_set"].split(","))
-        return cls(
-            width=int(d["width"]),
-            encoder_depth=int(d["encoder_depth"]),
-            head_count=int(d["head_count"]),
-            decoder_depth=int(d["decoder_depth"]),
-            interactions=InteractionConfig(rel, ent),
-            structure=d["structure"],
-            encoder_residual=d["encoder_residual"] == "True",
-            encoder_layer_norm=d["encoder_layer_norm"] == "True",
-            zero_other_bias=d["zero_other_bias"] == "True",
-        )
-
-
-def config_for_ablation(name: str) -> ModelConfig:
-    """Map an ablation name to a model configuration.
+def ablation_overrides(name: str) -> dict[str, str]:
+    """The configuration keys an ablation name sets, in their text form.
 
     Interaction presets keep the parallel-encoder structure; the
     ``ultra-alike`` name selects the rewired structure where encoded
     relation states gate the entity-graph messages.
     """
     if name.lower().replace("_", "-") == "ultra-alike":
-        return ModelConfig(structure=RELATION_DRIVEN)
-    return ModelConfig(interactions=preset(name))
+        return {"structure": RELATION_DRIVEN}
+    preset(name)  # fail early on unknown names
+    return {"interactions": name}
+
+
+def config_for_ablation(name: str) -> ModelConfig:
+    """Map an ablation name to a model configuration."""
+    chosen = ablation_overrides(name)
+    return ModelConfig(interactions=preset(chosen.get("interactions", "default")),
+                       structure=chosen.get("structure", PARALLEL))
 
 
 @dataclass
@@ -122,20 +97,23 @@ class LinkPredictor:
         ent_alphabet = tuple(t for t in EntInteraction if t in cfg.interactions.entity_set)
         rel_params = enc.init_encoder_params(
             store, "rel_encoder", rel_alphabet, cfg.encoder_depth, cfg.width, rng,
-            dtype=dtype, residual=cfg.encoder_residual, layer_norm=cfg.encoder_layer_norm)
+            dtype=dtype)
         ent_params = enc.init_encoder_params(
             store, "ent_encoder", ent_alphabet, cfg.encoder_depth, cfg.width, rng,
-            dtype=dtype, residual=cfg.encoder_residual, layer_norm=cfg.encoder_layer_norm,
-            typed_messages=(cfg.structure == PARALLEL))
+            dtype=dtype, typed_messages=(cfg.structure == PARALLEL))
         dec_params = dec.init_decoder_params(
             store, "decoder", cfg.width, cfg.head_count, cfg.decoder_depth, rng,
-            dtype=dtype, zero_other_bias=cfg.zero_other_bias)
+            dtype=dtype)
         return cls(cfg, store, rel_params, ent_params, dec_params)
 
     @classmethod
     def from_store(cls, cfg: ModelConfig, store: ParamStore) -> "LinkPredictor":
         """Rebind loaded parameters; names must match :meth:`build`'s layout."""
         fresh = cls.build(cfg, seed=0)
+        extra = [name for name in store.names() if name not in fresh.store]
+        if extra:
+            raise ConfigError(f"checkpoint has parameters {extra} that the model "
+                              f"configuration does not declare")
         for name, value in fresh.store.items():
             if name not in store:
                 raise ConfigError(f"checkpoint is missing parameter {name!r}")
@@ -172,11 +150,8 @@ class LinkPredictor:
         """Unnormalized scores over all entities of ``kg``, one tape."""
         rel_nodes, ent_nodes = self._query_nodes(kg, query)
         rel_states = enc.encode(graphs.relation_graph, rel_nodes, self.rel_params)
-        if self.cfg.structure == PARALLEL:
-            ent_states = enc.encode(graphs.entity_graph, ent_nodes, self.ent_params)
-        else:
-            ent_states = enc.encode_with_edge_states(graphs.entity_graph, ent_nodes,
-                                                     self.ent_params, rel_states)
+        gates = None if self.cfg.structure == PARALLEL else rel_states
+        ent_states = enc.encode(graphs.entity_graph, ent_nodes, self.ent_params, gates)
         seq, layout = dec.assemble_sequence(query, kg, rel_states, ent_states,
                                             self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)

@@ -89,13 +89,18 @@ def brute_force_entity_edges(kg: Hkg, cfg: InteractionConfig,
 
 def naive_message_passing(states: np.ndarray, edges: Sequence[Edge],
                           alphabet: Sequence, type_vectors: np.ndarray,
-                          update_w: np.ndarray, update_b: np.ndarray) -> np.ndarray:
-    """Per-node double loop mirroring one message-passing layer."""
+                          update_w: np.ndarray, update_b: np.ndarray,
+                          edge_states: np.ndarray | None = None,
+                          edge_relations: Sequence[int] | None = None) -> np.ndarray:
+    """Per-node double loop mirroring one message-passing layer; given
+    ``edge_states``, edge i is gated by its row ``edge_relations[i]``."""
     n, d = states.shape
     row = {t: i for i, t in enumerate(alphabet)}
     agg = np.zeros_like(states)
-    for src, itype, dst in edges:
-        agg[dst] += states[src] * type_vectors[row[itype]]
+    for i, (src, itype, dst) in enumerate(edges):
+        gate = (type_vectors[row[itype]] if edge_states is None
+                else edge_states[edge_relations[i]])
+        agg[dst] += states[src] * gate
     out = np.zeros_like(states)
     for u in range(n):
         joint = np.concatenate([states[u], agg[u]])

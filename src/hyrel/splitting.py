@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import TextConfig
 from .errors import ConfigError, SplitError
 from .io import DatasetBundle, write_bundle
 from .model import Hkg, HyperFact
@@ -35,7 +36,7 @@ LOUVAIN = "louvain"
 
 
 @dataclass(frozen=True)
-class SplitConfig:
+class SplitConfig(TextConfig):
     method: str = KHOP
     seed_count: int = 5
     hops: int = 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, ParamStore, clip_global_norm
+from .config import TextConfig
 from .errors import ConfigError, DataError
 from .evaluation import bundle_known_facts, evaluate
 from .foundation import preset
@@ -32,7 +33,7 @@ from .predictor import PARALLEL, GraphPair, LinkPredictor, ModelConfig
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(TextConfig):
     epochs: int = 50
     batch_size: int = 8
     step_size: float = 1e-3
@@ -48,58 +49,18 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def __post_init__(self):
-        for name in ("batch_size", "step_size", "encoder_depth", "width",
-                     "head_count", "decoder_depth", "checkpoint_every", "grad_clip"):
+        for name in ("batch_size", "step_size", "checkpoint_every", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        preset(self.interactions)  # fail early on unknown names
+        self.model_config()  # fail early on a model that cannot be built
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            width=self.width,
-            encoder_depth=self.encoder_depth,
-            head_count=self.head_count,
-            decoder_depth=self.decoder_depth,
-            interactions=preset(self.interactions),
-            structure=self.structure,
-        )
-
-    def to_dict(self) -> dict[str, str]:
-        return {
-            "epochs": str(self.epochs),
-            "batch_size": str(self.batch_size),
-            "step_size": repr(self.step_size),
-            "seed": str(self.seed),
-            "interactions": self.interactions,
-            "encoder_depth": str(self.encoder_depth),
-            "width": str(self.width),
-            "head_count": str(self.head_count),
-            "decoder_depth": str(self.decoder_depth),
-            "checkpoint_every": str(self.checkpoint_every),
-            "leakage_guard": str(self.leakage_guard),
-            "structure": self.structure,
-            "grad_clip": repr(self.grad_clip),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, str]) -> "TrainConfig":
-        return cls(
-            epochs=int(d["epochs"]),
-            batch_size=int(d["batch_size"]),
-            step_size=float(d["step_size"]),
-            seed=int(d["seed"]),
-            interactions=d["interactions"],
-            encoder_depth=int(d["encoder_depth"]),
-            width=int(d["width"]),
-            head_count=int(d["head_count"]),
-            decoder_depth=int(d["decoder_depth"]),
-            checkpoint_every=int(d["checkpoint_every"]),
-            leakage_guard=d["leakage_guard"] == "True",
-            structure=d["structure"],
-            grad_clip=float(d["grad_clip"]),
-        )
+        """The model these settings train; ``interactions`` names a preset."""
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
+                  if f.name != "interactions"}
+        return ModelConfig(interactions=preset(self.interactions), **shared)
 
 
 @dataclass
@@ -204,29 +165,44 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
+        """Read a checkpoint; a malformed ``.meta`` sidecar is a :class:`DataError`."""
         path = Path(path)
         store = ParamStore.load(path)
+        meta = Path(str(path) + ".meta")
         sections: dict[str, dict[str, str]] = {"model": {}, "train": {}, "state": {}}
         history: list[tuple[float, float]] = []
         current = None
-        for line in Path(str(path) + ".meta").read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                continue
-            if current == "history":
-                _, loss, mrr = line.split("\t")
-                history.append((float(loss), float(mrr)))
-            elif current in sections and " = " in line:
-                k, v = line.split(" = ", 1)
-                sections[current][k] = v
+        try:
+            for line in meta.read_text(encoding="utf-8").splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("[") and line.endswith("]"):
+                    current = line[1:-1]
+                    continue
+                if current == "history":
+                    _, loss, mrr = line.split("\t")
+                    history.append((float(loss), float(mrr)))
+                elif current in sections and " = " in line:
+                    k, v = line.split(" = ", 1)
+                    sections[current][k] = v
+            model_config = ModelConfig.from_dict(sections["model"])
+            train_config = TrainConfig.from_dict(sections["train"])
+            epoch = int(sections["state"].get("epoch", 0))
+        except ValueError as e:  # ConfigError is one too
+            raise DataError(f"{meta}: {e}") from e
+        # Older checkpoints record since-retired model options; this version
+        # builds only their off value.
+        known = model_config.to_dict()
+        for key, value in sections["model"].items():
+            if key not in known and value != "False":
+                raise DataError(f"{meta}: {key} = {value}; this version no longer "
+                                f"builds that model")
         return cls(
-            model_config=ModelConfig.from_dict(sections["model"]),
-            train_config=TrainConfig.from_dict(sections["train"]),
+            model_config=model_config,
+            train_config=train_config,
             store=store,
-            epoch=int(sections["state"].get("epoch", 0)),
+            epoch=epoch,
             loss_history=[h[0] for h in history],
             valid_history=[h[1] for h in history],
         )

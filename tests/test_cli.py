@@ -115,6 +115,20 @@ def test_unknown_config_key_rejected(tmp_path):
                      "--checkpoint", "y"]) == 1
 
 
+def test_bad_config_values_are_usage_errors(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    for command, line, key in (("train", "leakage_guard = true", "leakage_guard"),
+                               ("train", "width = abc", "width"),
+                               ("train", "step_size = nan", "step_size"),
+                               ("split", "relation_disjoint = yes", "relation_disjoint"),
+                               ("split", "ratios = 0.5,x,0.5", "ratios")):
+        cfg_file.write_text(line + "\n", encoding="utf-8")
+        paths = (["--bundle", "x", "--out", str(tmp_path / "run")] if command == "train"
+                 else ["--input", "x", "--out", str(tmp_path / "bundle")])
+        assert dispatch([command, "--config", str(cfg_file)] + paths) == 1, line
+        assert key in capsys.readouterr().err
+
+
 def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     ckpt = tmp_path / "ckpt.bin"
     ckpt.write_bytes(b"HYRELP1\n\x01\x00")

@@ -199,22 +199,6 @@ def test_qualifier_swap_leaves_scores_unchanged(rng):
     assert np.allclose(scores, scores_swapped, atol=1e-6)
 
 
-def test_zero_other_bias_flag(rng):
-    store, params = fresh_decoder(width=4, zero_other_bias=True)
-    fact = HyperFact("h", "r", "t")
-    layout = layout_for(QueryFact.from_fact(fact, HEAD))
-    seq = Value(rng.normal(size=(3, 4)))
-    out = attention_layer(seq, layout, params.layers[0], params)
-    assert np.isfinite(out.data).all()
-    # The OTHER rows get no gradient when disabled.
-    loss = ad.total_sum(out)
-    ad.backward(loss)
-    head = params.layers[0].heads[0]
-    assert (head.key_bias.grad[BiasType.OTHER.value] == 0).all()
-    assert (head.value_bias.grad[BiasType.OTHER.value] == 0).all()
-    assert not (head.key_bias.grad[BiasType.HR.value] == 0).all()
-
-
 def test_decoder_gradients(rng):
     store, params = fresh_decoder(width=4, heads=2, depth=1, seed=11)
     fact = HyperFact("h", "r", "t", (("k", "v"),))

@@ -4,8 +4,7 @@ import pytest
 import hyrel.autodiff as ad
 from hyrel import ConfigError
 from hyrel.autodiff import ParamStore, Value
-from hyrel.encoder import (encode, encode_with_edge_states, indicator_init,
-                           init_encoder_params, mp_layer)
+from hyrel.encoder import encode, indicator_init, init_encoder_params, mp_layer
 from hyrel.foundation import (EntInteraction, FoundationGraph, build_entity_graph,
                               build_relation_graph)
 from hyrel.reference import naive_message_passing, random_hkg
@@ -63,7 +62,7 @@ def test_mp_layer_no_edges_applies_update_everywhere():
     g = FoundationGraph(3, (T, TR), ())
     store, params = fresh_params((T, TR), width=4)
     states = indicator_init(g, {1}, 4, np.float64)
-    out = mp_layer(states, g, params.layers[0], params)
+    out = mp_layer(states, g, params.layers[0])
     w = params.layers[0].update_w.data
     b = params.layers[0].update_b.data
     for row in range(3):
@@ -82,15 +81,20 @@ def test_mp_layer_identity_message():
 
 
 def test_mp_layer_matches_naive_loop(rng):
-    g = line_graph(3)
+    base = line_graph(3)
+    g = FoundationGraph(3, base.alphabet, base.edges, edge_relations=(1, 0, 0, 1))
     store, params = fresh_params((T, TR), width=5, seed=3)
     states = Value(rng.normal(size=(3, 5)))
-    out = mp_layer(states, g, params.layers[0], params)
     layer = params.layers[0]
-    expected = naive_message_passing(states.data, g.edges, g.alphabet,
-                                     layer.type_vectors.data, layer.update_w.data,
-                                     layer.update_b.data)
-    assert np.allclose(out.data, expected, atol=1e-6)
+    # Gated by the type vectors, then by the rows of two relation states.
+    edge_states = Value(rng.normal(size=(2, 5)))
+    for gates in (None, edge_states):
+        out = mp_layer(states, g, layer, gates)
+        expected = naive_message_passing(
+            states.data, g.edges, g.alphabet, layer.type_vectors.data,
+            layer.update_w.data, layer.update_b.data,
+            None if gates is None else gates.data, g.edge_relations)
+        assert np.allclose(out.data, expected, atol=1e-6)
 
 
 def test_mp_layer_rejects_alphabet_mismatch():
@@ -98,7 +102,7 @@ def test_mp_layer_rejects_alphabet_mismatch():
     store, params = fresh_params((T,) , width=4)  # missing the reciprocal type
     states = indicator_init(g, {0}, 4, np.float64)
     with pytest.raises(ConfigError):
-        mp_layer(states, g, params.layers[0], params)
+        mp_layer(states, g, params.layers[0])
 
 
 def test_encode_depth_zero_returns_indicator():
@@ -162,15 +166,6 @@ def test_edge_state_encoding_runs(small_kg, rng):
     store, params = fresh_params(g.alphabet, depth=2, width=4, seed=1,
                                  typed_messages=False)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
-    out = encode_with_edge_states(g, {0}, params, rel_states)
+    out = encode(g, {0}, params, edge_states=rel_states)
     assert out.data.shape == (small_kg.num_entities, 4)
     assert np.isfinite(out.data).all()
-
-
-def test_residual_and_layer_norm_flags(small_kg):
-    g = build_entity_graph(small_kg)
-    store, params = fresh_params(g.alphabet, depth=2, width=4, seed=2,
-                                 residual=True, layer_norm=True)
-    out = encode(g, {0, 1}, params)
-    assert np.isfinite(out.data).all()
-    assert params.layers[0].ln_gain is not None

@@ -108,8 +108,13 @@ def test_model_config_round_trip():
     for cfg in (ModelConfig(),
                 ModelConfig(width=16, encoder_depth=3, head_count=2,
                             decoder_depth=1, interactions=preset("addShareV"),
-                            structure=RELATION_DRIVEN, zero_other_bias=True)):
+                            structure=RELATION_DRIVEN)):
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    text = ModelConfig().to_dict()
+    with pytest.raises(ConfigError, match="relation_set"):
+        ModelConfig.from_dict(text | {"relation_set": text["relation_set"] + ",bogus"})
+    with pytest.raises(ConfigError, match="structure"):
+        ModelConfig.from_dict({k: v for k, v in text.items() if k != "structure"})
 
 
 def test_from_store_rejects_mismatched_checkpoint(small_kg):
@@ -118,10 +123,19 @@ def test_from_store_rejects_mismatched_checkpoint(small_kg):
     with pytest.raises(ConfigError):
         LinkPredictor.from_store(ModelConfig(width=16, encoder_depth=1,
                                              head_count=1, decoder_depth=1), a.store)
+    a.store.add("extra/tensor", np.zeros((1, 8), dtype=np.float32))
+    with pytest.raises(ConfigError, match="extra/tensor"):
+        LinkPredictor.from_store(a.cfg, a.store)
 
 
 def test_invalid_model_config_rejected():
+    from hyrel.training import TrainConfig
     with pytest.raises(ConfigError):
         ModelConfig(structure="nonsense")
     with pytest.raises(ConfigError):
         ModelConfig(width=0)
+    # TrainConfig builds its model at construction, not first inside fit.
+    with pytest.raises(ConfigError):
+        TrainConfig(structure="nonsense")
+    with pytest.raises(ConfigError):
+        TrainConfig(head_count=0)

@@ -116,6 +116,30 @@ def test_checkpoint_round_trip_preserves_scores(tmp_path):
     assert (a == b).all()
 
 
+def test_malformed_meta_is_data_error(tmp_path):
+    cfg = TrainConfig(epochs=0, seed=0, width=8, encoder_depth=1, head_count=1,
+                      decoder_depth=1)
+    path = tmp_path / "model.bin"
+    fit(as_bundle(fixed_kg()), cfg).save(path)
+    meta = tmp_path / "model.bin.meta"
+    text = meta.read_text(encoding="utf-8")
+    assert text.count("width = 8\n") == 2  # [model] comes first, then [train]
+    for bad, key in ((text.replace("width = 8\n", "", 1), "width"),
+                     (text.replace("width = 8\n", "width = x\n", 1), "width"),
+                     (text.replace("[model]\n", "[model]\nzero_other_bias = True\n"),
+                      "zero_other_bias")):
+        meta.write_text(bad, encoding="utf-8")
+        with pytest.raises(DataError, match=key):
+            Checkpoint.load(path)
+    # Older sidecars record three retired model options; False is what this
+    # version builds, so they still load.
+    retired = "".join(f"{key} = False\n" for key in ("encoder_residual",
+                                                    "encoder_layer_norm",
+                                                    "zero_other_bias"))
+    meta.write_text(text.replace("[train]\n", retired + "[train]\n"), encoding="utf-8")
+    assert Checkpoint.load(path).model_config == cfg.model_config()
+
+
 def test_epochs_zero_returns_initialized_checkpoint():
     kg = fixed_kg()
     cfg = TrainConfig(epochs=0, batch_size=8, step_size=1e-3, seed=0, width=8,
