@@ -175,11 +175,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     effective = _read_config_file(args.config) if args.config else {}
     checkpoint = Checkpoint.load(args.checkpoint)
+    predictor = checkpoint.predictor()
     effective["seed"] = str(checkpoint.train_config.seed)
     _print_header(effective)
     bundle = load_bundle(args.bundle)
-    metrics = evaluate_bundle(checkpoint.predictor(), bundle, split=args.split,
-                              filtered=not args.raw)
+    metrics = evaluate_bundle(predictor, bundle, split=args.split, filtered=not args.raw)
     print(metrics.table())
     if args.tsv:
         for line in metrics.tsv_lines():
@@ -241,10 +241,10 @@ def cmd_predict(args) -> int:
     if bool(args.bundle) == bool(args.kg):
         raise ConfigError("provide exactly one of --bundle or --kg")
     checkpoint = Checkpoint.load(args.checkpoint)
+    predictor = checkpoint.predictor()
     _print_header({"seed": str(checkpoint.train_config.seed), "topk": str(args.topk)})
     kg = load_bundle(args.bundle).inference if args.bundle else load_kg(args.kg)
     query = _parse_query(args.query)
-    predictor = checkpoint.predictor()
     ctx = predictor.prepare(kg)
     scores = predictor.entity_scores(ctx, query)
     order = np.argsort(-scores)[:max(1, args.topk)]

@@ -7,7 +7,9 @@ head/relation pair, the tail/relation pair, a relation/key pair, an aligned
 key/value pair, or anything else.  A key-side bias enters the similarity
 before the softmax and a value-side bias enters the weighted sum, so the
 model can treat e.g. a key attending to its own value differently from a
-key attending to an unrelated value.
+key attending to an unrelated value.  Heads are column blocks of one
+projection: head h owns columns h·dh:(h+1)·dh of the query, key and value
+maps and of both bias tables.
 
 Scoring projects the mask slot's output onto the query-conditioned entity
 state matrix: one logit per entity plus a single shared scalar bias.  A
@@ -90,30 +92,34 @@ def _mask_cache(roles: tuple[Role, ...], dtype_name: str) -> tuple[np.ndarray, .
 
 
 @lru_cache(maxsize=512)
-def _present_bias_types(roles: tuple[Role, ...], dtype_name: str
-                        ) -> tuple[tuple[int, np.ndarray], ...]:
-    """Bias types that actually occur in this layout, with their masks."""
-    masks = _mask_cache(roles, dtype_name)
-    return tuple((i, m) for i, m in enumerate(masks) if m.any())
+def _selectors(roles: tuple[Role, ...], head_count: int, width: int,
+               dtype_name: str) -> tuple[np.ndarray, ...]:
+    """Constant 0/1 matrices that let one op sequence serve every head and type.
 
-
-@lru_cache(maxsize=64)
-def _ones_column(n: int, dtype_name: str) -> np.ndarray:
-    return np.ones((n, 1), dtype=np.dtype(dtype_name))
-
-
-@dataclass
-class HeadParams:
-    wq: Value          # (d, dh)
-    wk: Value          # (d, dh)
-    wv: Value          # (d, dh)
-    key_bias: Value    # (num bias types, dh)
-    value_bias: Value  # (num bias types, dh)
+    ``rep`` (H·n, n) stacks the sequence once per head; ``head_cols``
+    (H·n, d) keeps head h's columns in row block h; ``expand`` (T, T·n)
+    spreads a per-type column over that type's block of slot pairs and
+    ``fold`` (T·n, n) sums the blocks back; ``masks`` (H·n, T·n) holds the
+    bias-type masks side by side, tiled once per head.
+    """
+    dtype = np.dtype(dtype_name)
+    n, dh = len(roles), width // head_count
+    eye = np.eye(n, dtype=dtype)
+    rep = np.tile(eye, (head_count, 1))
+    head_cols = np.kron(np.eye(head_count, dtype=dtype), np.ones((n, dh), dtype=dtype))
+    expand = np.kron(np.eye(NUM_BIAS_TYPES, dtype=dtype), np.ones((1, n), dtype=dtype))
+    fold = np.tile(eye, (NUM_BIAS_TYPES, 1))
+    masks = np.tile(np.concatenate(_mask_cache(roles, dtype_name), axis=1), (head_count, 1))
+    return rep, head_cols, expand, fold, masks
 
 
 @dataclass
 class DecoderLayerParams:
-    heads: list[HeadParams]
+    wq: Value          # (d, d); head h owns columns h·dh:(h+1)·dh
+    wk: Value          # (d, d)
+    wv: Value          # (d, d)
+    key_bias: Value    # (num bias types, d), split by head like wq
+    value_bias: Value  # (num bias types, d)
     ln1_gain: Value
     ln1_bias: Value
     ffn_w1: Value
@@ -152,26 +158,19 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
     limit_qkv = np.sqrt(6.0 / (width + dh))
     limit_f1 = np.sqrt(6.0 / (width + 4 * width))
     for layer in range(depth):
-        heads = []
-        for h in range(head_count):
-            stem = f"{prefix}/layer{layer}/head{h}"
-            heads.append(HeadParams(
-                wq=store.add(f"{stem}/wq",
-                             rng.uniform(-limit_qkv, limit_qkv, (width, dh)).astype(dtype)),
-                wk=store.add(f"{stem}/wk",
-                             rng.uniform(-limit_qkv, limit_qkv, (width, dh)).astype(dtype)),
-                wv=store.add(f"{stem}/wv",
-                             rng.uniform(-limit_qkv, limit_qkv, (width, dh)).astype(dtype)),
-                key_bias=store.add(f"{stem}/key_bias",
-                                   rng.normal(0.0, dh ** -0.5,
-                                              (NUM_BIAS_TYPES, dh)).astype(dtype)),
-                value_bias=store.add(f"{stem}/value_bias",
-                                     rng.normal(0.0, dh ** -0.5,
-                                                (NUM_BIAS_TYPES, dh)).astype(dtype)),
-            ))
+        # Draw per head in the order of a per-head layout, then join by column.
+        drawn: dict[str, list[np.ndarray]] = {
+            name: [] for name in ("wq", "wk", "wv", "key_bias", "value_bias")}
+        for _ in range(head_count):
+            for name in ("wq", "wk", "wv"):
+                drawn[name].append(rng.uniform(-limit_qkv, limit_qkv, (width, dh)))
+            for name in ("key_bias", "value_bias"):
+                drawn[name].append(rng.normal(0.0, dh ** -0.5, (NUM_BIAS_TYPES, dh)))
         stem = f"{prefix}/layer{layer}"
         params.layers.append(DecoderLayerParams(
-            heads=heads,
+            **{name: store.add(f"{stem}/{name}",
+                               np.concatenate(parts, axis=1).astype(dtype))
+               for name, parts in drawn.items()},
             ln1_gain=store.add(f"{stem}/ln1_gain", np.ones((1, width), dtype=dtype)),
             ln1_bias=store.add(f"{stem}/ln1_bias", np.zeros((1, width), dtype=dtype)),
             ffn_w1=store.add(f"{stem}/ffn_w1",
@@ -214,29 +213,25 @@ def assemble_sequence(query: QueryFact, kg: Hkg, rel_states: Value,
 
 def attention_layer(seq: Value, layout: SequenceLayout, layer: DecoderLayerParams,
                     params: DecoderParams) -> Value:
-    """One block: biased multi-head attention, then the position-wise net."""
-    n = len(layout)
-    dtype_name = seq.data.dtype.name
-    present = _present_bias_types(layout.roles, dtype_name)
+    """One block: biased multi-head attention, then the position-wise net.
+
+    Row block h of ``q``, ``weights`` and ``out`` belongs to head h; the
+    constant selectors keep each head to its own columns and each slot pair
+    to its bias type, so no step loops over heads or types.
+    """
+    rep, head_cols, expand, fold, masks = _selectors(
+        layout.roles, params.head_count, params.width, seq.data.dtype.name)
     inv_scale = np.asarray(params.head_width ** -0.5, dtype=seq.data.dtype).reshape(1, 1)
-    ones_col = _ones_column(n, dtype_name)
-    head_outputs: list[Value] = []
-    for head in layer.heads:
-        q = ad.matmul(seq, head.wq)
-        k = ad.matmul(seq, head.wk)
-        v = ad.matmul(seq, head.wv)
-        scores = ad.matmul(q, ad.transpose(k))
-        for row, mask in present:
-            bias_vec = ad.gather(head.key_bias, [row])             # (1, dh)
-            per_slot = ad.matmul(q, ad.transpose(bias_vec))        # (n, 1)
-            scores = ad.add(scores, ad.mul(per_slot, mask))
-        weights = ad.rowwise_softmax(ad.mul(scores, inv_scale))
-        out = ad.matmul(weights, v)
-        for row, mask in present:
-            share = ad.matmul(ad.mul(weights, mask), ones_col)     # (n, 1)
-            out = ad.add(out, ad.matmul(share, ad.gather(head.value_bias, [row])))
-        head_outputs.append(out)
-    attn = head_outputs[0] if len(head_outputs) == 1 else ad.concat(head_outputs, axis=1)
+    q = ad.mul(ad.matmul(rep, ad.matmul(seq, layer.wq)), head_cols)        # (H·n, d)
+    k = ad.matmul(seq, layer.wk)
+    v = ad.matmul(seq, layer.wv)
+    per_type = ad.matmul(ad.matmul(q, ad.transpose(layer.key_bias)), expand)
+    bias = ad.matmul(ad.mul(per_type, masks), fold)                          # (H·n, n)
+    weights = ad.rowwise_softmax(
+        ad.mul(ad.add(ad.matmul(q, ad.transpose(k)), bias), inv_scale))
+    shares = ad.matmul(ad.mul(ad.matmul(weights, fold.T), masks), expand.T)  # (H·n, T)
+    out = ad.add(ad.matmul(weights, v), ad.matmul(shares, layer.value_bias))
+    attn = ad.matmul(rep.T, ad.mul(out, head_cols))                          # (n, d)
     x = ad.layer_norm(ad.add(seq, attn), layer.ln1_gain, layer.ln1_bias)
     ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1)),
                            layer.ffn_w2), layer.ffn_b2)

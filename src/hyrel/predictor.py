@@ -20,7 +20,7 @@ from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
 from .config import TextConfig
-from .errors import ConfigError, VocabularyError
+from .errors import ConfigError, DataError, VocabularyError
 from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
                          RelInteraction, build_entity_graph, build_relation_graph, preset)
 from .model import Hkg, QueryFact
@@ -49,6 +49,9 @@ class ModelConfig(TextConfig):
         for name in ("width", "encoder_depth", "head_count", "decoder_depth"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.width % self.head_count:
+            raise ConfigError(f"width {self.width} not divisible by head count "
+                              f"{self.head_count}")
 
 
 def ablation_overrides(name: str) -> dict[str, str]:
@@ -108,18 +111,20 @@ class LinkPredictor:
 
     @classmethod
     def from_store(cls, cfg: ModelConfig, store: ParamStore) -> "LinkPredictor":
-        """Rebind loaded parameters; names must match :meth:`build`'s layout."""
+        """Rebind loaded parameters; names and shapes must match :meth:`build`'s
+        layout, or the checkpoint is a :class:`DataError`."""
         fresh = cls.build(cfg, seed=0)
+        missing = [name for name in fresh.store.names() if name not in store]
         extra = [name for name in store.names() if name not in fresh.store]
-        if extra:
-            raise ConfigError(f"checkpoint has parameters {extra} that the model "
-                              f"configuration does not declare")
+        if missing or extra:
+            found = [f"{kind} tensor {names[0]!r}" for kind, names
+                     in (("missing", missing), ("extra", extra)) if names]
+            raise DataError(f"checkpoint does not match the model configuration: "
+                            f"{', '.join(found)}")
         for name, value in fresh.store.items():
-            if name not in store:
-                raise ConfigError(f"checkpoint is missing parameter {name!r}")
             if store[name].shape != value.shape:
-                raise ConfigError(f"checkpoint parameter {name!r} has shape "
-                                  f"{store[name].shape}, expected {value.shape}")
+                raise DataError(f"checkpoint parameter {name!r} has shape "
+                                f"{store[name].shape}, expected {value.shape}")
             value.data = store[name].data
         return fresh
 

@@ -13,8 +13,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .decoder import classify_bias
 from .foundation import EntInteraction, InteractionConfig, RelInteraction
-from .model import Hkg, HyperFact
+from .model import Hkg, HyperFact, Role
 
 Edge = tuple[int, object, int]
 
@@ -106,6 +107,41 @@ def naive_message_passing(states: np.ndarray, edges: Sequence[Edge],
         joint = np.concatenate([states[u], agg[u]])
         out[u] = np.maximum(joint @ update_w + update_b[0], 0)
     return out
+
+
+def naive_attention_layer(seq: np.ndarray, roles: Sequence[Role], head_count: int,
+                          weights: Mapping[str, np.ndarray]) -> np.ndarray:
+    """One decoder block by explicit loops over head x query slot x key slot.
+
+    ``weights`` maps the layer's tensor names (``wq`` ... ``ln2_bias``) to
+    arrays; head h reads columns h*dh:(h+1)*dh of the projections and of
+    both bias tables, and each slot pair adds the rows of its bias type.
+    """
+    n, d = seq.shape
+    dh = d // head_count
+    attn = np.zeros_like(seq)
+    for h in range(head_count):
+        cols = slice(h * dh, (h + 1) * dh)
+        q = seq @ weights["wq"][:, cols]
+        k = seq @ weights["wk"][:, cols]
+        v = seq @ weights["wv"][:, cols]
+        for a in range(n):
+            types = [classify_bias(roles[a], roles[b]).value for b in range(n)]
+            scores = np.array([q[a] @ (k[b] + weights["key_bias"][t, cols])
+                               for b, t in enumerate(types)]) / np.sqrt(dh)
+            w = np.exp(scores - scores.max())
+            w /= w.sum()
+            for b, t in enumerate(types):
+                attn[a, cols] += w[b] * (v[b] + weights["value_bias"][t, cols])
+
+    def layer_norm(x, gain, bias):
+        mu = x.mean(axis=1, keepdims=True)
+        return (x - mu) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-5) * gain + bias
+
+    x = layer_norm(seq + attn, weights["ln1_gain"], weights["ln1_bias"])
+    hidden = np.maximum(x @ weights["ffn_w1"] + weights["ffn_b1"], 0)
+    return layer_norm(x + hidden @ weights["ffn_w2"] + weights["ffn_b2"],
+                      weights["ln2_gain"], weights["ln2_bias"])
 
 
 def all_partitions(items: Sequence[int]):

@@ -28,7 +28,7 @@ def _gradient_suite(log: Callable[[str], None], quick: bool, structure: str) -> 
     rng = np.random.default_rng(7)
     kg = random_hkg(rng, max_facts=3, min_facts=3, max_qualifiers=2)
     queries = generate_queries(kg)
-    cfg = ModelConfig(width=8, encoder_depth=2, head_count=1, decoder_depth=1,
+    cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
                       structure=structure)
     predictor = LinkPredictor.build(cfg, seed=3, dtype=np.float64)
     # Zero-state rows sit exactly on a relu kink, where central differences

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, ParamStore, clip_global_norm
 from .config import TextConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .evaluation import bundle_known_facts, evaluate
 from .foundation import preset
 from .io import DatasetBundle
@@ -110,7 +110,9 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
     """One optimizer step on the mean loss of a query batch.
 
     ``source_facts`` names each query's source fact index so the leakage
-    guard can exclude it from the graphs used to encode that query.
+    guard can exclude it from the graphs used to encode that query.  A NaN
+    or infinite loss or gradient norm raises :class:`NumericalError` before
+    the optimizer touches the parameters.
     """
     if source_facts is None:
         source_facts = [None] * len(batch)
@@ -125,9 +127,11 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
     loss = ad.mul(total, ad.as_value(np.asarray(1.0 / len(losses), dtype=total.data.dtype)))
     predictor.store.zero_grads()
     ad.backward(loss)
-    clip_global_norm(predictor.store.values(), cfg.grad_clip)
-    optimizer.step()
+    norm = clip_global_norm(predictor.store.values(), cfg.grad_clip)
     value = float(loss.data[0, 0])
+    if not (np.isfinite(value) and np.isfinite(norm)):
+        raise NumericalError(f"non-finite step: loss {value}, gradient norm {norm}")
+    optimizer.step()
     if stats is not None:
         stats.step_losses.append(value)
     return value
@@ -135,7 +139,7 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
 
 @dataclass
 class Checkpoint:
-    """A parameter snapshot plus everything needed to rebuild and resume."""
+    """A parameter snapshot plus everything needed to rebuild the model."""
 
     model_config: ModelConfig
     train_config: TrainConfig
@@ -258,8 +262,11 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
             picked = order[start:start + cfg.batch_size]
             batch = [queries[i] for i in picked]
             sources = [source_of[i] for i in picked]
-            epoch_loss += train_step(predictor, batch, kg, optimizer, cfg, cache,
-                                     sources, stats)
+            try:
+                epoch_loss += train_step(predictor, batch, kg, optimizer, cfg, cache,
+                                         sources, stats)
+            except NumericalError as e:
+                raise NumericalError(f"epoch {epoch + 1}, step {steps + 1}: {e}") from e
             steps += 1
         epoch_loss /= max(steps, 1)
         stats.epoch_losses.append(epoch_loss)

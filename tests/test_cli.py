@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from hyrel import Hkg, HyperFact, write_kg
+from hyrel.autodiff import ParamStore
 from hyrel.cli import dispatch, _parse_query
 from hyrel.errors import DataError
 from hyrel.io import format_fact_line
 from hyrel.model import HEAD, value_role
+from hyrel.predictor import LinkPredictor
+from hyrel.training import Checkpoint, TrainConfig
 
 
 def make_raw_kg(path, units=5):
@@ -134,6 +138,36 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     ckpt.write_bytes(b"HYRELP1\n\x01\x00")
     assert dispatch(["eval", "--bundle", "x", "--checkpoint", str(ckpt)]) == 2
     assert "truncated parameter checkpoint" in capsys.readouterr().err
+
+
+def test_head_count_not_dividing_width_is_usage_error(tmp_path, capsys):
+    # Exit 1 before the (absent) bundle is read; reading it would exit 2.
+    assert dispatch(["train", "--bundle", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run"), "--width", "8",
+                     "--head-count", "3"]) == 1
+    assert "not divisible by head count 3" in capsys.readouterr().err
+
+
+def test_checkpoint_with_per_head_names_is_data_error(tmp_path, capsys):
+    # Checkpoints from before the heads were fused store decoder/layerL/headH/*;
+    # the mismatch is found before the (absent) bundle is read.
+    cfg = TrainConfig(width=8, encoder_depth=1, head_count=2, decoder_depth=1)
+    fused = LinkPredictor.build(cfg.model_config(), seed=0).store
+    per_head = ParamStore()
+    for name, value in fused.items():
+        stem, kind = name.rsplit("/", 1)
+        if kind in ("wq", "wk", "wv", "key_bias", "value_bias"):
+            for h, block in enumerate(np.split(value.data, 2, axis=1)):
+                per_head.add(f"{stem}/head{h}/{kind}", block)
+        else:
+            per_head.add(name, value.data)
+    ckpt = tmp_path / "old.bin"
+    Checkpoint(cfg.model_config(), cfg, per_head, 0, [], []).save(ckpt)
+    assert dispatch(["eval", "--bundle", str(tmp_path / "absent"),
+                     "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "missing tensor 'decoder/layer0/wq'" in err
+    assert "extra tensor 'decoder/layer0/head0/wq'" in err
 
 
 def test_selfcheck_quick(capsys):

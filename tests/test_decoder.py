@@ -8,6 +8,7 @@ from hyrel.decoder import (BiasType, assemble_sequence, attention_layer, bias_ma
                            classify_bias, decode, entity_logits, init_decoder_params,
                            layout_for, mask_vector, score_entities)
 from hyrel.model import PRIMARY_RELATION, key_role
+from hyrel.reference import naive_attention_layer
 
 
 def fresh_decoder(width=8, heads=1, depth=1, seed=0, dtype=np.float64, **kw):
@@ -79,7 +80,7 @@ def test_attention_reduces_to_scaled_dot_product(rng):
     width = 4
     store, params = fresh_decoder(width=width, heads=1, depth=1)
     layer = params.layers[0]
-    head = layer.heads[0]
+    head = layer  # one head owns every column
     head.wq.data[:] = np.eye(width)
     head.wk.data[:] = np.eye(width)
     head.key_bias.data[:] = 0
@@ -105,6 +106,47 @@ def test_attention_reduces_to_scaled_dot_product(rng):
     sd2 = np.sqrt(post.var(axis=1, keepdims=True) + 1e-5)
     expected = (post - mu2) / sd2 * layer.ln2_gain.data + layer.ln2_bias.data
     assert np.allclose(out.data, expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_layer_matches_naive_loops(heads, rng):
+    store, params = fresh_decoder(width=8, heads=heads, depth=1, seed=heads)
+    layer_weights = {}
+    for name, value in store.items():
+        if name.startswith("dec/layer0/"):
+            value.data[:] = rng.normal(0.0, 0.5, value.shape)  # nonzero biases too
+            layer_weights[name.rsplit("/", 1)[1]] = value.data
+    for arity in range(4):
+        fact = HyperFact("h", "r", "t", tuple((f"k{i}", f"v{i}") for i in range(arity)))
+        roles = layout_for(QueryFact.from_fact(fact, HEAD)).roles
+        for masked in [role for role in roles if role.is_entity]:
+            layout = layout_for(QueryFact.from_fact(fact, masked))
+            x = rng.normal(size=(len(layout), 8))
+            out = attention_layer(Value(x), layout, params.layers[0], params)
+            expected = naive_attention_layer(x, layout.roles, heads, layer_weights)
+            assert np.abs(out.data - expected).max() <= 1e-10
+
+
+def tape_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_attention_tape_size_ignores_heads_and_layout(rng):
+    sizes = set()
+    for heads in (1, 2, 4):
+        _, params = fresh_decoder(width=8, heads=heads, depth=1)
+        for arity in (0, 3):
+            fact = HyperFact("h", "r", "t", tuple((f"k{i}", f"v{i}") for i in range(arity)))
+            layout = layout_for(QueryFact.from_fact(fact, TAIL))
+            seq = Value(rng.normal(size=(len(layout), 8)))
+            sizes.add(tape_size(attention_layer(seq, layout, params.layers[0], params)))
+    assert len(sizes) == 1, sizes
 
 
 def test_attention_weights_rows_sum_to_one(rng):
@@ -200,16 +242,18 @@ def test_qualifier_swap_leaves_scores_unchanged(rng):
 
 
 def test_decoder_gradients(rng):
-    store, params = fresh_decoder(width=4, heads=2, depth=1, seed=11)
-    fact = HyperFact("h", "r", "t", (("k", "v"),))
-    layout = layout_for(QueryFact.from_fact(fact, value_role(0)))
-    seq = Value(rng.normal(size=(5, 4)))
-    ents = Value(rng.normal(size=(6, 4)))
+    for heads in (2, 4):
+        width = 2 * heads
+        store, params = fresh_decoder(width=width, heads=heads, depth=1, seed=11)
+        fact = HyperFact("h", "r", "t", (("k", "v"),))
+        layout = layout_for(QueryFact.from_fact(fact, value_role(0)))
+        seq = Value(rng.normal(size=(5, width)))
+        ents = Value(rng.normal(size=(6, width)))
 
-    def loss():
-        out = decode(seq, layout, params)
-        return ad.cross_entropy(entity_logits(mask_vector(out, layout), ents,
-                                              params.out_bias), 2)
+        def loss():
+            out = decode(seq, layout, params)
+            return ad.cross_entropy(entity_logits(mask_vector(out, layout), ents,
+                                                  params.out_bias), 2)
 
-    report = ad.check_gradients(loss, dict(store.items()) | {"seq": seq, "ents": ents})
-    assert max(report.values()) <= 1e-3, report
+        report = ad.check_gradients(loss, dict(store.items()) | {"seq": seq, "ents": ents})
+        assert max(report.values()) <= 1e-3, (heads, report)

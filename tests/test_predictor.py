@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hyrel import (ConfigError, HyperFact, QueryFact, TAIL, VocabularyError,
-                   generate_queries)
+from hyrel import (ConfigError, DataError, HyperFact, QueryFact, TAIL,
+                   VocabularyError, generate_queries)
 from hyrel.foundation import preset
 from hyrel.predictor import (RELATION_DRIVEN, LinkPredictor, ModelConfig,
                              config_for_ablation)
@@ -120,11 +120,11 @@ def test_model_config_round_trip():
 def test_from_store_rejects_mismatched_checkpoint(small_kg):
     a = LinkPredictor.build(ModelConfig(width=8, encoder_depth=1, head_count=1,
                                         decoder_depth=1), seed=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError):
         LinkPredictor.from_store(ModelConfig(width=16, encoder_depth=1,
                                              head_count=1, decoder_depth=1), a.store)
     a.store.add("extra/tensor", np.zeros((1, 8), dtype=np.float32))
-    with pytest.raises(ConfigError, match="extra/tensor"):
+    with pytest.raises(DataError, match="extra/tensor"):
         LinkPredictor.from_store(a.cfg, a.store)
 
 
@@ -139,3 +139,7 @@ def test_invalid_model_config_rejected():
         TrainConfig(structure="nonsense")
     with pytest.raises(ConfigError):
         TrainConfig(head_count=0)
+    with pytest.raises(ConfigError, match="divisible"):
+        ModelConfig(width=8, head_count=3)
+    with pytest.raises(ConfigError, match="divisible"):
+        TrainConfig(width=8, head_count=3)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import DataError, Hkg, HyperFact, QueryFact, TAIL, generate_queries
+from hyrel import (DataError, Hkg, HyperFact, NumericalError, QueryFact, TAIL,
+                   generate_queries)
 from hyrel.autodiff import Adam
 from hyrel.evaluation import evaluate
 from hyrel.io import DatasetBundle
@@ -221,3 +222,27 @@ def test_early_stop_callback():
     stats = TrainStats()
     fit(as_bundle(kg), cfg, stats=stats, stop_when=lambda e, loss, mrr: e >= 5)
     assert len(stats.epoch_losses) == 5
+
+
+def test_fit_stops_on_non_finite_step(monkeypatch):
+    build = LinkPredictor.build.__func__
+
+    def poisoned(cls, cfg, seed=0, dtype=np.float32):
+        predictor = build(cls, cfg, seed, dtype)
+        predictor.store["decoder/out_bias"].data[:] = np.nan
+        return predictor
+
+    monkeypatch.setattr(LinkPredictor, "build", classmethod(poisoned))
+    kg = fixed_kg()
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=0, width=8, encoder_depth=1,
+                      head_count=1, decoder_depth=1, checkpoint_every=10 ** 6)
+    # No valid facts, so no evaluation would ever rank a NaN score.
+    with pytest.raises(NumericalError, match="epoch 1, step 1"):
+        fit(as_bundle(kg), cfg)
+
+    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    before = predictor.store.to_bytes()
+    with pytest.raises(NumericalError):
+        train_step(predictor, generate_queries(kg)[:4], kg,
+                   Adam(predictor.store.values()), cfg, _GraphCache(predictor, kg))
+    assert predictor.store.to_bytes() == before
