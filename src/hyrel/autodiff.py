@@ -289,7 +289,7 @@ def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
     hit = plan.rows if plan is not None else idx  # distinct rows: fewer to check
     if hit.size and (hit.min() < 0 or hit.max() >= x.shape[0]):
         raise IndexError(f"row index out of range for {x.shape[0]} rows")
-    out = Value(x.data[idx], (x,))
+    out = Value(np.take(x.data, idx, axis=0), (x,))
 
     def bwd(g: Array):
         buf = x.grad
@@ -322,7 +322,7 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
     idx = plan.index
 
     def bwd(g: Array):
-        messages.grad += g[idx]
+        messages.grad += np.take(g, idx, axis=0)
 
     out._backward = bwd
     return out

@@ -11,7 +11,8 @@ Per layer, the message sent along an edge (w, t, u) is the source state
 gated elementwise by a vector; messages are sum-aggregated at their
 destination; the update concatenates the previous state with the aggregate
 and applies a linear map plus relu.  Nodes without incoming edges still pass
-through the update with a zero aggregate.
+through the update with a zero aggregate.  Leaving a fact out (the
+training leakage guard) drops the edges only it induced from every layer.
 
 Where the gate comes from depends on the model structure.  In the parallel
 structure it is the layer's learned type vector of t.  In the
@@ -28,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Value
+from .autodiff import ParamStore, Segments, Value
 from .errors import ConfigError
 from .foundation import FoundationGraph
 
@@ -79,12 +80,21 @@ def indicator_init(g: FoundationGraph, query_nodes: Iterable[int], width: int,
     return Value(init)
 
 
+def edge_plans(g: FoundationGraph, gated_by_relations: bool,
+               leave_out: int | None = None) -> tuple[Segments, Segments, Segments]:
+    """(src, gate_rows, dst) plans of the edges left without fact ``leave_out``;
+    gate rows are edge types, or annotated relations when those gate."""
+    src, trow, dst = g.segments(leave_out)
+    return src, g.relation_segments(leave_out) if gated_by_relations else trow, dst
+
+
 def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
-             edge_states: Value | None = None) -> Value:
+             edge_states: Value | None = None, plans: tuple | None = None) -> Value:
     """One round of gated message passing plus the node update.
 
     An edge's gate is its type's row of ``layer.type_vectors``, or, given
     ``edge_states``, the row of the relation annotated on the edge.
+    Messages run along ``plans`` (:func:`edge_plans`; all edges by default).
     """
     if states.shape[0] != g.num_nodes:
         raise ConfigError(f"state matrix has {states.shape[0]} rows for a graph of "
@@ -93,28 +103,24 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
         raise ConfigError(
             f"encoder knows {layer.type_vectors.shape[0]} interaction types but the "
             f"graph alphabet has {len(g.alphabet)}")
-    src, trow, dst = g.segments()
-    if edge_states is None:
-        gates, gate_rows = layer.type_vectors, trow
-    else:
-        gates, gate_rows = edge_states, g.relation_segments()
-    if g.num_edges == 0:
-        agg = Value(np.zeros_like(states.data))
-    else:
-        messages = ad.mul(ad.gather(states, src), ad.gather(gates, gate_rows))
-        agg = ad.scatter_add(messages, dst, g.num_nodes)
+    src, gate_rows, dst = plans or edge_plans(g, edge_states is not None)
+    gates = layer.type_vectors if edge_states is None else edge_states
+    messages = ad.mul(ad.gather(states, src), ad.gather(gates, gate_rows))
+    agg = ad.scatter_add(messages, dst, g.num_nodes)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 
 
 def encode(g: FoundationGraph, query_nodes: Iterable[int], params: EncoderParams,
-           edge_states: Value | None = None) -> Value:
-    """Indicator initialization followed by every layer of message passing."""
+           edge_states: Value | None = None, leave_out: int | None = None) -> Value:
+    """Indicator initialization followed by every layer of message passing,
+    over the edges that remain when fact ``leave_out`` is left out."""
     if params.alphabet != g.alphabet:
         raise ConfigError(f"encoder alphabet {[t.value for t in params.alphabet]} does not "
                           f"match graph alphabet {[t.value for t in g.alphabet]}")
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
+    plans = edge_plans(g, edge_states is not None, leave_out)
     for layer in params.layers:
-        states = mp_layer(states, g, layer, edge_states)
+        states = mp_layer(states, g, layer, edge_states, plans)
     return states

@@ -27,7 +27,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import permutations
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -158,12 +159,15 @@ class FoundationGraph:
     ``edge_relations``, when present, annotates each edge with the dense id
     of the relation that induced it (used by the rewired encoder variant
     that drives entity messages with encoded relation states).
+    ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
+    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`).
     """
 
     num_nodes: int
     alphabet: tuple[Enum, ...]
     edges: tuple[tuple[int, Enum, int], ...]
     edge_relations: tuple[int, ...] | None = None
+    edge_facts: np.ndarray | None = field(default=None, repr=False, compare=False)
     _arrays: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -191,158 +195,162 @@ class FoundationGraph:
             self._arrays["er"] = np.asarray(self.edge_relations, dtype=np.int64)
         return self._arrays["er"]
 
-    def segments(self) -> tuple[Segments, Segments, Segments]:
-        """Grouping plans over the (src, type_row, dst) arrays, for segment sums."""
+    def kept(self, leave_out: int) -> np.ndarray:
+        """Boolean mask of the edges left when fact ``leave_out`` is left out."""
+        if self.edge_facts is None:
+            raise ContractError("graph was built without per-edge fact records")
+        return (self.edge_facts != leave_out).all(axis=1)
+
+    def segments(self, leave_out: int | None = None) -> tuple[Segments, Segments, Segments]:
+        """Grouping plans over the (src, type_row, dst) arrays, for segment sums,
+        of the edges left when fact ``leave_out`` is left out (cached for None)."""
+        if leave_out is not None:
+            keep = self.kept(leave_out)
+            return tuple(Segments(a[keep]) for a in self.arrays())
         if "sd_plans" not in self._arrays:
             self._arrays["sd_plans"] = tuple(Segments(a) for a in self.arrays())
         return self._arrays["sd_plans"]
 
-    def relation_segments(self) -> Segments:
-        """Grouping plan over :meth:`relation_array`."""
+    def relation_segments(self, leave_out: int | None = None) -> Segments:
+        """Grouping plan over :meth:`relation_array`, masked like :meth:`segments`."""
+        if leave_out is not None:
+            return Segments(self.relation_array()[self.kept(leave_out)])
         if "er_plan" not in self._arrays:
             self._arrays["er_plan"] = Segments(self.relation_array())
         return self._arrays["er_plan"]
 
 
-def _finish(num_nodes: int, enum_cls, active: frozenset, edges: set,
-            annotated: bool) -> FoundationGraph:
+def _finish(num_nodes: int, enum_cls, active: frozenset,
+            records: dict[tuple, tuple[int, int]], annotated: bool) -> FoundationGraph:
+    """Sort the edges (keys of ``records``; a 4th entry is the annotation)."""
     alphabet = tuple(t for t in enum_cls if t in active)
     order = {t: i for i, t in enumerate(alphabet)}
-    if annotated:
-        ordered = sorted(edges, key=lambda e: (e[0], order[e[1]], e[2], e[3]))
-        return FoundationGraph(num_nodes, alphabet,
-                               tuple((s, t, d) for s, t, d, _ in ordered),
-                               tuple(r for _, _, _, r in ordered))
-    ordered = sorted(edges, key=lambda e: (e[0], order[e[1]], e[2]))
-    return FoundationGraph(num_nodes, alphabet, tuple(ordered))
+    ordered = sorted(records, key=lambda e: (e[0], order[e[1]], e[2:]))
+    facts = np.array([records[e] for e in ordered], dtype=np.int64).reshape(-1, 2)
+    return FoundationGraph(num_nodes, alphabet, tuple(e[:3] for e in ordered),
+                           tuple(e[3] for e in ordered) if annotated else None, facts)
 
 
-def _check_exclude(kg: Hkg, exclude) -> frozenset[int]:
-    excl = frozenset(exclude or ())
-    for i in excl:
-        if not 0 <= i < kg.num_facts:
-            raise ContractError(f"excluded fact index {i} out of range (0..{kg.num_facts - 1})")
-    return excl
+def _distinct_facts(entries: Sequence[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
+    """Node -> its first three distinct facts (the third means "or more")."""
+    out: dict[int, tuple[int, ...]] = {}
+    for f, n in entries:
+        facts = out.get(n, ())
+        if len(facts) < 3 and f not in facts:
+            out[n] = facts + (f,)
+    return out
 
 
 def _cross_fact_pairs(a_entries: Sequence[tuple[int, int]],
                       b_entries: Sequence[tuple[int, int]],
-                      itype: Enum, edges: set) -> None:
-    """Emit (node_a, itype, node_b) for entry pairs drawn from distinct facts.
+                      itype: Enum, records: dict) -> None:
+    """Record (node_a, itype, node_b) for entry pairs drawn from distinct facts.
 
-    Entries are (fact_index, node_index).  Works on counts rather than raw
-    pairs so hub entities shared by many facts do not cost a quadratic loop:
-    an edge exists iff some cross pair (A, B) with A != B realises it, i.e.
-    iff total combinations exceed the same-fact combinations.
+    Entries are (fact_index, node_index) at one anchor.  The edge exists iff
+    some pair (A, B) with A != B realises it.  Its record meets (intersects)
+    the facts common to every such pair: the lone fact of a one-fact side,
+    plus the other side's lone other fact; or both facts when both sides
+    hold the same two.  A third fact on a side always yields a pair avoiding
+    any candidate, so three facts per node decide every case.
     """
-    cnt_a = Counter(n for _, n in a_entries)
-    cnt_b = Counter(n for _, n in b_entries)
-    a_by_fact: dict[int, Counter] = defaultdict(Counter)
-    for f, n in a_entries:
-        a_by_fact[f][n] += 1
-    b_by_fact: dict[int, Counter] = defaultdict(Counter)
-    for f, n in b_entries:
-        b_by_fact[f][n] += 1
-    same_fact: Counter = Counter()
-    for f in a_by_fact.keys() & b_by_fact.keys():
-        for na, ca in a_by_fact[f].items():
-            for nb, cb in b_by_fact[f].items():
-                same_fact[(na, nb)] += ca * cb
-    for na, ca in cnt_a.items():
-        for nb, cb in cnt_b.items():
-            if ca * cb > same_fact.get((na, nb), 0):
-                edges.add((na, itype, nb))
+    a_facts = _distinct_facts(a_entries)
+    b_facts = a_facts if b_entries is a_entries else _distinct_facts(b_entries)
+    for na, fa in a_facts.items():
+        for nb, fb in b_facts.items():
+            if len(fa) == 1 or len(fb) == 1:
+                one, other = (fa, fb) if len(fa) == 1 else (fb, fa)
+                rest = [f for f in other if f != one[0]]
+                if not rest:
+                    continue  # both sides are the same single fact
+                common = one + tuple(rest) if len(rest) == 1 else one
+            else:
+                common = fa if fa == fb and len(fa) == 2 else ()
+            key = (na, itype, nb)
+            prev = records.get(key)
+            if prev is None:
+                records[key] = common
+            elif prev:
+                records[key] = tuple(f for f in prev if f in common)
 
 
-def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None,
-                         exclude: Iterable[int] | None = None) -> FoundationGraph:
+_SHARED = (-1, -1)
+
+
+def _induce(records: dict, key: tuple, own: tuple[int, int]) -> None:
+    """Record that the fact whose record is ``own`` induces the intra-fact
+    edge ``key``; an edge that a second fact induces keeps no record."""
+    if records.setdefault(key, own) is not own:
+        records[key] = _SHARED
+
+
+def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> FoundationGraph:
     """Build the relation foundation graph of ``kg`` under ``cfg``.
 
-    ``exclude`` removes facts (by index) from consideration entirely: neither
-    their intra-fact edges nor any cross-fact edge requiring them survives.
-    Nodes are all relations of the vocabulary regardless of exclusion.
+    Nodes are all relations of the vocabulary.  Each edge records the facts
+    whose removal alone deletes it (see :meth:`FoundationGraph.kept`).
     """
     cfg = cfg or InteractionConfig()
     active = cfg.relation_set
-    excl = _check_exclude(kg, exclude)
 
     rel_of = [kg.relation_index[f.relation] for f in kg.facts]
     heads: dict[int, list[tuple[int, int]]] = defaultdict(list)
     tails: dict[int, list[tuple[int, int]]] = defaultdict(list)
     values: dict[int, list[tuple[int, int]]] = defaultdict(list)
     for fi, f in enumerate(kg.facts):
-        if fi in excl:
-            continue
         heads[kg.entity_index[f.head]].append((fi, rel_of[fi]))
         tails[kg.entity_index[f.tail]].append((fi, rel_of[fi]))
         for k, v in f.qualifiers:
             values[kg.entity_index[v]].append((fi, kg.relation_index[k]))
 
-    edges: set[tuple[int, RelInteraction, int]] = set()
+    cross: dict[tuple, tuple[int, ...]] = {}
     anchors = set(heads) | set(tails) | set(values)
     for e in anchors:
         h, t, v = heads.get(e, ()), tails.get(e, ()), values.get(e, ())
-        if RelInteraction.H2H in active and h:
-            _cross_fact_pairs(h, h, RelInteraction.H2H, edges)
-        if RelInteraction.T2T in active and t:
-            _cross_fact_pairs(t, t, RelInteraction.T2T, edges)
-        if RelInteraction.H2T in active and h and t:
-            _cross_fact_pairs(h, t, RelInteraction.H2T, edges)
-        if RelInteraction.H2V in active and h and v:
-            _cross_fact_pairs(h, v, RelInteraction.H2V, edges)
-        if RelInteraction.T2V in active and t and v:
-            _cross_fact_pairs(t, v, RelInteraction.T2V, edges)
-        if RelInteraction.V2V in active and v:
-            _cross_fact_pairs(v, v, RelInteraction.V2V, edges)
+        for itype, a, b in ((RelInteraction.H2H, h, h), (RelInteraction.T2T, t, t),
+                            (RelInteraction.H2T, h, t), (RelInteraction.H2V, h, v),
+                            (RelInteraction.T2V, t, v), (RelInteraction.V2V, v, v)):
+            if itype in active and a and b:
+                _cross_fact_pairs(a, b, itype, cross)
 
+    records = {e: (common + _SHARED)[:2] for e, common in cross.items()}
     for fi, f in enumerate(kg.facts):
-        if fi in excl:
-            continue
-        r = rel_of[fi]
+        own, r = (fi, -1), rel_of[fi]
         keys = [kg.relation_index[k] for k, _ in f.qualifiers]
         if RelInteraction.R2K in active:
             for k in keys:
-                edges.add((r, RelInteraction.R2K, k))
+                _induce(records, (r, RelInteraction.R2K, k), own)
         if RelInteraction.K2K in active:
-            for i, ki in enumerate(keys):
-                for j, kj in enumerate(keys):
-                    if i != j:
-                        edges.add((ki, RelInteraction.K2K, kj))
-
-    for s, t, d in list(edges):
-        edges.add((d, REL_RECIPROCAL[t], s))
-    return _finish(kg.num_relations, RelInteraction, active, edges, annotated=False)
+            for ki, kj in permutations(keys, 2):
+                _induce(records, (ki, RelInteraction.K2K, kj), own)
+    for (s, t, d), rec in list(records.items()):
+        records.setdefault((d, REL_RECIPROCAL[t], s), rec)
+    return _finish(kg.num_relations, RelInteraction, active, records, annotated=False)
 
 
 def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
-                       exclude: Iterable[int] | None = None,
                        with_fact_relations: bool = False) -> FoundationGraph:
     """Build the entity foundation graph of ``kg`` under ``cfg``.
 
-    All edges are intra-fact.  When two positions of a fact hold the same
-    entity the degenerate loop (e, t, e) is kept once.  With
-    ``with_fact_relations`` each edge additionally carries the dense id of
-    its governing relation (the primary relation for head/tail edges, the
-    qualifier key on the source side for value edges); deduplication then
-    distinguishes edges with different annotations.
+    All edges are intra-fact, each put together with its reciprocal, and an
+    edge records its fact when exactly one fact induces it.  When two
+    positions of a fact hold the same entity the degenerate loop (e, t, e)
+    is kept once.  With ``with_fact_relations`` each edge additionally
+    carries the dense id of its governing relation (the primary relation for
+    head/tail edges, the qualifier key on the source side for value edges);
+    deduplication then distinguishes edges with different annotations.
     """
     cfg = cfg or InteractionConfig()
     active = cfg.entity_set
-    excl = _check_exclude(kg, exclude)
 
-    edges: set = set()
+    records: dict[tuple, tuple[int, int]] = {}
 
     def put(src: int, itype: EntInteraction, dst: int, rel: int) -> None:
-        if itype not in active:
-            return
-        if with_fact_relations:
-            edges.add((src, itype, dst, rel))
-        else:
-            edges.add((src, itype, dst))
+        if itype in active:
+            _induce(records, (src, itype, dst, rel) if with_fact_relations
+                    else (src, itype, dst), own)
 
     for fi, f in enumerate(kg.facts):
-        if fi in excl:
-            continue
+        own = (fi, -1)
         h = kg.entity_index[f.head]
         t = kg.entity_index[f.tail]
         r = kg.relation_index[f.relation]
@@ -354,15 +362,10 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
             put(v, EntInteraction.V2H, h, k)
             put(t, EntInteraction.T2V, v, k)
             put(v, EntInteraction.V2T, t, k)
-        for i, (ki, vi) in enumerate(vals):
-            for j, (kj, vj) in enumerate(vals):
-                if i != j:
-                    put(vi, EntInteraction.V2V, vj, ki)
+        for (ki, vi), (_, vj) in permutations(vals, 2):
+            put(vi, EntInteraction.V2V, vj, ki)
 
-    if not with_fact_relations:
-        for s, t, d in list(edges):
-            edges.add((d, ENT_RECIPROCAL[t], s))
-    return _finish(kg.num_entities, EntInteraction, active, edges,
+    return _finish(kg.num_entities, EntInteraction, active, records,
                    annotated=with_fact_relations)
 
 

@@ -11,7 +11,6 @@ so the same weights score any graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -128,11 +127,11 @@ class LinkPredictor:
             value.data = store[name].data
         return fresh
 
-    def build_graphs(self, kg: Hkg, exclude: Iterable[int] | None = None) -> GraphPair:
+    def build_graphs(self, kg: Hkg) -> GraphPair:
         annotated = self.cfg.structure == RELATION_DRIVEN
         return GraphPair(
-            relation_graph=build_relation_graph(kg, self.cfg.interactions, exclude),
-            entity_graph=build_entity_graph(kg, self.cfg.interactions, exclude,
+            relation_graph=build_relation_graph(kg, self.cfg.interactions),
+            entity_graph=build_entity_graph(kg, self.cfg.interactions,
                                             with_fact_relations=annotated),
         )
 
@@ -151,12 +150,15 @@ class LinkPredictor:
             ent_nodes.add(idx)
         return rel_nodes, ent_nodes
 
-    def query_logits(self, kg: Hkg, query: QueryFact, graphs: GraphPair) -> Value:
-        """Unnormalized scores over all entities of ``kg``, one tape."""
+    def query_logits(self, kg: Hkg, query: QueryFact, graphs: GraphPair,
+                     leave_out: int | None = None) -> Value:
+        """Unnormalized scores over every entity of ``kg``; fact ``leave_out`` is left out."""
         rel_nodes, ent_nodes = self._query_nodes(kg, query)
-        rel_states = enc.encode(graphs.relation_graph, rel_nodes, self.rel_params)
+        rel_states = enc.encode(graphs.relation_graph, rel_nodes, self.rel_params,
+                                leave_out=leave_out)
         gates = None if self.cfg.structure == PARALLEL else rel_states
-        ent_states = enc.encode(graphs.entity_graph, ent_nodes, self.ent_params, gates)
+        ent_states = enc.encode(graphs.entity_graph, ent_nodes, self.ent_params, gates,
+                                leave_out)
         seq, layout = dec.assemble_sequence(query, kg, rel_states, ent_states,
                                             self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)

@@ -64,28 +64,35 @@ def brute_force_relation_edges(kg: Hkg, cfg: InteractionConfig,
 
 
 def brute_force_entity_edges(kg: Hkg, cfg: InteractionConfig,
-                             exclude: Iterable[int] = ()) -> frozenset[Edge]:
-    """Every entity-graph edge, enumerated per fact straight from the rules."""
+                             exclude: Iterable[int] = (),
+                             with_fact_relations: bool = False) -> frozenset[tuple]:
+    """Every entity-graph edge, enumerated per fact straight from the rules.
+
+    With ``with_fact_relations`` each edge is ``(src, type, dst, relation)``:
+    the fact's primary relation for head/tail edges, the source position's
+    qualifier key for value edges.
+    """
     excl = set(exclude)
     active = cfg.entity_set
-    e = kg.entity_index
-    edges: set[Edge] = set()
+    e, r = kg.entity_index, kg.relation_index
+    edges: set[tuple] = set()
     for fi, f in enumerate(kg.facts):
         if fi in excl:
             continue
-        values = [v for _, v in f.qualifiers]
-        edges.add((e[f.head], EntInteraction.H2T, e[f.tail]))
-        edges.add((e[f.tail], EntInteraction.T2H, e[f.head]))
-        for v in values:
-            edges.add((e[f.head], EntInteraction.H2V, e[v]))
-            edges.add((e[v], EntInteraction.V2H, e[f.head]))
-            edges.add((e[f.tail], EntInteraction.T2V, e[v]))
-            edges.add((e[v], EntInteraction.V2T, e[f.tail]))
-        for i, vi in enumerate(values):
-            for j, vj in enumerate(values):
+        p = r[f.relation]
+        edges.add((e[f.head], EntInteraction.H2T, e[f.tail], p))
+        edges.add((e[f.tail], EntInteraction.T2H, e[f.head], p))
+        for k, v in f.qualifiers:
+            edges.add((e[f.head], EntInteraction.H2V, e[v], r[k]))
+            edges.add((e[v], EntInteraction.V2H, e[f.head], r[k]))
+            edges.add((e[f.tail], EntInteraction.T2V, e[v], r[k]))
+            edges.add((e[v], EntInteraction.V2T, e[f.tail], r[k]))
+        for i, (ki, vi) in enumerate(f.qualifiers):
+            for j, (_, vj) in enumerate(f.qualifiers):
                 if i != j:
-                    edges.add((e[vi], EntInteraction.V2V, e[vj]))
-    return frozenset(edge for edge in edges if edge[1] in active)
+                    edges.add((e[vi], EntInteraction.V2V, e[vj], r[ki]))
+    return frozenset(edge if with_fact_relations else edge[:3]
+                     for edge in edges if edge[1] in active)
 
 
 def naive_message_passing(states: np.ndarray, edges: Sequence[Edge],

@@ -6,9 +6,10 @@ and the per-step candidate-set sizes are recorded so that property can be
 asserted from the outside.
 
 By default the leakage guard is on: while encoding a query, the query's own
-source fact is excluded from both foundation graphs, so the encoders cannot
-read the answer off edges the fact itself induced.  Graph builds are cached
-per excluded fact, which changes nothing semantically.
+source fact is left out of both foundation graphs, so the encoders cannot
+read the answer off edges the fact itself induced.  Each graph is built once
+per run; leaving a fact out masks the edges only it induced, which equals a
+rebuild without it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, ParamStore, clip_global_norm
 from .config import TextConfig
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, ContractError, DataError, NumericalError
 from .evaluation import bundle_known_facts, evaluate
 from .foundation import preset
 from .io import DatasetBundle
@@ -73,54 +74,41 @@ class TrainStats:
     step_losses: list[float] = field(default_factory=list)
 
 
-class _GraphCache:
-    """Foundation-graph pairs per excluded fact index, bounded in size."""
-
-    def __init__(self, predictor: LinkPredictor, kg: Hkg, limit: int = 512):
-        self.predictor = predictor
-        self.kg = kg
-        self.limit = limit
-        self._cache: dict[int | None, GraphPair] = {}
-
-    def get(self, exclude: int | None) -> GraphPair:
-        if exclude not in self._cache:
-            if len(self._cache) >= self.limit:
-                self._cache.pop(next(iter(self._cache)))
-            excl = None if exclude is None else (exclude,)
-            self._cache[exclude] = self.predictor.build_graphs(self.kg, excl)
-        return self._cache[exclude]
-
-
 def query_loss(predictor: LinkPredictor, kg: Hkg, query: QueryFact,
-               graphs: GraphPair, stats: TrainStats | None = None):
-    """Cross-entropy of the answer against all entities of ``kg``."""
+               graphs: GraphPair, stats: TrainStats | None = None,
+               leave_out: int | None = None):
+    """Cross-entropy of the answer against all entities, without fact ``leave_out``."""
     answer_idx = kg.entity_index.get(query.answer)
     if answer_idx is None:
         raise DataError(f"query answer {query.answer!r} missing from the vocabulary")
-    logits = predictor.query_logits(kg, query, graphs)
+    logits = predictor.query_logits(kg, query, graphs, leave_out)
     if stats is not None:
         stats.candidate_counts.append(logits.shape[1])
     return ad.cross_entropy(logits, answer_idx)
 
 
 def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: Hkg,
-               optimizer: Adam, cfg: TrainConfig, cache: _GraphCache,
+               optimizer: Adam, cfg: TrainConfig, graphs: GraphPair,
                source_facts: Sequence[int | None] | None = None,
                stats: TrainStats | None = None) -> float:
     """One optimizer step on the mean loss of a query batch.
 
+    ``graphs`` are the foundation graphs of ``kg_train``, built once.
     ``source_facts`` names each query's source fact index so the leakage
-    guard can exclude it from the graphs used to encode that query.  A NaN
-    or infinite loss or gradient norm raises :class:`NumericalError` before
-    the optimizer touches the parameters.
+    guard can leave it out of the graphs while encoding that query; an index
+    outside ``kg_train`` is a :class:`ContractError`.  A NaN or infinite
+    loss or gradient norm raises :class:`NumericalError` before the
+    optimizer touches the parameters.
     """
     if source_facts is None:
         source_facts = [None] * len(batch)
+    for src in source_facts:
+        if src is not None and not 0 <= src < kg_train.num_facts:
+            raise ContractError(f"source fact {src} out of range (0..{kg_train.num_facts - 1})")
     losses = []
     for query, src in zip(batch, source_facts):
-        exclude = src if cfg.leakage_guard else None
-        graphs = cache.get(exclude)
-        losses.append(query_loss(predictor, kg_train, query, graphs, stats))
+        leave_out = src if cfg.leakage_guard else None
+        losses.append(query_loss(predictor, kg_train, query, graphs, stats, leave_out))
     total = losses[0] if len(losses) == 1 else ad.add(losses[0], losses[1])
     for extra in losses[2:]:
         total = ad.add(total, extra)
@@ -240,7 +228,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         raise DataError("training graph has no facts to derive queries from")
     valid_queries = queries_from_facts(bundle.valid)
     known = bundle_known_facts(bundle)
-    cache = _GraphCache(predictor, kg)
+    graphs = predictor.build_graphs(kg)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -263,7 +251,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
             batch = [queries[i] for i in picked]
             sources = [source_of[i] for i in picked]
             try:
-                epoch_loss += train_step(predictor, batch, kg, optimizer, cfg, cache,
+                epoch_loss += train_step(predictor, batch, kg, optimizer, cfg, graphs,
                                          sources, stats)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch + 1}, step {steps + 1}: {e}") from e

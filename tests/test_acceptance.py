@@ -20,7 +20,7 @@ from hyrel.reference import (best_modularity, brute_force_entity_edges,
                              uniform_model_mrr)
 from hyrel.splitting import (KHOP, LOUVAIN, SplitConfig, cluster_split, khop_split,
                              louvain_communities, modularity, relation_disjoint_filter)
-from hyrel.training import TrainConfig, TrainStats, _GraphCache, fit, train_step
+from hyrel.training import TrainConfig, TrainStats, fit, train_step
 from hyrel.autodiff import Adam
 
 
@@ -385,11 +385,11 @@ def _time_fixed_workload(kg, budget=24):
         if len(queries) >= budget:
             break
     queries, sources = queries[:budget], sources[:budget]
-    cache = _GraphCache(predictor, kg)
     started = time.monotonic()
+    graphs = predictor.build_graphs(kg)
     for start in range(0, budget, cfg.batch_size):
         train_step(predictor, queries[start:start + cfg.batch_size], kg, optimizer,
-                   cfg, cache, sources[start:start + cfg.batch_size])
+                   cfg, graphs, sources[start:start + cfg.batch_size])
     return time.monotonic() - started
 
 

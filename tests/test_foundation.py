@@ -114,12 +114,6 @@ def test_non_reciprocal_config_rejected():
         InteractionConfig(entity_set=frozenset({E.H2V, E.H2T, E.T2H}))
 
 
-def test_exclude_out_of_range_rejected(small_kg):
-    from hyrel import ContractError
-    with pytest.raises(ContractError):
-        build_relation_graph(small_kg, exclude=[99])
-
-
 def test_oracle_equivalence_random(rng):
     for _ in range(150):
         kg = random_hkg(rng)
@@ -163,16 +157,48 @@ def test_monotonicity_under_larger_alphabet(rng):
         assert e_small <= e_big
 
 
+def sorted_oracle(g, edges):
+    order = {t: i for i, t in enumerate(g.alphabet)}
+    return sorted(edges, key=lambda e: (e[0], order[e[1]], e[2:]))
+
+
+def masked_edges(g, leave_out, annotated=False):
+    """The edges ``g`` keeps without fact ``leave_out``, in order, after
+    checking that the masked grouping plans index exactly those edges."""
+    keep = g.kept(leave_out)
+    pairs = list(zip(g.segments(leave_out), g.arrays()))
+    if annotated:
+        pairs.append((g.relation_segments(leave_out), g.relation_array()))
+    for plan, full in pairs:
+        assert plan.index.tolist() == full[keep].tolist()
+    rels = g.edge_relations if annotated else [None] * g.num_edges
+    return [e + (r,) * annotated for e, r, k in zip(g.edges, rels, keep) if k]
+
+
 def test_exclusion_soundness(rng):
+    # Leaving fact f out by mask equals the oracle built without f, edge for
+    # edge in order, for every fact under every preset.
     for _ in range(40):
         kg = random_hkg(rng, min_facts=2)
-        dropped = int(rng.integers(kg.num_facts))
-        for build, oracle in ((build_relation_graph, brute_force_relation_edges),
-                              (build_entity_graph, brute_force_entity_edges)):
-            cfg = preset("addAllFI")
-            with_excl = build(kg, cfg, exclude=[dropped]).edge_set()
-            assert with_excl == oracle(kg, cfg, exclude=[dropped])
-            assert with_excl <= build(kg, cfg).edge_set()
+        for cfg in PRESETS.values():
+            for build, oracle in ((build_relation_graph, brute_force_relation_edges),
+                                  (build_entity_graph, brute_force_entity_edges)):
+                g = build(kg, cfg)
+                for f in range(kg.num_facts):
+                    assert masked_edges(g, f) == sorted_oracle(g, oracle(kg, cfg, [f]))
+
+
+def test_annotated_entity_graph_matches_oracle(rng):
+    for _ in range(60):
+        kg = random_hkg(rng)
+        for cfg in PRESETS.values():
+            g = build_entity_graph(kg, cfg, with_fact_relations=True)
+            full = {e + (r,) for e, r in zip(g.edges, g.edge_relations)}
+            assert len(full) == g.num_edges
+            assert full == brute_force_entity_edges(kg, cfg, with_fact_relations=True)
+            for f in range(kg.num_facts):
+                assert masked_edges(g, f, annotated=True) == sorted_oracle(
+                    g, brute_force_entity_edges(kg, cfg, [f], with_fact_relations=True))
 
 
 def test_construction_permutation_equivariance(rng):

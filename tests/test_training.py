@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import (DataError, Hkg, HyperFact, NumericalError, QueryFact, TAIL,
-                   generate_queries)
+from hyrel import (ContractError, DataError, Hkg, HyperFact, NumericalError, QueryFact,
+                   TAIL, generate_queries)
 from hyrel.autodiff import Adam
 from hyrel.evaluation import evaluate
 from hyrel.io import DatasetBundle
 from hyrel.predictor import LinkPredictor, ModelConfig
-from hyrel.training import (Checkpoint, TrainConfig, TrainStats, _GraphCache, fit,
-                            query_loss, train_step)
+from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_loss,
+                            train_step)
 
 
 def fixed_kg(seed=0, facts=10, entities=8):
@@ -36,10 +36,11 @@ def test_degenerate_one_fact_guard_case():
     query = QueryFact.from_fact(kg.facts[0], TAIL)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2,
                                                 head_count=1, decoder_depth=1), seed=0)
-    graphs = predictor.build_graphs(kg, exclude=(0,))
-    assert graphs.relation_graph.num_edges == 0
-    assert graphs.entity_graph.num_edges == 0
-    loss = query_loss(predictor, kg, query, graphs)
+    graphs = predictor.build_graphs(kg)
+    for g in (graphs.relation_graph, graphs.entity_graph):
+        assert g.num_edges > 0 and not g.kept(0).any()
+        assert all(plan.index.size == 0 for plan in g.segments(0))
+    loss = query_loss(predictor, kg, query, graphs, leave_out=0)
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
 
 
@@ -190,12 +191,25 @@ def test_train_step_runs_one_update():
     predictor = LinkPredictor.build(cfg.model_config(), seed=0)
     before = predictor.store.to_bytes()
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
-    cache = _GraphCache(predictor, kg)
     queries = generate_queries(kg)[:4]
-    loss = train_step(predictor, queries, kg, optimizer, cfg, cache,
+    loss = train_step(predictor, queries, kg, optimizer, cfg, predictor.build_graphs(kg),
                       source_facts=[0, 0, 1, 1])
     assert math.isfinite(loss)
     assert predictor.store.to_bytes() != before
+
+
+def test_source_fact_out_of_range_rejected():
+    # Out of range, a fact index would mask no edge and silently leak.
+    kg = fixed_kg()
+    cfg = TrainConfig(epochs=1, width=8, encoder_depth=1, head_count=1, decoder_depth=1)
+    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    before = predictor.store.to_bytes()
+    for bad in (kg.num_facts, -1):
+        with pytest.raises(ContractError):
+            train_step(predictor, generate_queries(kg)[:2], kg,
+                       Adam(predictor.store.values()), cfg, predictor.build_graphs(kg),
+                       source_facts=[0, bad])
+    assert predictor.store.to_bytes() == before
 
 
 def test_valid_tracking_keeps_best(tmp_path):
@@ -244,5 +258,5 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
     before = predictor.store.to_bytes()
     with pytest.raises(NumericalError):
         train_step(predictor, generate_queries(kg)[:4], kg,
-                   Adam(predictor.store.values()), cfg, _GraphCache(predictor, kg))
+                   Adam(predictor.store.values()), cfg, predictor.build_graphs(kg))
     assert predictor.store.to_bytes() == before
