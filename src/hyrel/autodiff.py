@@ -1,14 +1,14 @@
 """Reverse-mode differentiation over dense 2-D arrays.
 
-Small and closed by design: matrix product, broadcast add/multiply, relu,
-concatenation, layer normalization, row-wise softmax, gather, scatter-add,
-cross-entropy and sum/mean reductions, which is everything the encoders and
-decoder compose from.  Arithmetic is 32-bit by default; gradient checking
-builds the same graphs over 64-bit parameters.
+Small and closed by design: matrix product, broadcast add/multiply, transpose,
+relu, concatenation, layer normalization, row-wise softmax, gather,
+scatter-add, cross-entropy and the total sum, which is everything the
+encoders, decoder and training loss compose from.  Arithmetic is 32-bit by
+default; gradient checking builds the same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
-is a sorted-segment sum over a :class:`Segments` plan, built once per index
-array and reused by every layer that sums over it.
+is always a sorted-segment sum over a :class:`Segments` plan, built once per
+index array and reused by every layer that sums over it.
 
 Calling :func:`backward` twice without zeroing accumulates gradients
 additively; that is the documented contract, not a bug.
@@ -61,15 +61,6 @@ class Value:
 
     def __repr__(self):
         return f"Value(shape={self.shape}, dtype={self.data.dtype})"
-
-    def __matmul__(self, other):
-        return matmul(self, as_value(other))
-
-    def __add__(self, other):
-        return add(self, as_value(other))
-
-    def __mul__(self, other):
-        return mul(self, as_value(other))
 
 
 def as_value(x) -> Value:
@@ -277,27 +268,17 @@ class Segments:
 def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
     """Select rows of ``x`` (with repetition) by index.
 
-    ``rows`` may be a :class:`Segments` plan of the index, which the backward
-    pass then sums over instead of building its own.
+    ``rows`` may be a :class:`Segments` plan of the index; a plain index is
+    planned here.  The backward pass sums over the plan.
     """
-    plan = rows if isinstance(rows, Segments) else None
-    idx = plan.index if plan is not None else np.asarray(rows, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"row index list must be 1-D, got shape {idx.shape}")
-    if plan is None and idx.size > 4:  # tiny gathers dominate decoding: they loop instead
-        plan = Segments(idx)
-    hit = plan.rows if plan is not None else idx  # distinct rows: fewer to check
-    if hit.size and (hit.min() < 0 or hit.max() >= x.shape[0]):
+    plan = rows if isinstance(rows, Segments) else Segments(rows)
+    hit = plan.rows  # distinct and ascending: fewer to check
+    if hit.size and (hit[0] < 0 or hit[-1] >= x.shape[0]):
         raise IndexError(f"row index out of range for {x.shape[0]} rows")
-    out = Value(np.take(x.data, idx, axis=0), (x,))
+    out = Value(np.take(x.data, plan.index, axis=0), (x,))
 
     def bwd(g: Array):
-        buf = x.grad
-        if plan is None:
-            for k in range(idx.size):
-                buf[idx[k]] += g[k]
-        else:
-            buf[plan.rows] += plan.sums(g)
+        x.grad[plan.rows] += plan.sums(g)
 
     out._backward = bwd
     return out
@@ -333,17 +314,6 @@ def total_sum(a: Value) -> Value:
 
     def bwd(g: Array):
         a.grad += g[0, 0]
-
-    out._backward = bwd
-    return out
-
-
-def mean(a: Value) -> Value:
-    n = a.data.size
-    out = Value(a.data.sum(dtype=a.data.dtype).reshape(1, 1) / n, (a,))
-
-    def bwd(g: Array):
-        a.grad += g[0, 0] / n
 
     out._backward = bwd
     return out
@@ -434,9 +404,6 @@ class ParamStore:
     def items(self) -> list[tuple[str, Value]]:
         return list(self._params.items())
 
-    def size(self) -> int:
-        return sum(v.data.size for v in self._params.values())
-
     def zero_grads(self) -> None:
         for v in self._params.values():
             v._grad = None
@@ -451,10 +418,6 @@ class ParamStore:
             chunks.append(struct.pack("<II", rows, cols))
             chunks.append(np.ascontiguousarray(v.data, dtype="<f4").tobytes())
         return b"".join(chunks)
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamStore":
@@ -487,11 +450,6 @@ class ParamStore:
         if offset != len(blob):
             raise DataError(f"parameter checkpoint has {len(blob) - offset} trailing byte(s)")
         return store
-
-    @classmethod
-    def load(cls, path) -> "ParamStore":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
 
 
 class Adam:

@@ -240,6 +240,8 @@ def _parse_query(text: str) -> QueryFact:
 def cmd_predict(args) -> int:
     if bool(args.bundle) == bool(args.kg):
         raise ConfigError("provide exactly one of --bundle or --kg")
+    if args.topk < 1:
+        raise ConfigError(f"--topk must be at least 1, got {args.topk}")
     checkpoint = Checkpoint.load(args.checkpoint)
     predictor = checkpoint.predictor()
     _print_header({"seed": str(checkpoint.train_config.seed), "topk": str(args.topk)})
@@ -247,7 +249,7 @@ def cmd_predict(args) -> int:
     query = _parse_query(args.query)
     ctx = predictor.prepare(kg)
     scores = predictor.entity_scores(ctx, query)
-    order = np.argsort(-scores)[:max(1, args.topk)]
+    order = np.argsort(-scores)[:args.topk]
     print("rank\tentity\tprobability")
     for rank, idx in enumerate(order, start=1):
         print(f"{rank}\t{kg.entities[int(idx)]}\t{scores[int(idx)]:.6f}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Value
-from .errors import ConfigError, VocabularyError
+from .errors import ConfigError, ShapeError, VocabularyError
 from .model import Hkg, QueryFact, Role, RoleKind, HEAD, PRIMARY_RELATION, TAIL, key_role, value_role
 
 
@@ -76,13 +76,9 @@ def classify_bias(i: Role, j: Role) -> BiasType:
     return BiasType.OTHER
 
 
-def bias_masks(layout: SequenceLayout, dtype=np.float32) -> list[np.ndarray]:
-    """One 0/1 matrix per bias type; masks partition the slot-pair grid."""
-    return list(_mask_cache(layout.roles, np.dtype(dtype).name))
-
-
 @lru_cache(maxsize=512)
 def _mask_cache(roles: tuple[Role, ...], dtype_name: str) -> tuple[np.ndarray, ...]:
+    """One 0/1 matrix per bias type; the masks partition the slot-pair grid."""
     n = len(roles)
     masks = [np.zeros((n, n), dtype=np.dtype(dtype_name)) for _ in range(NUM_BIAS_TYPES)]
     for a in range(n):
@@ -189,26 +185,33 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
 
 def assemble_sequence(query: QueryFact, kg: Hkg, rel_states: Value,
                       ent_states: Value, params: DecoderParams) -> tuple[Value, SequenceLayout]:
-    """Stack the per-slot vectors for one query, mask slot included."""
+    """Stack the per-slot vectors for one query, mask slot included.
+
+    One gather reads every slot from the table [entity states; relation
+    states; mask token].
+    """
+    if ent_states.shape[0] != kg.num_entities or rel_states.shape[0] != kg.num_relations:
+        raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} do not cover "
+                         f"the graph's {kg.num_entities} entities and "
+                         f"{kg.num_relations} relations")
     layout = layout_for(query)
-    rows: list[Value] = []
+    rows: list[int] = []
     for slot, role in enumerate(layout.roles):
         if slot == layout.mask_slot:
-            rows.append(params.mask_token)
+            rows.append(kg.num_entities + kg.num_relations)
         elif role.is_entity:
             name = query.base.entity_at(role)
-            idx = kg.entity_index.get(name)
-            if idx is None:
+            if name not in kg.entity_index:
                 raise VocabularyError(f"entity {name!r} not in the graph vocabulary")
-            rows.append(ad.gather(ent_states, [idx]))
+            rows.append(kg.entity_index[name])
         else:
             name = (query.base.relation if role.kind is RoleKind.PRIMARY_RELATION
                     else query.base.qualifiers[role.index][0])
-            idx = kg.relation_index.get(name)
-            if idx is None:
+            if name not in kg.relation_index:
                 raise VocabularyError(f"relation {name!r} not in the graph vocabulary")
-            rows.append(ad.gather(rel_states, [idx]))
-    return ad.concat(rows, axis=0), layout
+            rows.append(kg.num_entities + kg.relation_index[name])
+    table = ad.concat([ent_states, rel_states, params.mask_token], axis=0)
+    return ad.gather(table, rows), layout
 
 
 def attention_layer(seq: Value, layout: SequenceLayout, layer: DecoderLayerParams,
@@ -251,8 +254,3 @@ def mask_vector(decoded: Value, layout: SequenceLayout) -> Value:
 def entity_logits(x_m: Value, ent_states: Value, out_bias: Value) -> Value:
     """One logit per entity: the mask vector dotted with each entity state."""
     return ad.add(ad.matmul(x_m, ad.transpose(ent_states)), out_bias)
-
-
-def score_entities(x_m: Value, ent_states: Value, out_bias: Value) -> Value:
-    """Probabilities over every entity of the graph; rows sum to one."""
-    return ad.rowwise_softmax(entity_logits(x_m, ent_states, out_bias))

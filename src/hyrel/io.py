@@ -239,8 +239,5 @@ def write_bundle(bundle: DatasetBundle, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_kg(bundle.train, directory / "train.txt")
     write_kg(bundle.inference, directory / "inference.txt")
-    for name, facts in (("valid", bundle.valid), ("test", bundle.test)):
-        with open(directory / f"{name}.txt", "w", encoding="utf-8", newline="\n") as fh:
-            for fact in facts:
-                fh.write(format_fact_line(fact))
-                fh.write("\n")
+    write_kg(Hkg(bundle.valid), directory / "valid.txt")
+    write_kg(Hkg(bundle.test), directory / "test.txt")

@@ -182,10 +182,6 @@ class Hkg:
     def num_facts(self) -> int:
         return len(self.facts)
 
-    def fact_keys(self) -> set[HyperFact]:
-        """Set view of the facts (duplicates collapse)."""
-        return set(self.facts)
-
     def __eq__(self, other):
         if not isinstance(other, Hkg):
             return NotImplemented
@@ -309,8 +305,3 @@ def queries_from_facts(facts: Iterable[HyperFact]) -> list[QueryFact]:
         for i in range(f.arity):
             out.append(QueryFact.from_fact(f, value_role(i)))
     return out
-
-
-def generate_queries(kg: Hkg) -> list[QueryFact]:
-    """All link-prediction queries derivable from ``kg``'s facts."""
-    return queries_from_facts(kg.facts)

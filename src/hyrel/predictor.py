@@ -66,13 +66,6 @@ def ablation_overrides(name: str) -> dict[str, str]:
     return {"interactions": name}
 
 
-def config_for_ablation(name: str) -> ModelConfig:
-    """Map an ablation name to a model configuration."""
-    chosen = ablation_overrides(name)
-    return ModelConfig(interactions=preset(chosen.get("interactions", "default")),
-                       structure=chosen.get("structure", PARALLEL))
-
-
 @dataclass
 class GraphPair:
     relation_graph: FoundationGraph

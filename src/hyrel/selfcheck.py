@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .evaluation import rank_of
 from .foundation import PRESETS, build_entity_graph, build_relation_graph
-from .model import generate_queries
+from .model import queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
 from .reference import (brute_force_entity_edges, brute_force_relation_edges,
                         permute_hkg, random_hkg)
@@ -27,7 +27,7 @@ from .training import query_loss
 def _gradient_suite(log: Callable[[str], None], quick: bool, structure: str) -> bool:
     rng = np.random.default_rng(7)
     kg = random_hkg(rng, max_facts=3, min_facts=3, max_qualifiers=2)
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
     cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
                       structure=structure)
     predictor = LinkPredictor.build(cfg, seed=3, dtype=np.float64)
@@ -81,11 +81,11 @@ def _equivariance_suite(log: Callable[[str], None], quick: bool) -> bool:
     rank_mismatch = 0
     for _ in range(cases):
         kg = random_hkg(rng, max_facts=6, min_facts=2)
-        queries = generate_queries(kg)
+        queries = queries_from_facts(kg.facts)
         query = queries[int(rng.integers(len(queries)))]
         scores = predictor.entity_scores(predictor.prepare(kg), query)
         pkg, phi, tau = permute_hkg(kg, rng)
-        pquery = [q for q in generate_queries(pkg)
+        pquery = [q for q in queries_from_facts(pkg.facts)
                   if q.base == _apply(phi, tau, query.base) and q.masked == query.masked]
         pscores = predictor.entity_scores(predictor.prepare(pkg), pquery[0])
         for name, idx in kg.entity_index.items():

@@ -15,6 +15,7 @@ rebuild without it.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -89,22 +90,22 @@ def query_loss(predictor: LinkPredictor, kg: Hkg, query: QueryFact,
 
 def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: Hkg,
                optimizer: Adam, cfg: TrainConfig, graphs: GraphPair,
-               source_facts: Sequence[int | None] | None = None,
-               stats: TrainStats | None = None) -> float:
+               source_facts: Sequence[int], stats: TrainStats | None = None) -> float:
     """One optimizer step on the mean loss of a query batch.
 
     ``graphs`` are the foundation graphs of ``kg_train``, built once.
     ``source_facts`` names each query's source fact index so the leakage
-    guard can leave it out of the graphs while encoding that query; an index
-    outside ``kg_train`` is a :class:`ContractError`.  A NaN or infinite
-    loss or gradient norm raises :class:`NumericalError` before the
-    optimizer touches the parameters.
+    guard can leave it out of the graphs while encoding that query; a list
+    that does not hold one index of ``kg_train`` per query is a
+    :class:`ContractError`.  A NaN or infinite loss or gradient norm raises
+    :class:`NumericalError` before the optimizer touches the parameters.
     """
-    if source_facts is None:
-        source_facts = [None] * len(batch)
+    if len(source_facts) != len(batch):
+        raise ContractError(f"{len(source_facts)} source facts for {len(batch)} queries")
     for src in source_facts:
-        if src is not None and not 0 <= src < kg_train.num_facts:
-            raise ContractError(f"source fact {src} out of range (0..{kg_train.num_facts - 1})")
+        if not (isinstance(src, (int, np.integer)) and 0 <= src < kg_train.num_facts):
+            raise ContractError(f"source fact {src!r} out of range "
+                                f"(0..{kg_train.num_facts - 1})")
     losses = []
     for query, src in zip(batch, source_facts):
         leave_out = src if cfg.leakage_guard else None
@@ -140,26 +141,34 @@ class Checkpoint:
         return LinkPredictor.from_store(self.model_config, self.store)
 
     def save(self, path: str | Path) -> None:
-        """Write the binary parameter file and its metadata sidecar."""
+        """Write the binary parameter file and its metadata sidecar.
+
+        Each file is written under a temporary name and renamed into place;
+        the sidecar records the parameter file's SHA-256.
+        """
         path = Path(path)
-        self.store.save(path)
+        blob = self.store.to_bytes()
         lines = ["[model]"]
         lines += [f"{k} = {v}" for k, v in self.model_config.to_dict().items()]
         lines.append("[train]")
         lines += [f"{k} = {v}" for k, v in self.train_config.to_dict().items()]
         lines.append("[state]")
         lines.append(f"epoch = {self.epoch}")
+        lines.append(f"bin_sha256 = {hashlib.sha256(blob).hexdigest()}")
         lines.append("[history]")
         for i, loss in enumerate(self.loss_history):
             mrr = self.valid_history[i] if i < len(self.valid_history) else float("nan")
             lines.append(f"{i}\t{loss:.6f}\t{mrr:.6f}")
-        Path(str(path) + ".meta").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_replacing(path, blob)
+        _write_replacing(Path(str(path) + ".meta"), ("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
-        """Read a checkpoint; a malformed ``.meta`` sidecar is a :class:`DataError`."""
+        """Read a checkpoint; a malformed ``.meta`` sidecar, or one whose
+        ``bin_sha256`` is not that of the parameter file, is a :class:`DataError`."""
         path = Path(path)
-        store = ParamStore.load(path)
+        blob = path.read_bytes()
+        store = ParamStore.from_bytes(blob)
         meta = Path(str(path) + ".meta")
         sections: dict[str, dict[str, str]] = {"model": {}, "train": {}, "state": {}}
         history: list[tuple[float, float]] = []
@@ -183,8 +192,11 @@ class Checkpoint:
             epoch = int(sections["state"].get("epoch", 0))
         except ValueError as e:  # ConfigError is one too
             raise DataError(f"{meta}: {e}") from e
-        # Older checkpoints record since-retired model options; this version
-        # builds only their off value.
+        if sections["state"].get("bin_sha256") != hashlib.sha256(blob).hexdigest():
+            raise DataError(f"{meta}: bin_sha256 is missing or is not the SHA-256 of "
+                            f"{path.name}; the pair does not belong together")
+        # A sidecar may name since-retired model options; this version builds
+        # only their off value.
         known = model_config.to_dict()
         for key, value in sections["model"].items():
             if key not in known and value != "False":
@@ -278,6 +290,13 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         final.save(out / "ckpt_final.bin")
         (best or final).save(out / "ckpt_best.bin")
     return best or final
+
+
+def _write_replacing(path: Path, data: bytes) -> None:
+    """Write ``data`` beside ``path`` under a temporary name, then rename it over."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 def _copy_store(store: ParamStore) -> ParamStore:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import Hkg, HyperFact, QueryFact, generate_queries, load_bundle
+from hyrel import Hkg, HyperFact, QueryFact, load_bundle
 from hyrel.evaluation import completion_index, evaluate, filter_set, rank_of
 from hyrel.foundation import PRESETS, build_entity_graph, build_relation_graph
 from hyrel.io import DatasetBundle
@@ -109,7 +109,7 @@ def test_criterion_02_double_equivariance():
     order_flips = 0
     for _ in range(100):
         kg = random_hkg(rng, max_facts=6, min_facts=2)
-        queries = generate_queries(kg)
+        queries = queries_from_facts(kg.facts)
         query = queries[int(rng.integers(len(queries)))]
         scores = predictor.entity_scores(predictor.prepare(kg), query)
 
@@ -140,7 +140,7 @@ def test_criterion_02_double_equivariance():
 def test_criterion_03_gradient_correctness():
     rng = np.random.default_rng(7)
     kg = random_hkg(rng, max_facts=3, min_facts=3, max_qualifiers=2)
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
     # Model seed chosen so no relu pre-activation sits within the probe step
     # h of its kink, where central differences are undefined; the bias nudge
     # moves zero-state rows (exactly on the kink by construction) off it.
@@ -189,7 +189,7 @@ def test_criterion_04_no_negative_sampling(overfit_run):
 
 def test_criterion_05_overfit_smoke(overfit_run):
     kg, ckpt, stats, elapsed = overfit_run
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
     metrics = evaluate(ckpt.predictor(), kg, queries, kg.facts)
     epochs_used = len(stats.epoch_losses)
     report(5, metrics.mrr_all >= 0.95 and epochs_used <= 500 and elapsed < 120.0,

@@ -262,11 +262,6 @@ def test_tape_replay_accumulates():
     assert np.allclose(p.grad, 2 * first)
 
 
-def test_mean_gradient(rng):
-    x = Value(rng.normal(size=(3, 5)))
-    fd_check(lambda: ad.mean(x), {"x": x})
-
-
 def test_transpose_gradient(rng):
     x = Value(rng.normal(size=(2, 5)))
     w = Value(rng.normal(size=(2, 1)))
@@ -279,13 +274,11 @@ def test_finite_difference_alone(rng):
     assert np.allclose(grad, 2 * x.data, atol=1e-6)
 
 
-def test_param_store_round_trip(tmp_path, rng):
+def test_param_store_round_trip(rng):
     store = ParamStore()
     store.add("w1", rng.normal(size=(3, 2)).astype(np.float32))
     store.add("w2", rng.normal(size=(1, 5)).astype(np.float32))
-    path = tmp_path / "params.bin"
-    store.save(path)
-    loaded = ParamStore.load(path)
+    loaded = ParamStore.from_bytes(store.to_bytes())
     assert loaded.names() == ["w1", "w2"]
     for name in store.names():
         assert (loaded[name].data == store[name].data).all()

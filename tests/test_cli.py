@@ -8,7 +8,7 @@ from hyrel.errors import DataError
 from hyrel.io import format_fact_line
 from hyrel.model import HEAD, value_role
 from hyrel.predictor import LinkPredictor
-from hyrel.training import Checkpoint, TrainConfig
+from hyrel.training import Checkpoint, TrainConfig, fit
 
 
 def make_raw_kg(path, units=5):
@@ -138,6 +138,47 @@ def test_truncated_checkpoint_is_data_error(tmp_path, capsys):
     ckpt.write_bytes(b"HYRELP1\n\x01\x00")
     assert dispatch(["eval", "--bundle", "x", "--checkpoint", str(ckpt)]) == 2
     assert "truncated parameter checkpoint" in capsys.readouterr().err
+
+
+def seeded_checkpoint(bundle_dir, path, seed):
+    from hyrel.io import load_bundle
+    cfg = TrainConfig(epochs=0, seed=seed, width=8, encoder_depth=1, head_count=1,
+                      decoder_depth=1)
+    fit(load_bundle(bundle_dir), cfg).save(path)
+
+
+def test_mismatched_checkpoint_pair_is_data_error(tmp_path, capsys):
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+    seeded_checkpoint(bundle_dir, a, seed=0)
+    seeded_checkpoint(bundle_dir, b, seed=1)
+    capsys.readouterr()
+    assert dispatch(["eval", "--bundle", str(bundle_dir), "--checkpoint", str(a)]) == 0
+    # Run A's sidecar beside run B's parameters: same model, other weights.
+    a.write_bytes(b.read_bytes())
+    capsys.readouterr()
+    assert dispatch(["eval", "--bundle", str(bundle_dir), "--checkpoint", str(a)]) == 2
+    captured = capsys.readouterr()
+    assert "bin_sha256" in captured.err and "mrr" not in captured.out
+
+
+def test_predict_topk_below_one_is_usage_error(tmp_path, capsys):
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    ckpt = tmp_path / "ckpt.bin"
+    seeded_checkpoint(bundle_dir, ckpt, seed=0)
+    capsys.readouterr()
+    for topk, code in (("1", 0), ("0", 1), ("-3", 1)):
+        assert dispatch(["predict", "--checkpoint", str(ckpt), "--kg", str(kg_path),
+                         "--query", "x0 xr [MASK]", "--topk", topk]) == code
+    assert "--topk must be at least 1" in capsys.readouterr().err
 
 
 def test_head_count_not_dividing_width_is_usage_error(tmp_path, capsys):

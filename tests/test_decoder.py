@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import HEAD, TAIL, Hkg, HyperFact, QueryFact, value_role
+from hyrel import HEAD, TAIL, Hkg, HyperFact, QueryFact, ShapeError, value_role
 from hyrel.autodiff import ParamStore, Value
-from hyrel.decoder import (BiasType, assemble_sequence, attention_layer, bias_masks,
+from hyrel.decoder import (BiasType, _mask_cache, assemble_sequence, attention_layer,
                            classify_bias, decode, entity_logits, init_decoder_params,
-                           layout_for, mask_vector, score_entities)
+                           layout_for, mask_vector)
 from hyrel.model import PRIMARY_RELATION, key_role
 from hyrel.reference import naive_attention_layer
 
@@ -45,10 +45,10 @@ def test_classify_bias_table():
     assert classify_bias(key_role(0), key_role(1)) is BiasType.OTHER
 
 
-def test_bias_masks_partition_the_grid():
+def test_mask_cache_partitions_the_grid():
     fact = HyperFact("h", "r", "t", (("k1", "v1"), ("k2", "v2")))
     layout = layout_for(QueryFact.from_fact(fact, HEAD))
-    masks = bias_masks(layout)
+    masks = _mask_cache(layout.roles, "float32")
     total = sum(masks)
     assert (total == 1).all()
 
@@ -63,6 +63,10 @@ def test_assemble_sequence_triple(small_kg, rng):
     assert np.allclose(seq.data[0], ent_states.data[small_kg.entity_index["b"]])
     assert np.allclose(seq.data[1], rel_states.data[small_kg.relation_index["s"]])
     assert np.allclose(seq.data[2], params.mask_token.data[0])
+    # One table holds every slot's rows, so states must match the vocabularies.
+    with pytest.raises(ShapeError):
+        assemble_sequence(q, small_kg, rel_states, ad.concat([ent_states] * 2, axis=0),
+                          params)
 
 
 def test_assemble_sequence_unknown_id(small_kg, rng):
@@ -180,17 +184,21 @@ def test_head_count_must_divide_width():
         fresh_decoder(width=6, heads=4)
 
 
-def test_score_entities_uniform_when_states_zero(rng):
+def scores(x_m, ent_states, out_bias):
+    return ad.rowwise_softmax(entity_logits(x_m, ent_states, out_bias))
+
+
+def test_scores_uniform_when_states_zero(rng):
     store, params = fresh_decoder(width=4)
     x_m = Value(rng.normal(size=(1, 4)))
-    probs = score_entities(x_m, Value(np.zeros((5, 4))), params.out_bias)
+    probs = scores(x_m, Value(np.zeros((5, 4))), params.out_bias)
     assert np.allclose(probs.data, 0.2, atol=1e-7)
 
 
 def test_score_single_entity_is_one(rng):
     store, params = fresh_decoder(width=4)
-    probs = score_entities(Value(rng.normal(size=(1, 4))),
-                           Value(rng.normal(size=(1, 4))), params.out_bias)
+    probs = scores(Value(rng.normal(size=(1, 4))),
+                   Value(rng.normal(size=(1, 4))), params.out_bias)
     assert np.allclose(probs.data, [[1.0]])
 
 
@@ -198,9 +206,9 @@ def test_score_shift_invariance(rng):
     store, params = fresh_decoder(width=4)
     x_m = Value(rng.normal(size=(1, 4)))
     ents = Value(rng.normal(size=(6, 4)))
-    base = score_entities(x_m, ents, params.out_bias).data.copy()
+    base = scores(x_m, ents, params.out_bias).data.copy()
     params.out_bias.data[:] = 13.7  # shared shift leaves the softmax unchanged
-    shifted = score_entities(x_m, ents, params.out_bias).data
+    shifted = scores(x_m, ents, params.out_bias).data
     assert np.allclose(base, shifted, atol=1e-6)
     assert abs(base.sum() - 1.0) < 1e-6
 
@@ -209,9 +217,12 @@ def test_logits_and_probs_agree(rng):
     store, params = fresh_decoder(width=4)
     x_m = Value(rng.normal(size=(1, 4)))
     ents = Value(rng.normal(size=(6, 4)))
+    params.out_bias.data[:] = 0.5
     logits = entity_logits(x_m, ents, params.out_bias)
-    probs = score_entities(x_m, ents, params.out_bias)
-    assert np.allclose(ad.rowwise_softmax(logits).data, probs.data)
+    expected = x_m.data @ ents.data.T + 0.5
+    assert np.allclose(logits.data, expected)
+    probs = scores(x_m, ents, params.out_bias)
+    assert np.allclose(probs.data, np.exp(expected) / np.exp(expected).sum())
 
 
 def test_qualifier_swap_leaves_scores_unchanged(rng):

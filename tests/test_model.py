@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyrel import (HEAD, TAIL, ContractError, Hkg, HyperFact, QueryFact,
-                   generate_queries, validate, value_role)
+                   queries_from_facts, validate, value_role)
 from hyrel.model import RoleKind, key_role
 
 
@@ -39,9 +39,9 @@ def test_validate_is_idempotent(small_kg):
 
 def test_query_counts():
     triple = HyperFact("a", "r", "b")
-    assert len(generate_queries(Hkg([triple]))) == 2
+    assert len(queries_from_facts([triple])) == 2
     two_quals = HyperFact("a", "r", "b", (("k", "c"), ("k", "d")))
-    assert len(generate_queries(Hkg([two_quals]))) == 4
+    assert len(queries_from_facts([two_quals])) == 4
 
 
 def test_query_count_sums_per_fact():
@@ -50,12 +50,12 @@ def test_query_count_sums_per_fact():
         HyperFact("c", "r", "d", (("k", "e"),)),
         HyperFact("e", "s", "f", (("k", "a"), ("k2", "b"))),
     ]
-    queries = generate_queries(Hkg(facts))
+    queries = queries_from_facts(facts)
     assert len(queries) == 2 + 3 + 4
 
 
 def test_query_order_is_deterministic(small_kg):
-    queries = generate_queries(small_kg)
+    queries = queries_from_facts(small_kg.facts)
     masked = [repr(q.masked) for q in queries]
     assert masked == ["head", "tail", "value(0)", "head", "tail",
                       "head", "tail", "value(0)", "value(1)"]
@@ -70,7 +70,7 @@ def test_query_count_property(shapes):
                        tuple(("k", f"q{i}") for i in range(n)))
              for h, t, n in shapes]
     kg = Hkg(facts)
-    assert len(generate_queries(kg)) == sum(2 + f.arity for f in kg.facts)
+    assert len(queries_from_facts(kg.facts)) == sum(2 + f.arity for f in kg.facts)
 
 
 def test_masked_value_out_of_range_rejected():
@@ -102,7 +102,7 @@ def test_duplicate_qualifiers_stay_distinct():
     fact = HyperFact("a", "r", "b", (("k", "c"), ("k", "c")))
     assert fact.arity == 2
     assert fact.qualifiers[0] == fact.qualifiers[1]
-    assert len(generate_queries(Hkg([fact]))) == 4
+    assert len(queries_from_facts([fact])) == 4
 
 
 def test_role_invariants():

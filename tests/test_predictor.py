@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from hyrel import (ConfigError, DataError, HyperFact, QueryFact, TAIL,
-                   VocabularyError, generate_queries)
+                   VocabularyError, queries_from_facts)
 from hyrel.foundation import preset
-from hyrel.predictor import (RELATION_DRIVEN, LinkPredictor, ModelConfig,
-                             config_for_ablation)
+from hyrel.predictor import RELATION_DRIVEN, LinkPredictor, ModelConfig, ablation_overrides
 from hyrel.reference import permute_hkg, random_hkg
 
 
@@ -13,7 +12,7 @@ def test_scores_are_a_distribution(small_kg):
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=1,
                                                 head_count=2, decoder_depth=1), seed=0)
     ctx = predictor.prepare(small_kg)
-    for query in generate_queries(small_kg):
+    for query in queries_from_facts(small_kg.facts):
         scores = predictor.entity_scores(ctx, query)
         assert scores.shape == (small_kg.num_entities,)
         assert abs(scores.sum() - 1.0) < 1e-6
@@ -24,7 +23,7 @@ def test_conditioning_changes_scores(small_kg):
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2,
                                                 head_count=1, decoder_depth=1), seed=1)
     ctx = predictor.prepare(small_kg)
-    queries = generate_queries(small_kg)
+    queries = queries_from_facts(small_kg.facts)
     a = predictor.entity_scores(ctx, queries[0])
     b = predictor.entity_scores(ctx, queries[3])
     assert not np.allclose(a, b)
@@ -44,7 +43,7 @@ def test_relation_driven_structure_runs_and_is_equivariant(rng):
                       structure=RELATION_DRIVEN)
     predictor = LinkPredictor.build(cfg, seed=4)
     kg = random_hkg(rng, max_facts=6, min_facts=3)
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
     scores = predictor.entity_scores(predictor.prepare(kg), queries[0])
     assert abs(scores.sum() - 1.0) < 1e-5
 
@@ -74,7 +73,7 @@ def test_relation_driven_gradients(rng):
         if name.endswith("update_b"):
             value.data[:] = 0.01
     graphs = predictor.build_graphs(kg)
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
 
     def loss():
         return query_loss(predictor, kg, queries[1], graphs)
@@ -92,16 +91,25 @@ def test_relation_driven_training_smoke(small_kg):
     ckpt = fit(DatasetBundle(train=small_kg, inference=small_kg), cfg)
     assert ckpt.model_config.structure == RELATION_DRIVEN
     scores = ckpt.predictor().entity_scores(
-        ckpt.predictor().prepare(small_kg), generate_queries(small_kg)[0])
+        ckpt.predictor().prepare(small_kg), queries_from_facts(small_kg.facts)[0])
     assert np.isfinite(scores).all()
 
 
-def test_config_for_ablation_names():
-    assert config_for_ablation("ultra-alike").structure == RELATION_DRIVEN
-    assert config_for_ablation("noV").interactions == preset("nov")
-    assert config_for_ablation("addAllFI").interactions == preset("addallfi")
+def test_ablation_names_select_model_configs():
+    # The path `hyrel train --ablation NAME` takes.
+    from hyrel.training import TrainConfig
+
+    def model_for(name):
+        return TrainConfig.from_dict(TrainConfig().to_dict()
+                                     | ablation_overrides(name)).model_config()
+
+    assert model_for("ultra-alike").structure == RELATION_DRIVEN
+    assert model_for("ultra-alike").interactions == preset("default")
+    assert model_for("noV").interactions == preset("nov")
+    assert model_for("addAllFI").interactions == preset("addallfi")
+    assert model_for("addAllFI").structure != RELATION_DRIVEN
     with pytest.raises(ConfigError):
-        config_for_ablation("bogus")
+        ablation_overrides("bogus")
 
 
 def test_model_config_round_trip():

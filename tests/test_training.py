@@ -6,11 +6,13 @@ import pytest
 
 import hyrel.autodiff as ad
 from hyrel import (ContractError, DataError, Hkg, HyperFact, NumericalError, QueryFact,
-                   TAIL, generate_queries)
+                   TAIL, queries_from_facts)
 from hyrel.autodiff import Adam
 from hyrel.evaluation import evaluate
+from hyrel.foundation import preset
 from hyrel.io import DatasetBundle
-from hyrel.predictor import LinkPredictor, ModelConfig
+from hyrel.predictor import STRUCTURES, LinkPredictor, ModelConfig
+from hyrel.reference import random_hkg
 from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_loss,
                             train_step)
 
@@ -112,7 +114,7 @@ def test_checkpoint_round_trip_preserves_scores(tmp_path):
     ckpt.save(path)
     reloaded = Checkpoint.load(path)
     assert reloaded.train_config == cfg
-    query = generate_queries(kg)[0]
+    query = queries_from_facts(kg.facts)[0]
     a = ckpt.predictor().entity_scores(ckpt.predictor().prepare(kg), query)
     b = reloaded.predictor().entity_scores(reloaded.predictor().prepare(kg), query)
     assert (a == b).all()
@@ -149,7 +151,7 @@ def test_epochs_zero_returns_initialized_checkpoint():
                       checkpoint_every=10 ** 6)
     ckpt = fit(as_bundle(kg), cfg)
     assert ckpt.epoch == 0 and ckpt.loss_history == []
-    metrics = evaluate(ckpt.predictor(), kg, generate_queries(kg), kg.facts)
+    metrics = evaluate(ckpt.predictor(), kg, queries_from_facts(kg.facts), kg.facts)
     assert 0.0 < metrics.mrr_all < 0.9  # untrained: far from oracle level
 
 
@@ -162,7 +164,7 @@ def test_leakage_guard_off_inflates_training_mrr():
         quals = (("k", ents[v]),) if i % 2 else ()
         facts.append(HyperFact(ents[h], "r" if i % 3 else "s", ents[t], quals))
     kg = Hkg(facts)
-    queries = generate_queries(kg)
+    queries = queries_from_facts(kg.facts)
     results = {}
     for guard in (True, False):
         cfg = TrainConfig(epochs=25, batch_size=32, step_size=3e-3, seed=0, width=16,
@@ -191,7 +193,7 @@ def test_train_step_runs_one_update():
     predictor = LinkPredictor.build(cfg.model_config(), seed=0)
     before = predictor.store.to_bytes()
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
-    queries = generate_queries(kg)[:4]
+    queries = queries_from_facts(kg.facts)[:4]
     loss = train_step(predictor, queries, kg, optimizer, cfg, predictor.build_graphs(kg),
                       source_facts=[0, 0, 1, 1])
     assert math.isfinite(loss)
@@ -206,10 +208,52 @@ def test_source_fact_out_of_range_rejected():
     before = predictor.store.to_bytes()
     for bad in (kg.num_facts, -1):
         with pytest.raises(ContractError):
-            train_step(predictor, generate_queries(kg)[:2], kg,
+            train_step(predictor, queries_from_facts(kg.facts)[:2], kg,
                        Adam(predictor.store.values()), cfg, predictor.build_graphs(kg),
                        source_facts=[0, bad])
     assert predictor.store.to_bytes() == before
+
+
+def test_train_step_needs_one_source_fact_per_query():
+    # A short list would drop queries from the step; no list would leave the
+    # leakage guard off.
+    kg = fixed_kg()
+    cfg = TrainConfig(epochs=1, width=8, encoder_depth=1, head_count=1, decoder_depth=1)
+    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    before = predictor.store.to_bytes()
+    queries = queries_from_facts(kg.facts)[:4]
+    optimizer = Adam(predictor.store.values())
+    graphs = predictor.build_graphs(kg)
+    for sources in ([0, 0, 1], [0, 0, 1, 1, 1], [0, 0, 1, None]):
+        with pytest.raises(ContractError):
+            train_step(predictor, queries, kg, optimizer, cfg, graphs, sources)
+    with pytest.raises(TypeError):
+        train_step(predictor, queries, kg, optimizer, cfg, graphs)
+    assert predictor.store.to_bytes() == before
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("interactions", ["default", "addAllFI"])
+def test_leave_out_scores_equal_a_rebuild_without_the_fact(structure, interactions):
+    # The guard masks edges of the one graph build; that must score every
+    # query of the left-out fact bit for bit as graphs built without it.
+    rng = np.random.default_rng(17)
+    cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
+                      interactions=preset(interactions), structure=structure)
+    predictor = LinkPredictor.build(cfg, seed=4)
+    checked = 0
+    for _ in range(40):
+        kg = random_hkg(rng)
+        graphs = predictor.build_graphs(kg)
+        for f, fact in enumerate(kg.facts):
+            rest = Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
+            rebuilt = predictor.build_graphs(rest)
+            for query in queries_from_facts([fact]):
+                masked = predictor.query_logits(kg, query, graphs, leave_out=f).data
+                oracle = predictor.query_logits(kg, query, rebuilt).data
+                assert np.array_equal(masked, oracle), (kg.facts, f, query)
+                checked += 1
+    assert checked > 400
 
 
 def test_valid_tracking_keeps_best(tmp_path):
@@ -257,6 +301,7 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
     predictor = LinkPredictor.build(cfg.model_config(), seed=0)
     before = predictor.store.to_bytes()
     with pytest.raises(NumericalError):
-        train_step(predictor, generate_queries(kg)[:4], kg,
-                   Adam(predictor.store.values()), cfg, predictor.build_graphs(kg))
+        train_step(predictor, queries_from_facts(kg.facts)[:4], kg,
+                   Adam(predictor.store.values()), cfg, predictor.build_graphs(kg),
+                   [0, 0, 1, 1])
     assert predictor.store.to_bytes() == before
