@@ -8,7 +8,11 @@ default; gradient checking builds the same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
 is always a sorted-segment sum over a :class:`Segments` plan, built once per
-index array and reused by every layer that sums over it.
+index array and reused by every layer that sums over it; a masked subset of
+an index gets its plan from the full one (:meth:`Segments.kept`) without
+sorting again.  ``scatter_add`` can also fan rows out: given a second plan
+it reads message row ``rows[e]`` for destination entry e, so a message
+shared by many edges is computed once and only the sum sees every edge.
 
 Calling :func:`backward` twice without zeroing accumulates gradients
 additively; that is the documented contract, not a bug.
@@ -245,17 +249,29 @@ class Segments:
         idx = np.asarray(index, dtype=np.int64)
         if idx.ndim != 1:
             raise ShapeError(f"index must be 1-D, got shape {idx.shape}")
+        self._plan(idx, np.argsort(idx, kind="stable") if _unsorted(idx) else None)
+
+    def _plan(self, idx: Array, order: Array | None) -> None:
         self.index = idx
-        self.order = None
-        ordered = idx
-        if idx.size > 1 and (idx[1:] < idx[:-1]).any():
-            self.order = np.argsort(idx, kind="stable")
-            ordered = idx[self.order]
+        self.order = order
+        ordered = idx if order is None else idx[order]
         bounds = np.empty(idx.size, dtype=bool)
         bounds[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=bounds[1:])
         self.starts = np.flatnonzero(bounds)
         self.rows = ordered[self.starts]
+
+    def kept(self, keep: Array) -> "Segments":
+        """The plan of ``index[keep]`` for a boolean mask ``keep``, read off
+        this plan's order instead of sorting again."""
+        idx = self.index[keep]
+        order = None
+        if self.order is not None and _unsorted(idx):
+            position = np.cumsum(keep) - 1  # of each kept entry in idx
+            order = position[self.order[keep[self.order]]]
+        plan = Segments.__new__(Segments)
+        plan._plan(idx, order)
+        return plan
 
     def sums(self, values: Array) -> Array:
         """Sum of the ``values`` rows of each run, one row per entry of ``rows``."""
@@ -263,6 +279,10 @@ class Segments:
             return np.zeros((0, values.shape[1]), dtype=values.dtype)
         grouped = values if self.order is None else np.take(values, self.order, axis=0)
         return np.add.reduceat(grouped, self.starts, axis=0)
+
+
+def _unsorted(idx: Array) -> bool:
+    return idx.size > 1 and bool((idx[1:] < idx[:-1]).any())
 
 
 def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
@@ -285,25 +305,39 @@ def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
 
 
 def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
-                num_rows: int) -> Value:
+                num_rows: int, rows: Segments | None = None) -> Value:
     """Sum message rows into their destination rows; absent rows stay zero.
 
-    ``dst`` may be a :class:`Segments` plan of the destination index.
+    ``dst`` may be a :class:`Segments` plan of the destination index.  Given
+    a plan ``rows`` as long as ``dst``, entry e of ``dst`` receives message
+    row ``rows.index[e]``, so one row may fan out to many destinations; the
+    fanned-out rows are a temporary, and the backward pass sums each row's
+    destinations over the ``rows`` plan.
     """
     plan = dst if isinstance(dst, Segments) else Segments(dst)
-    if plan.index.size != messages.shape[0]:
-        raise ShapeError(f"need one destination per message row, got {plan.index.shape} "
-                         f"for {messages.shape[0]} rows")
-    rows = plan.rows
-    if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
+    entries = messages.shape[0] if rows is None else rows.index.size
+    if plan.index.size != entries:
+        raise ShapeError(f"need one destination per message entry, got {plan.index.shape} "
+                         f"for {entries} entries")
+    hit = plan.rows
+    if hit.size and (hit[0] < 0 or hit[-1] >= num_rows):
         raise IndexError(f"destination index out of range for {num_rows} rows")
+    read = messages.data
+    if rows is not None:
+        if rows.rows.size and (rows.rows[0] < 0 or rows.rows[-1] >= messages.shape[0]):
+            raise IndexError(f"message row index out of range for {messages.shape[0]} rows")
+        read = np.take(read, rows.index, axis=0)
     acc = np.zeros((num_rows, messages.shape[1]), dtype=messages.data.dtype)
-    acc[rows] = plan.sums(messages.data)
+    acc[hit] = plan.sums(read)
     out = Value(acc, (messages,))
     idx = plan.index
 
     def bwd(g: Array):
-        messages.grad += np.take(g, idx, axis=0)
+        per_entry = np.take(g, idx, axis=0)
+        if rows is None:
+            messages.grad += per_entry
+        else:
+            messages.grad[rows.rows] += rows.sums(per_entry)
 
     out._backward = bwd
     return out

@@ -14,11 +14,21 @@ and applies a linear map plus relu.  Nodes without incoming edges still pass
 through the update with a zero aggregate.  Leaving a fact out (the
 training leakage guard) drops the edges only it induced from every layer.
 
+A message depends only on its source node and gate row, and many edges
+share both (every edge out of one head with one type, say), so a layer
+multiplies each distinct (source, gate row) pair once and fans the products
+out to the edges' destinations in one sum over the edges in destination
+order (:class:`~hyrel.foundation.MessagePlan`).  The per-edge products are
+a temporary of that sum; the tape holds only the per-pair ones.
+
 Where the gate comes from depends on the model structure.  In the parallel
 structure it is the layer's learned type vector of t.  In the
 relation-driven structure the caller passes ``edge_states`` (the relation
-encoder's output) and the gate of an edge is the row of the relation that
-induced it, read from the graph's per-edge relation annotations.
+encoder's output); each layer maps them through its learned
+``relation_proj``, and the gate of an edge is the mapped row of the
+relation that induced it, read from the graph's per-edge relation
+annotations.  The map keeps the gates as small as type vectors, where raw
+relation states would grow the logits with every layer.
 """
 
 from __future__ import annotations
@@ -29,9 +39,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Segments, Value
-from .errors import ConfigError
-from .foundation import FoundationGraph
+from .autodiff import ParamStore, Value
+from .errors import ConfigError, ContractError
+from .foundation import FoundationGraph, MessagePlan
 
 
 @dataclass
@@ -39,6 +49,7 @@ class EncoderLayerParams:
     type_vectors: Value | None  # (num_types, d); None when edge states gate the messages
     update_w: Value             # (2d, d)
     update_b: Value             # (1, d)
+    relation_proj: Value | None = None  # (d, d) map of the gating edge states
 
 
 @dataclass
@@ -69,6 +80,18 @@ def init_encoder_params(store: ParamStore, prefix: str, alphabet: Sequence,
     return params
 
 
+def init_relation_projections(store: ParamStore, prefix: str, params: EncoderParams,
+                              rng: np.random.Generator, dtype=np.float32) -> None:
+    """Create each layer's ``relation_proj`` for an encoder gated by edge states.
+
+    Drawn with std d^-1.5 so the mapped gates start as small as type vectors.
+    """
+    d = params.width
+    for i, layer in enumerate(params.layers):
+        layer.relation_proj = store.add(f"{prefix}/layer{i}/relation_proj",
+                                        rng.normal(0.0, d ** -1.5, (d, d)).astype(dtype))
+
+
 def indicator_init(g: FoundationGraph, query_nodes: Iterable[int], width: int,
                    dtype=np.float32) -> Value:
     """All-ones rows for the query's nodes, zeros everywhere else."""
@@ -80,33 +103,31 @@ def indicator_init(g: FoundationGraph, query_nodes: Iterable[int], width: int,
     return Value(init)
 
 
-def edge_plans(g: FoundationGraph, gated_by_relations: bool,
-               leave_out: int | None = None) -> tuple[Segments, Segments, Segments]:
-    """(src, gate_rows, dst) plans of the edges left without fact ``leave_out``;
-    gate rows are edge types, or annotated relations when those gate."""
-    src, trow, dst = g.segments(leave_out)
-    return src, g.relation_segments(leave_out) if gated_by_relations else trow, dst
-
-
 def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
-             edge_states: Value | None = None, plans: tuple | None = None) -> Value:
+             edge_states: Value | None = None, plan: MessagePlan | None = None) -> Value:
     """One round of gated message passing plus the node update.
 
     An edge's gate is its type's row of ``layer.type_vectors``, or, given
-    ``edge_states``, the row of the relation annotated on the edge.
-    Messages run along ``plans`` (:func:`edge_plans`; all edges by default).
+    ``edge_states``, its annotated relation's row of ``edge_states @
+    layer.relation_proj``.  Messages are computed once per (source, gate
+    row) pair and summed at the destinations along ``plan``
+    (:meth:`FoundationGraph.message_plan`; all edges by default).
     """
     if states.shape[0] != g.num_nodes:
         raise ConfigError(f"state matrix has {states.shape[0]} rows for a graph of "
                           f"{g.num_nodes} nodes")
-    if layer.type_vectors is not None and layer.type_vectors.shape[0] != len(g.alphabet):
-        raise ConfigError(
-            f"encoder knows {layer.type_vectors.shape[0]} interaction types but the "
-            f"graph alphabet has {len(g.alphabet)}")
-    src, gate_rows, dst = plans or edge_plans(g, edge_states is not None)
-    gates = layer.type_vectors if edge_states is None else edge_states
-    messages = ad.mul(ad.gather(states, src), ad.gather(gates, gate_rows))
-    agg = ad.scatter_add(messages, dst, g.num_nodes)
+    if edge_states is None:
+        gates = layer.type_vectors
+        if gates.shape[0] != len(g.alphabet):
+            raise ConfigError(f"encoder knows {gates.shape[0]} interaction types but the "
+                              f"graph alphabet has {len(g.alphabet)}")
+    elif layer.relation_proj is None:
+        raise ContractError("edge states gate only the layers that have a relation_proj")
+    else:
+        gates = ad.matmul(edge_states, layer.relation_proj)
+    plan = plan or g.message_plan(edge_states is not None)
+    messages = ad.mul(ad.gather(states, plan.src), ad.gather(gates, plan.gate))
+    agg = ad.scatter_add(messages, plan.dst, g.num_nodes, rows=plan.fan)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 
@@ -120,7 +141,7 @@ def encode(g: FoundationGraph, query_nodes: Iterable[int], params: EncoderParams
                           f"match graph alphabet {[t.value for t in g.alphabet]}")
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
-    plans = edge_plans(g, edge_states is not None, leave_out)
+    plan = g.message_plan(edge_states is not None, leave_out)
     for layer in params.layers:
-        states = mp_layer(states, g, layer, edge_states, plans)
+        states = mp_layer(states, g, layer, edge_states, plan)
     return states

@@ -152,6 +152,23 @@ def preset(name: str) -> InteractionConfig:
 
 
 @dataclass(frozen=True)
+class MessagePlan:
+    """How one layer of message passing reads a graph's edges.
+
+    A message depends only on its edge's source node and gate row, so each
+    distinct (source, gate row) pair is one message: ``src`` and ``gate``
+    plan the pairs' source nodes and gate rows.  The edges come in stable
+    destination order: ``fan`` plans the pair each edge reads, and ``dst``
+    the edges' destinations, already ascending.
+    """
+
+    src: Segments
+    gate: Segments
+    fan: Segments
+    dst: Segments
+
+
+@dataclass(frozen=True)
 class FoundationGraph:
     """A typed directed edge set over dense node ids.
 
@@ -160,7 +177,8 @@ class FoundationGraph:
     of the relation that induced it (used by the rewired encoder variant
     that drives entity messages with encoded relation states).
     ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
-    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`).
+    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`)
+    over the cached :meth:`message_plan`.
     """
 
     num_nodes: int
@@ -201,23 +219,26 @@ class FoundationGraph:
             raise ContractError("graph was built without per-edge fact records")
         return (self.edge_facts != leave_out).all(axis=1)
 
-    def segments(self, leave_out: int | None = None) -> tuple[Segments, Segments, Segments]:
-        """Grouping plans over the (src, type_row, dst) arrays, for segment sums,
-        of the edges left when fact ``leave_out`` is left out (cached for None)."""
-        if leave_out is not None:
-            keep = self.kept(leave_out)
-            return tuple(Segments(a[keep]) for a in self.arrays())
-        if "sd_plans" not in self._arrays:
-            self._arrays["sd_plans"] = tuple(Segments(a) for a in self.arrays())
-        return self._arrays["sd_plans"]
-
-    def relation_segments(self, leave_out: int | None = None) -> Segments:
-        """Grouping plan over :meth:`relation_array`, masked like :meth:`segments`."""
-        if leave_out is not None:
-            return Segments(self.relation_array()[self.kept(leave_out)])
-        if "er_plan" not in self._arrays:
-            self._arrays["er_plan"] = Segments(self.relation_array())
-        return self._arrays["er_plan"]
+    def message_plan(self, by_relation: bool, leave_out: int | None = None) -> MessagePlan:
+        """The :class:`MessagePlan` of the edges left when fact ``leave_out``
+        is left out; gate rows are edge types, or the annotated relations
+        when ``by_relation``.  The full plan is built once and cached; a
+        left-out fact filters it by :meth:`kept` without sorting again."""
+        key = "relation_plan" if by_relation else "type_plan"
+        if key not in self._arrays:
+            src, type_row, dst = self.arrays()
+            gate = self.relation_array() if by_relation else type_row
+            by_dst = np.argsort(dst, kind="stable")
+            span = int(gate.max()) + 1 if gate.size else 1
+            pairs, pair_of = np.unique(src * span + gate, return_inverse=True)
+            self._arrays[key] = by_dst, MessagePlan(
+                Segments(pairs // span), Segments(pairs % span),
+                Segments(pair_of[by_dst]), Segments(dst[by_dst]))
+        by_dst, plan = self._arrays[key]
+        if leave_out is None:
+            return plan
+        keep = self.kept(leave_out)[by_dst]
+        return MessagePlan(plan.src, plan.gate, plan.fan.kept(keep), plan.dst.kept(keep))
 
 
 def _finish(num_nodes: int, enum_cls, active: frozenset,

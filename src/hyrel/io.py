@@ -50,6 +50,8 @@ def parse_fact_obj(obj: dict, line_no: int | None = None) -> HyperFact:
         raise ParseError("record must be an object with a 'triple' array", line_no)
     if not isinstance(triple, list) or len(triple) != 3:
         raise ParseError("'triple' must be an array of exactly three ids", line_no)
+    if not isinstance(quals, list):
+        raise ParseError("'qualifiers' must be an array of [key, value] pairs", line_no)
     pairs = []
     for q in quals:
         if not isinstance(q, list) or len(q) != 2:

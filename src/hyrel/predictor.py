@@ -99,6 +99,8 @@ class LinkPredictor:
         dec_params = dec.init_decoder_params(
             store, "decoder", cfg.width, cfg.head_count, cfg.decoder_depth, rng,
             dtype=dtype)
+        if cfg.structure == RELATION_DRIVEN:  # drawn last: earlier draws stay put
+            enc.init_relation_projections(store, "ent_encoder", ent_params, rng, dtype=dtype)
         return cls(cfg, store, rel_params, ent_params, dec_params)
 
     @classmethod

@@ -209,6 +209,65 @@ def test_scatter_add_gradient(rng):
                  {"messages": messages, "w": w})
 
 
+def test_scatter_add_fan_hand_value():
+    # Message 0 fans out to rows 0 and 2, message 1 to row 0 twice.
+    messages = val([[1.0, 2.0], [10.0, 20.0]])
+    out = ad.scatter_add(messages, [0, 0, 0, 2], 3, rows=Segments([0, 1, 1, 0]))
+    assert out.data.tolist() == [[21.0, 42.0], [0.0, 0.0], [1.0, 2.0]]
+    backward(ad.total_sum(ad.mul(out, val([[1.0, 1.0], [5.0, 5.0], [3.0, 3.0]]))))
+    assert messages.grad.tolist() == [[4.0, 4.0], [2.0, 2.0]]
+
+
+def test_scatter_add_empty_fan():
+    messages = Value(np.ones((3, 2)))
+    out = ad.scatter_add(messages, Segments([]), 4, rows=Segments([]))
+    assert out.data.shape == (4, 2) and (out.data == 0).all()
+    backward(ad.total_sum(out))
+    assert (messages.grad == 0).all()
+
+
+def test_scatter_add_fan_errors():
+    with pytest.raises(IndexError):
+        ad.scatter_add(val([[1.0], [1.0]]), [0, 1], 2, rows=Segments([0, 2]))
+    with pytest.raises(IndexError):
+        ad.scatter_add(val([[1.0], [1.0]]), [0, 1], 2, rows=Segments([-1, 0]))
+    with pytest.raises(ShapeError):
+        ad.scatter_add(val([[1.0], [1.0]]), [0, 1, 1], 2, rows=Segments([0, 1]))
+
+
+def test_scatter_add_fan_gradient(rng):
+    messages = Value(rng.normal(size=(4, 3)))
+    w = Value(rng.normal(size=(3, 1)))
+    dst, rows = [0, 0, 1, 2, 2, 2, 4], [3, 0, 0, 1, 3, 3, 2]
+    for plan in (dst, Segments(dst)):
+        fd_check(lambda: ad.total_sum(ad.matmul(
+            ad.scatter_add(messages, plan, 5, rows=Segments(rows)), w)),
+            {"messages": messages, "w": w})
+    out = ad.scatter_add(messages, dst, 5, rows=Segments(rows))
+    expected = np.zeros((5, 3))
+    np.add.at(expected, dst, messages.data[rows])
+    assert np.allclose(out.data, expected, atol=1e-12)
+
+
+def _same_plan(a: Segments, b: Segments) -> None:
+    assert a.index.tolist() == b.index.tolist()
+    assert (a.order is None) == (b.order is None)
+    if a.order is not None:
+        assert a.order.tolist() == b.order.tolist()
+    assert a.starts.tolist() == b.starts.tolist() and a.rows.tolist() == b.rows.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_kept_plan_equals_a_fresh_plan_of_the_kept_entries(data):
+    index = data.draw(st.lists(st.integers(0, 6), max_size=30))
+    keep = np.array(data.draw(st.one_of(
+        st.just([True] * len(index)), st.just([False] * len(index)),
+        st.lists(st.booleans(), min_size=len(index), max_size=len(index)))), dtype=bool)
+    full = Segments(index)
+    _same_plan(full.kept(keep), Segments(full.index[keep]))
+
+
 def test_cross_entropy_uniform():
     loss = ad.cross_entropy(val([[1.0, 1.0, 1.0, 1.0]]), 2)
     assert abs(loss.data[0, 0] - math.log(4)) < 1e-12

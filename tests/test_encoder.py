@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import ConfigError
-from hyrel.autodiff import ParamStore, Value
-from hyrel.encoder import encode, indicator_init, init_encoder_params, mp_layer
+from hyrel import ConfigError, ContractError
+from hyrel.autodiff import ParamStore, Segments, Value
+from hyrel.encoder import (encode, indicator_init, init_encoder_params,
+                           init_relation_projections, mp_layer)
 from hyrel.foundation import (EntInteraction, FoundationGraph, build_entity_graph,
                               build_relation_graph)
 from hyrel.reference import naive_message_passing, random_hkg
@@ -29,6 +30,16 @@ def fresh_params(alphabet, depth=1, width=4, seed=0, dtype=np.float64, **kw):
     rng = np.random.default_rng(seed)
     return store, init_encoder_params(store, "enc", alphabet, depth, width, rng,
                                       dtype=dtype, **kw)
+
+
+def relation_gated_params(alphabet, depth=1, width=4, seed=0, dtype=np.float64):
+    """Parameters of an encoder whose messages edge states gate."""
+    store = ParamStore()
+    rng = np.random.default_rng(seed)
+    params = init_encoder_params(store, "enc", alphabet, depth, width, rng, dtype=dtype,
+                                 typed_messages=False)
+    init_relation_projections(store, "enc", params, rng, dtype=dtype)
+    return store, params
 
 
 def test_indicator_rows():
@@ -83,18 +94,67 @@ def test_mp_layer_identity_message():
 def test_mp_layer_matches_naive_loop(rng):
     base = line_graph(3)
     g = FoundationGraph(3, base.alphabet, base.edges, edge_relations=(1, 0, 0, 1))
-    store, params = fresh_params((T, TR), width=5, seed=3)
     states = Value(rng.normal(size=(3, 5)))
-    layer = params.layers[0]
-    # Gated by the type vectors, then by the rows of two relation states.
     edge_states = Value(rng.normal(size=(2, 5)))
+    # Gated by the type vectors, then by the projected rows of two relation states.
     for gates in (None, edge_states):
+        _, params = (fresh_params((T, TR), width=5, seed=3) if gates is None
+                     else relation_gated_params((T, TR), width=5, seed=3))
+        layer = params.layers[0]
         out = mp_layer(states, g, layer, gates)
         expected = naive_message_passing(
-            states.data, g.edges, g.alphabet, layer.type_vectors.data,
+            states.data, g.edges, g.alphabet,
+            layer.type_vectors.data if gates is None else None,
             layer.update_w.data, layer.update_b.data,
-            None if gates is None else gates.data, g.edge_relations)
+            None if gates is None else gates.data @ layer.relation_proj.data,
+            g.edge_relations)
         assert np.allclose(out.data, expected, atol=1e-6)
+
+
+def per_edge_layer(states, g, layer, edge_states, keep):
+    """One layer by the per-edge formula ``states[src] * gates[gate_row]``,
+    summed at the kept edges' destinations by a fresh :class:`Segments`."""
+    src, type_row, dst = g.arrays()
+    if edge_states is None:
+        gates, gate_row = layer.type_vectors.data, type_row
+    else:
+        gates, gate_row = edge_states.data @ layer.relation_proj.data, g.relation_array()
+    messages = states.data[src[keep]] * gates[gate_row[keep]]
+    plan = Segments(dst[keep])
+    agg = np.zeros_like(states.data)
+    agg[plan.rows] = plan.sums(messages)
+    joint = np.concatenate([states.data, agg], axis=1)
+    return np.maximum(joint @ layer.update_w.data + layer.update_b.data, 0)
+
+
+@pytest.mark.parametrize("gated_by_relations", [False, True])
+def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        kg = random_hkg(rng, max_facts=8, min_facts=3, num_entities=8)
+        g = build_entity_graph(kg, with_fact_relations=gated_by_relations)
+        _, params = (relation_gated_params(g.alphabet, width=6, seed=2, dtype=np.float32)
+                     if gated_by_relations
+                     else fresh_params(g.alphabet, width=6, seed=2, dtype=np.float32))
+        layer = params.layers[0]
+        states = Value(rng.normal(size=(g.num_nodes, 6)).astype(np.float32))
+        edge_states = (Value(rng.normal(size=(kg.num_relations, 6)).astype(np.float32))
+                       if gated_by_relations else None)
+        for leave_out in (None, *range(kg.num_facts)):
+            keep = (np.ones(g.num_edges, dtype=bool) if leave_out is None
+                    else g.kept(leave_out))
+            plan = g.message_plan(gated_by_relations, leave_out)
+            out = mp_layer(states, g, layer, edge_states, plan)
+            expected = per_edge_layer(states, g, layer, edge_states, keep)
+            assert out.data.tobytes() == expected.tobytes()
+
+
+def test_typed_layer_refuses_edge_states():
+    g = FoundationGraph(2, (T, TR), ((0, T, 1), (1, TR, 0)), edge_relations=(0, 0))
+    _, params = fresh_params((T, TR), width=3)
+    states = indicator_init(g, {0}, 3, np.float64)
+    with pytest.raises(ContractError, match="relation_proj"):
+        mp_layer(states, g, params.layers[0], Value(np.ones((1, 3))))
 
 
 def test_mp_layer_rejects_alphabet_mismatch():
@@ -163,8 +223,7 @@ def test_encode_rejects_wrong_alphabet(small_kg):
 
 def test_edge_state_encoding_runs(small_kg, rng):
     g = build_entity_graph(small_kg, with_fact_relations=True)
-    store, params = fresh_params(g.alphabet, depth=2, width=4, seed=1,
-                                 typed_messages=False)
+    store, params = relation_gated_params(g.alphabet, depth=2, width=4, seed=1)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     out = encode(g, {0}, params, edge_states=rel_states)
     assert out.data.shape == (small_kg.num_entities, 4)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hyrel import ConfigError, Hkg, HyperFact
@@ -162,15 +163,27 @@ def sorted_oracle(g, edges):
     return sorted(edges, key=lambda e: (e[0], order[e[1]], e[2:]))
 
 
+def plan_edges(plan):
+    """The (src, gate row, dst) rows a message plan reads, in its edge order."""
+    return np.stack([plan.src.index[plan.fan.index], plan.gate.index[plan.fan.index],
+                     plan.dst.index], axis=1)
+
+
 def masked_edges(g, leave_out, annotated=False):
     """The edges ``g`` keeps without fact ``leave_out``, in order, after
-    checking that the masked grouping plans index exactly those edges."""
+    checking that the masked message plans read exactly those edges, in
+    stable destination order."""
     keep = g.kept(leave_out)
-    pairs = list(zip(g.segments(leave_out), g.arrays()))
+    src, type_row, dst = g.arrays()
+    gates = [(False, type_row)]
     if annotated:
-        pairs.append((g.relation_segments(leave_out), g.relation_array()))
-    for plan, full in pairs:
-        assert plan.index.tolist() == full[keep].tolist()
+        gates.append((True, g.relation_array()))
+    for by_relation, gate in gates:
+        plan = g.message_plan(by_relation, leave_out)
+        order = np.argsort(dst[keep], kind="stable")
+        full = np.stack([src[keep], gate[keep], dst[keep]], axis=1)[order]
+        assert plan_edges(plan).tolist() == full.tolist()
+        assert plan.dst.order is None
     rels = g.edge_relations if annotated else [None] * g.num_edges
     return [e + (r,) * annotated for e, r, k in zip(g.edges, rels, keep) if k]
 
@@ -252,14 +265,20 @@ def test_annotated_entity_graph_carries_relations():
     assert all((d, ENT_RECIPROCAL[t], s) in edges for s, t, d in edges)
 
 
-def test_segment_plans_are_cached_over_the_edge_arrays():
+def test_message_plans_are_cached_over_the_edge_arrays():
     kg = Hkg([HyperFact("h", "r", "t", (("k", "v"),)), HyperFact("t", "s", "v")])
     g = build_entity_graph(kg, with_fact_relations=True)
-    plans = g.segments()
-    assert g.segments() is plans and g.relation_segments() is g.relation_segments()
-    assert all(p.index is a for p, a in zip(plans, g.arrays()))
-    assert g.relation_segments().index is g.relation_array()
-    assert plans[0].order is None  # edges are sorted by source already
-    src, _, dst = g.arrays()
-    for plan, idx in ((plans[0], src), (plans[2], dst)):
-        assert plan.rows.tolist() == sorted(set(idx.tolist()))
+    src, type_row, dst = g.arrays()
+    order = np.argsort(dst, kind="stable")
+    for by_relation, gate in ((False, type_row), (True, g.relation_array())):
+        plan = g.message_plan(by_relation)
+        assert g.message_plan(by_relation) is plan
+        full = np.stack([src, gate, dst], axis=1)[order]
+        assert plan_edges(plan).tolist() == full.tolist()
+        pairs = sorted(set(zip(src.tolist(), gate.tolist())))
+        assert list(zip(plan.src.index.tolist(), plan.gate.index.tolist())) == pairs
+        assert plan.src.order is None  # pairs are sorted by source already
+        assert plan.dst.order is None  # edges come in destination order
+        for p, idx in ((plan.src, src), (plan.dst, dst)):
+            assert p.rows.tolist() == sorted(set(idx.tolist()))
+    assert g.message_plan(False) is not g.message_plan(True)

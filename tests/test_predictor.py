@@ -4,7 +4,9 @@ import pytest
 from hyrel import (ConfigError, DataError, HyperFact, QueryFact, TAIL,
                    VocabularyError, queries_from_facts)
 from hyrel.foundation import preset
-from hyrel.predictor import RELATION_DRIVEN, LinkPredictor, ModelConfig, ablation_overrides
+from hyrel.autodiff import ParamStore
+from hyrel.predictor import (PARALLEL, RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig,
+                             ablation_overrides)
 from hyrel.reference import permute_hkg, random_hkg
 
 
@@ -80,6 +82,38 @@ def test_relation_driven_gradients(rng):
 
     result = ad.check_gradients(loss, dict(predictor.store.items()), h=1e-4)
     assert max(result.values()) <= 1e-3, result
+
+
+def test_relation_driven_logits_stay_on_the_parallel_scale():
+    # Raw relation states as gates grew the logits with every layer (max
+    # |logit| 1.6e5 against 4.1 here); the projected gates keep them level.
+    kg = random_hkg(np.random.default_rng(0), max_facts=40, min_facts=40,
+                    num_entities=20, num_relations=6)
+    queries = queries_from_facts(kg.facts)
+    largest = {}
+    for structure in STRUCTURES:
+        predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=1)
+        graphs = predictor.build_graphs(kg)
+        largest[structure] = max(
+            float(np.abs(predictor.query_logits(kg, q, graphs).data).max()) for q in queries)
+    assert largest[RELATION_DRIVEN] <= 10 * largest[PARALLEL], largest
+
+
+def test_relation_projections_are_drawn_last_and_required():
+    cfg = ModelConfig(width=8, encoder_depth=2, head_count=1, decoder_depth=1,
+                      structure=RELATION_DRIVEN)
+    predictor = LinkPredictor.build(cfg, seed=0)
+    names = predictor.store.names()
+    assert names[-2:] == ["ent_encoder/layer0/relation_proj",
+                          "ent_encoder/layer1/relation_proj"]
+    assert not any("relation_proj" in n for n in LinkPredictor.build(
+        ModelConfig(width=8, encoder_depth=2, head_count=1, decoder_depth=1)).store.names())
+    old = ParamStore()  # a checkpoint written before the projections existed
+    for name, value in predictor.store.items():
+        if "relation_proj" not in name:
+            old.add(name, value.data)
+    with pytest.raises(DataError, match="missing tensor 'ent_encoder/layer0/relation_proj'"):
+        LinkPredictor.from_store(cfg, old)
 
 
 def test_relation_driven_training_smoke(small_kg):

@@ -41,7 +41,8 @@ def test_degenerate_one_fact_guard_case():
     graphs = predictor.build_graphs(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
         assert g.num_edges > 0 and not g.kept(0).any()
-        assert all(plan.index.size == 0 for plan in g.segments(0))
+        plan = g.message_plan(False, 0)
+        assert plan.fan.index.size == 0 and plan.dst.index.size == 0
     loss = query_loss(predictor, kg, query, graphs, leave_out=0)
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
 
