@@ -455,7 +455,8 @@ class ParamStore:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamStore":
-        """Parse a checkpoint; any truncation or trailing byte is a DataError."""
+        """Parse a checkpoint; any truncation, repeated name or trailing byte
+        is a DataError."""
         if blob[:8] != cls.MAGIC:
             raise DataError("not a parameter checkpoint (bad magic header)")
         offset = 8
@@ -477,6 +478,8 @@ class ParamStore:
                 name = take(name_len, "name").decode("utf-8")
             except UnicodeDecodeError as e:
                 raise DataError(f"parameter name is not UTF-8: {e}") from None
+            if name in store:
+                raise DataError(f"parameter checkpoint repeats the name {name!r}")
             rows, cols = struct.unpack("<II", take(8, f"shape of {name!r}"))
             raw = take(rows * cols * 4, f"values of {name!r}")
             arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols)

@@ -143,7 +143,7 @@ class Violation:
 
 
 class Hkg:
-    """An immutable hyper-relational KG with dense id maps and occurrence indices.
+    """An immutable hyper-relational KG: its facts and dense vocabulary id maps.
 
     Vocabularies default to first-seen order over the fact list, which makes
     construction deterministic and file round-trips stable.  Explicit
@@ -152,8 +152,7 @@ class Hkg:
     resulting inconsistency.
     """
 
-    __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index",
-                 "entity_occurrences", "relation_occurrences")
+    __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index")
 
     def __init__(self, facts: Iterable[HyperFact],
                  entities: Sequence[str] | None = None,
@@ -167,8 +166,6 @@ class Hkg:
         self.relations: tuple[str, ...] = tuple(relations)
         self.entity_index: dict[str, int] = {e: i for i, e in enumerate(self.entities)}
         self.relation_index: dict[str, int] = {r: i for i, r in enumerate(self.relations)}
-        self.entity_occurrences, self.relation_occurrences = _build_occurrences(
-            self.facts, self.entity_index, self.relation_index)
 
     @property
     def num_entities(self) -> int:
@@ -209,21 +206,6 @@ def _first_seen_vocab(facts: Sequence[HyperFact]) -> tuple[list[str], list[str]]
     return list(ents), list(rels)
 
 
-def _build_occurrences(facts, entity_index, relation_index):
-    ent_occ: list[list[tuple[int, Role]]] = [[] for _ in entity_index]
-    rel_occ: list[list[tuple[int, Role]]] = [[] for _ in relation_index]
-    for fi, f in enumerate(facts):
-        for role, e in f.entity_roles():
-            idx = entity_index.get(e)
-            if idx is not None:
-                ent_occ[idx].append((fi, role))
-        for role, r in f.relation_roles():
-            idx = relation_index.get(r)
-            if idx is not None:
-                rel_occ[idx].append((fi, role))
-    return ([tuple(o) for o in ent_occ], [tuple(o) for o in rel_occ])
-
-
 def validate(kg: Hkg) -> list[Violation]:
     """Check the structural invariants of ``kg``.
 
@@ -249,9 +231,6 @@ def validate(kg: Hkg) -> list[Violation]:
     for r in kg.relations:
         if r not in referenced_r:
             out.append(Violation(None, None, f"orphan vocabulary relation {r!r}"))
-    rebuilt_e, rebuilt_r = _build_occurrences(kg.facts, kg.entity_index, kg.relation_index)
-    if rebuilt_e != kg.entity_occurrences or rebuilt_r != kg.relation_occurrences:
-        out.append(Violation(None, None, "occurrence indices inconsistent with facts"))
     return out
 
 

@@ -18,7 +18,6 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
-from .config import TextConfig
 from .errors import ConfigError, DataError, VocabularyError
 from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
                          RelInteraction, build_entity_graph, build_relation_graph, preset)
@@ -31,7 +30,7 @@ STRUCTURES = (PARALLEL, RELATION_DRIVEN)
 
 
 @dataclass(frozen=True)
-class ModelConfig(TextConfig):
+class ModelConfig:
     """Architecture knobs shared by training, evaluation and prediction."""
 
     width: int = 32

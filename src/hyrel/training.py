@@ -128,9 +128,12 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
 
 @dataclass
 class Checkpoint:
-    """A parameter snapshot plus everything needed to rebuild the model."""
+    """A parameter snapshot plus the run settings that rebuild its model.
 
-    model_config: ModelConfig
+    The model is ``train_config.model_config()``: a fully inductive model
+    names no vocabulary, so the run's settings are all it needs.
+    """
+
     train_config: TrainConfig
     store: ParamStore
     epoch: int
@@ -138,19 +141,18 @@ class Checkpoint:
     valid_history: list[float]
 
     def predictor(self) -> LinkPredictor:
-        return LinkPredictor.from_store(self.model_config, self.store)
+        return LinkPredictor.from_store(self.train_config.model_config(), self.store)
 
     def save(self, path: str | Path) -> None:
         """Write the binary parameter file and its metadata sidecar.
 
         Each file is written under a temporary name and renamed into place;
-        the sidecar records the parameter file's SHA-256.
+        the sidecar records the run's ``[train]`` settings, its ``[state]``
+        (epoch and the parameter file's SHA-256) and its ``[history]``.
         """
         path = Path(path)
         blob = self.store.to_bytes()
-        lines = ["[model]"]
-        lines += [f"{k} = {v}" for k, v in self.model_config.to_dict().items()]
-        lines.append("[train]")
+        lines = ["[train]"]
         lines += [f"{k} = {v}" for k, v in self.train_config.to_dict().items()]
         lines.append("[state]")
         lines.append(f"epoch = {self.epoch}")
@@ -165,12 +167,16 @@ class Checkpoint:
     @classmethod
     def load(cls, path: str | Path) -> "Checkpoint":
         """Read a checkpoint; a malformed ``.meta`` sidecar, or one whose
-        ``bin_sha256`` is not that of the parameter file, is a :class:`DataError`."""
+        ``bin_sha256`` is not that of the parameter file, is a :class:`DataError`.
+
+        Sections other than ``[train]``, ``[state]`` and ``[history]`` are
+        skipped, among them the ``[model]`` block older sidecars wrote.
+        """
         path = Path(path)
         blob = path.read_bytes()
         store = ParamStore.from_bytes(blob)
         meta = Path(str(path) + ".meta")
-        sections: dict[str, dict[str, str]] = {"model": {}, "train": {}, "state": {}}
+        sections: dict[str, dict[str, str]] = {"train": {}, "state": {}}
         history: list[tuple[float, float]] = []
         current = None
         try:
@@ -187,23 +193,16 @@ class Checkpoint:
                 elif current in sections and " = " in line:
                     k, v = line.split(" = ", 1)
                     sections[current][k] = v
-            model_config = ModelConfig.from_dict(sections["model"])
             train_config = TrainConfig.from_dict(sections["train"])
-            epoch = int(sections["state"].get("epoch", 0))
+            if "epoch" not in sections["state"]:
+                raise ValueError("[state] records no epoch")
+            epoch = int(sections["state"]["epoch"])
         except ValueError as e:  # ConfigError is one too
             raise DataError(f"{meta}: {e}") from e
         if sections["state"].get("bin_sha256") != hashlib.sha256(blob).hexdigest():
             raise DataError(f"{meta}: bin_sha256 is missing or is not the SHA-256 of "
                             f"{path.name}; the pair does not belong together")
-        # A sidecar may name since-retired model options; this version builds
-        # only their off value.
-        known = model_config.to_dict()
-        for key, value in sections["model"].items():
-            if key not in known and value != "False":
-                raise DataError(f"{meta}: {key} = {value}; this version no longer "
-                                f"builds that model")
         return cls(
-            model_config=model_config,
             train_config=train_config,
             store=store,
             epoch=epoch,
@@ -225,8 +224,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     queries exist, otherwise the final state.
     """
     stats = stats if stats is not None else TrainStats()
-    model_cfg = cfg.model_config()
-    predictor = LinkPredictor.build(model_cfg, seed=cfg.seed)
+    predictor = LinkPredictor.build(cfg.model_config(), seed=cfg.seed)
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
     kg = bundle.train
@@ -247,7 +245,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         out.mkdir(parents=True, exist_ok=True)
 
     def snapshot(epoch: int) -> Checkpoint:
-        return Checkpoint(model_cfg, cfg, _copy_store(predictor.store), epoch,
+        return Checkpoint(cfg, _copy_store(predictor.store), epoch,
                           list(stats.epoch_losses), list(stats.valid_mrr))
 
     best: Checkpoint | None = None

@@ -367,6 +367,16 @@ def test_param_store_rejects_duplicates():
         store.add("w", np.zeros((1, 1), dtype=np.float32))
 
 
+def test_blob_that_repeats_a_name_is_data_error():
+    # A file's content is data: a repeated record is not a caller's mistake.
+    store = ParamStore()
+    store.add("w", np.zeros((1, 1), dtype=np.float32))
+    blob = store.to_bytes()
+    twice = blob[:8] + (2).to_bytes(4, "little") + blob[12:] * 2
+    with pytest.raises(DataError, match="repeats the name 'w'"):
+        ParamStore.from_bytes(twice)
+
+
 def test_adam_minimizes_quadratic():
     p = Value(np.array([[5.0, -3.0]], dtype=np.float64))
     opt = Adam([p], lr=0.1)

@@ -124,6 +124,7 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys):
     for command, line, key in (("train", "leakage_guard = true", "leakage_guard"),
                                ("train", "width = abc", "width"),
                                ("train", "step_size = nan", "step_size"),
+                               ("train", "interactions = bogus", "interaction"),
                                ("split", "relation_disjoint = yes", "relation_disjoint"),
                                ("split", "ratios = 0.5,x,0.5", "ratios")):
         cfg_file.write_text(line + "\n", encoding="utf-8")
@@ -203,7 +204,7 @@ def test_checkpoint_with_per_head_names_is_data_error(tmp_path, capsys):
         else:
             per_head.add(name, value.data)
     ckpt = tmp_path / "old.bin"
-    Checkpoint(cfg.model_config(), cfg, per_head, 0, [], []).save(ckpt)
+    Checkpoint(cfg, per_head, 0, [], []).save(ckpt)
     assert dispatch(["eval", "--bundle", str(tmp_path / "absent"),
                      "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err

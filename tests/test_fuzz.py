@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hyrel import HyrelError, ParseError
 from hyrel.autodiff import ParamStore
 from hyrel.io import parse_fact_line, parse_fact_obj
-from hyrel.predictor import LinkPredictor, ModelConfig
+from hyrel.predictor import LinkPredictor
 from hyrel.training import Checkpoint, TrainConfig
 
 FUZZ = settings(max_examples=300, deadline=None,
@@ -53,8 +53,8 @@ def test_fuzzed_fact_objects(obj):
 
 def _tiny_checkpoint() -> Checkpoint:
     train = TrainConfig(epochs=0, width=4, encoder_depth=1, head_count=1, decoder_depth=1)
-    model = train.model_config()
-    return Checkpoint(model, train, LinkPredictor.build(model, seed=0).store, 0, [0.5], [0.25])
+    return Checkpoint(train, LinkPredictor.build(train.model_config(), seed=0).store, 0,
+                      [0.5], [0.25])
 
 
 CKPT = _tiny_checkpoint()

@@ -118,16 +118,3 @@ def test_replace_entity_round_trip():
     swapped = fact.replace_entity(value_role(0), "z")
     assert swapped.qualifiers == (("k", "z"),)
     assert swapped.replace_entity(value_role(0), "c") == fact
-
-
-def test_occurrence_indices_track_positions(small_kg):
-    from hyrel.model import RoleKind
-    # Entity 'c' appears as qualifier value of fact 0, tail of fact 1,
-    # and qualifier value (index 1) of fact 2.
-    occ = small_kg.entity_occurrences[small_kg.entity_index["c"]]
-    assert [(fi, role.kind, role.index) for fi, role in occ] == [
-        (0, RoleKind.VALUE, 0), (1, RoleKind.TAIL, None), (2, RoleKind.VALUE, 1)]
-    # Relation 'k' is the key of qualifier 0 in facts 0 and 2.
-    rocc = small_kg.relation_occurrences[small_kg.relation_index["k"]]
-    assert [(fi, role.kind, role.index) for fi, role in rocc] == [
-        (0, RoleKind.KEY, 0), (2, RoleKind.KEY, 0)]

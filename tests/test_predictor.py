@@ -123,7 +123,7 @@ def test_relation_driven_training_smoke(small_kg):
                       encoder_depth=1, head_count=1, decoder_depth=1,
                       checkpoint_every=10 ** 6, structure=RELATION_DRIVEN)
     ckpt = fit(DatasetBundle(train=small_kg, inference=small_kg), cfg)
-    assert ckpt.model_config.structure == RELATION_DRIVEN
+    assert ckpt.predictor().cfg.structure == RELATION_DRIVEN
     scores = ckpt.predictor().entity_scores(
         ckpt.predictor().prepare(small_kg), queries_from_facts(small_kg.facts)[0])
     assert np.isfinite(scores).all()
@@ -144,19 +144,6 @@ def test_ablation_names_select_model_configs():
     assert model_for("addAllFI").structure != RELATION_DRIVEN
     with pytest.raises(ConfigError):
         ablation_overrides("bogus")
-
-
-def test_model_config_round_trip():
-    for cfg in (ModelConfig(),
-                ModelConfig(width=16, encoder_depth=3, head_count=2,
-                            decoder_depth=1, interactions=preset("addShareV"),
-                            structure=RELATION_DRIVEN)):
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
-    text = ModelConfig().to_dict()
-    with pytest.raises(ConfigError, match="relation_set"):
-        ModelConfig.from_dict(text | {"relation_set": text["relation_set"] + ",bogus"})
-    with pytest.raises(ConfigError, match="structure"):
-        ModelConfig.from_dict({k: v for k, v in text.items() if k != "structure"})
 
 
 def test_from_store_rejects_mismatched_checkpoint(small_kg):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import (ContractError, DataError, Hkg, HyperFact, NumericalError, QueryFact,
-                   TAIL, queries_from_facts)
+from hyrel import (ConfigError, ContractError, DataError, Hkg, HyperFact, NumericalError,
+                   QueryFact, TAIL, queries_from_facts)
 from hyrel.autodiff import Adam
 from hyrel.evaluation import evaluate
 from hyrel.foundation import preset
 from hyrel.io import DatasetBundle
-from hyrel.predictor import STRUCTURES, LinkPredictor, ModelConfig
+from hyrel.predictor import RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig
 from hyrel.reference import random_hkg
 from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_loss,
                             train_step)
@@ -128,21 +128,35 @@ def test_malformed_meta_is_data_error(tmp_path):
     fit(as_bundle(fixed_kg()), cfg).save(path)
     meta = tmp_path / "model.bin.meta"
     text = meta.read_text(encoding="utf-8")
-    assert text.count("width = 8\n") == 2  # [model] comes first, then [train]
-    for bad, key in ((text.replace("width = 8\n", "", 1), "width"),
-                     (text.replace("width = 8\n", "width = x\n", 1), "width"),
-                     (text.replace("[model]\n", "[model]\nzero_other_bias = True\n"),
-                      "zero_other_bias")):
+    assert text.count("width = 8\n") == 1 and "[model]" not in text  # [train] only
+    for bad, key in ((text.replace("width = 8\n", ""), "width"),
+                     (text.replace("width = 8\n", "width = x\n"), "width"),
+                     (text.replace("epoch = 0\n", ""), "epoch")):
         meta.write_text(bad, encoding="utf-8")
         with pytest.raises(DataError, match=key):
             Checkpoint.load(path)
-    # Older sidecars record three retired model options; False is what this
-    # version builds, so they still load.
-    retired = "".join(f"{key} = False\n" for key in ("encoder_residual",
-                                                    "encoder_layer_norm",
-                                                    "zero_other_bias"))
-    meta.write_text(text.replace("[train]\n", retired + "[train]\n"), encoding="utf-8")
-    assert Checkpoint.load(path).model_config == cfg.model_config()
+    # Older sidecars open with a [model] block that repeats [train], some with
+    # since-retired options; it is skipped like any unknown section.
+    sets = preset("default")
+    model_block = ["[model]", "width = 8", "encoder_depth = 1", "head_count = 1",
+                   "decoder_depth = 1",
+                   "relation_set = " + ",".join(sorted(t.value for t in sets.relation_set)),
+                   "entity_set = " + ",".join(sorted(t.value for t in sets.entity_set)),
+                   "structure = parallel", "encoder_residual = False",
+                   "encoder_layer_norm = False", "zero_other_bias = False"]
+    meta.write_text("\n".join(model_block) + "\n" + text, encoding="utf-8")
+    assert Checkpoint.load(path).train_config == cfg
+
+
+def test_train_config_round_trip():
+    for cfg in (TrainConfig(),
+                TrainConfig(epochs=3, width=16, encoder_depth=3, head_count=2,
+                            decoder_depth=1, interactions="addShareV",
+                            structure=RELATION_DRIVEN)):
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    text = TrainConfig().to_dict()
+    with pytest.raises(ConfigError, match="structure"):
+        TrainConfig.from_dict({k: v for k, v in text.items() if k != "structure"})
 
 
 def test_epochs_zero_returns_initialized_checkpoint():
