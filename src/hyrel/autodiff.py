@@ -2,17 +2,19 @@
 
 Small and closed by design: matrix product, broadcast add/multiply, transpose,
 relu, concatenation, layer normalization, row-wise softmax, gather,
-scatter-add, cross-entropy and the total sum, which is everything the
-encoders, decoder and training loss compose from.  Arithmetic is 32-bit by
-default; gradient checking builds the same graphs over 64-bit parameters.
+scatter-add, per-row column picks and sums, per-row cross-entropy and the
+total sum, which is everything the encoders, decoder and training loss
+compose from.  Arithmetic is 32-bit by default; gradient checking builds the
+same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
 is always a sorted-segment sum over a :class:`Segments` plan, built once per
 index array and reused by every layer that sums over it; a masked subset of
-an index gets its plan from the full one (:meth:`Segments.kept`) without
-sorting again.  ``scatter_add`` can also fan rows out: given a second plan
-it reads message row ``rows[e]`` for destination entry e, so a message
-shared by many edges is computed once and only the sum sees every edge.
+an index, or block-stacked masked copies of it, get their plan from the full
+one (:meth:`Segments.kept`) without sorting again.  ``scatter_add`` can also
+fan rows out: given a second plan it reads message row ``rows[e]`` for
+destination entry e, so a message shared by many edges is computed once and
+only the sum sees every edge.
 
 Calling :func:`backward` twice without zeroing accumulates gradients
 additively; that is the documented contract, not a bug.
@@ -65,18 +67,6 @@ class Value:
 
     def __repr__(self):
         return f"Value(shape={self.shape}, dtype={self.data.dtype})"
-
-
-def as_value(x) -> Value:
-    """Wrap raw array data as a constant tape node."""
-    if isinstance(x, Value):
-        return x
-    arr = np.asarray(x)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    return Value(arr)
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, int]) -> Array:
@@ -261,24 +251,46 @@ class Segments:
         self.starts = np.flatnonzero(bounds)
         self.rows = ordered[self.starts]
 
-    def kept(self, keep: Array) -> "Segments":
+    def kept(self, keep: Array, stride: int = 0) -> "Segments":
         """The plan of ``index[keep]`` for a boolean mask ``keep``, read off
-        this plan's order instead of sorting again."""
-        idx = self.index[keep]
+        this plan's order instead of sorting again.
+
+        A (B, n) mask gives B blocks laid end to end, block q holding
+        ``index[keep[q]] + q·stride``; ``stride`` must exceed every index,
+        so that no run spans two blocks.
+        """
+        keep = np.asarray(keep, dtype=bool)
+        blocks = keep if keep.ndim == 2 else keep[None]
+        idx = (self.index + stride * np.arange(blocks.shape[0])[:, None])[blocks]
         order = None
         if self.order is not None and _unsorted(idx):
-            position = np.cumsum(keep) - 1  # of each kept entry in idx
-            order = position[self.order[keep[self.order]]]
+            position = (np.cumsum(blocks) - 1).reshape(blocks.shape)  # in idx
+            order = position[:, self.order][blocks[:, self.order]]
         plan = Segments.__new__(Segments)
         plan._plan(idx, order)
         return plan
 
     def sums(self, values: Array) -> Array:
-        """Sum of the ``values`` rows of each run, one row per entry of ``rows``."""
+        """Sum of the ``values`` rows of each run, one row per entry of ``rows``.
+
+        ``reduceat`` makes one reduction per (run, column), and with many
+        short runs those calls, not the additions, set its cost.  So an even
+        number of float columns is summed as half as many complex ones.  A
+        complex sum adds the two components independently, so each column is
+        still summed on its own, in a fixed order that depends only on the
+        run's length.
+        """
         if not self.rows.size:
             return np.zeros((0, values.shape[1]), dtype=values.dtype)
         grouped = values if self.order is None else np.take(values, self.order, axis=0)
-        return np.add.reduceat(grouped, self.starts, axis=0)
+        paired = _PAIRED.get(grouped.dtype)
+        if paired is None or grouped.shape[1] % 2:
+            return np.add.reduceat(grouped, self.starts, axis=0)
+        pairs = np.ascontiguousarray(grouped).view(paired)
+        return np.add.reduceat(pairs, self.starts, axis=0).view(grouped.dtype)
+
+
+_PAIRED = {np.dtype(np.float32): np.complex64, np.dtype(np.float64): np.complex128}
 
 
 def _unsorted(idx: Array) -> bool:
@@ -353,23 +365,80 @@ def total_sum(a: Value) -> Value:
     return out
 
 
-def cross_entropy(logits: Value, target: int) -> Value:
-    """Negative log softmax probability of ``target`` for a (1, n) logit row."""
-    if logits.shape[0] != 1:
-        raise ShapeError(f"logits must be a single row, got {logits.shape}")
-    n = logits.shape[1]
-    if not 0 <= target < n:
-        raise IndexError(f"target {target} out of range for {n} classes")
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    loss = (lse - shifted[0, target]).reshape(1, 1)
+def _column_sums(values: Array, cols: Array, width: int) -> Array:
+    """``out[r, k]`` = the sum of ``values[r, c]`` over the c with
+    ``cols[r, c] == k``, added in ascending c; entries of column ``width``
+    are dropped."""
+    rows = values.shape[0]
+    flat = (cols + (width + 1) * np.arange(rows)[:, None]).ravel()
+    out = np.zeros(rows * (width + 1), dtype=values.dtype)
+    np.add.at(out, flat, values.ravel())
+    return out.reshape(rows, width + 1)[:, :width]
+
+
+def take_columns(x: Value, cols: Array, fill: float = 0.0) -> Value:
+    """Pick per row: ``out[r, c] = x[r, cols[r, c]]``, and ``fill`` where
+    ``cols[r, c]`` equals x's column count.  The backward pass sums each
+    picked entry's gradient back into its column (:func:`sum_columns`)."""
+    cols = np.asarray(cols, dtype=np.int64)
+    width = x.shape[1]
+    if cols.ndim != 2 or cols.shape[0] != x.shape[0]:
+        raise ShapeError(f"need one row of column picks per row of {x.shape}, got {cols.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() > width):
+        raise IndexError(f"column pick out of range for {width} columns")
+    padded = np.concatenate([x.data, np.full((x.shape[0], 1), fill, dtype=x.data.dtype)],
+                            axis=1)
+    out = Value(np.take_along_axis(padded, cols, axis=1), (x,))
+
+    def bwd(g: Array):
+        x.grad += _column_sums(g, cols, width)
+
+    out._backward = bwd
+    return out
+
+
+def sum_columns(x: Value, cols: Array, width: int) -> Value:
+    """Sum per row by column label: ``out[r, k]`` adds the ``x[r, c]`` with
+    ``cols[r, c] == k``, for k < ``width``; label ``width`` is dropped.  The
+    adjoint of :func:`take_columns`."""
+    cols = np.asarray(cols, dtype=np.int64)
+    if cols.shape != x.shape:
+        raise ShapeError(f"need one column label per entry of {x.shape}, got {cols.shape}")
+    if cols.size and (cols.min() < 0 or cols.max() > width):
+        raise IndexError(f"column label out of range for {width} columns")
+    out = Value(_column_sums(x.data, cols, width), (x,))
+
+    def bwd(g: Array):
+        padded = np.concatenate([g, np.zeros((g.shape[0], 1), dtype=g.dtype)], axis=1)
+        x.grad += np.take_along_axis(padded, cols, axis=1)
+
+    out._backward = bwd
+    return out
+
+
+def cross_entropy(logits: Value, targets: Sequence[int] | Array | int) -> Value:
+    """Per-row negative log softmax probability of each row's target.
+
+    ``logits`` is (B, n) and ``targets`` holds one class per row; the result
+    is the (B, 1) column of losses.
+    """
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    rows, n = logits.shape
+    if targets.size != rows:
+        raise ShapeError(f"{targets.size} target(s) for {rows} logit row(s)")
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        raise IndexError(f"target out of range for {n} classes")
+    picked = np.arange(rows), targets
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = lse - shifted[picked][:, None]
     probs = np.exp(shifted - lse)
     out = Value(loss, (logits,))
 
     def bwd(g: Array):
         delta = probs.copy()
-        delta[0, target] -= 1
-        logits.grad += g[0, 0] * delta
+        delta[picked] -= 1
+        logits.grad += g * delta
 
     out._backward = bwd
     return out

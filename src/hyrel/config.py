@@ -21,9 +21,10 @@ def format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(key: str, text: str, like):
+def parse_value(key: str, text: str, like):
+    """``text`` read as the type of ``like``; a bad value is a ConfigError naming ``key``."""
     if isinstance(like, tuple):
-        return tuple(_parse_value(key, part, like[0]) for part in text.split(","))
+        return tuple(parse_value(key, part, like[0]) for part in text.split(","))
     if isinstance(like, bool):
         if text not in ("True", "False"):
             raise ConfigError(f"{key} must be True or False, got {text!r}")
@@ -50,5 +51,5 @@ class TextConfig:
         missing = [f.name for f in fields(cls) if f.name not in d]
         if missing:
             raise ConfigError(f"missing configuration keys {missing}")
-        return cls(**{f.name: _parse_value(f.name, d[f.name], getattr(defaults, f.name))
+        return cls(**{f.name: parse_value(f.name, d[f.name], getattr(defaults, f.name))
                       for f in fields(cls)})

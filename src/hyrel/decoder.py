@@ -11,10 +11,16 @@ key attending to an unrelated value.  Heads are column blocks of one
 projection: head h owns columns h·dh:(h+1)·dh of the query, key and value
 maps and of both bias tables.
 
-Scoring projects the mask slot's output onto the query-conditioned entity
-state matrix: one logit per entity plus a single shared scalar bias.  A
-per-entity bias would pin the decoder to one vocabulary, so no such
-parameter exists anywhere.
+A batch of queries is decoded as one sequence: the queries' sequences are
+laid end to end (:class:`BatchLayout`), and a block mask keeps each slot
+attending within its own query.  Each slot pair reads its bias by a per-row
+column pick of the per-type similarities, where a pair of two queries picks
+a column of -inf, so its softmax weight is exactly zero.
+
+Scoring projects each query's mask slot output onto its block of the
+query-conditioned entity states: one logit per entity plus a single shared
+scalar bias.  A per-entity bias would pin the decoder to one vocabulary, so
+no such parameter exists anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -77,36 +84,57 @@ def classify_bias(i: Role, j: Role) -> BiasType:
 
 
 @lru_cache(maxsize=512)
-def _mask_cache(roles: tuple[Role, ...], dtype_name: str) -> tuple[np.ndarray, ...]:
-    """One 0/1 matrix per bias type; the masks partition the slot-pair grid."""
-    n = len(roles)
-    masks = [np.zeros((n, n), dtype=np.dtype(dtype_name)) for _ in range(NUM_BIAS_TYPES)]
-    for a in range(n):
-        for b in range(n):
-            masks[classify_bias(roles[a], roles[b]).value][a, b] = 1.0
-    return tuple(masks)
+def _bias_types(roles: tuple[Role, ...]) -> np.ndarray:
+    """The :class:`BiasType` value of every ordered slot pair of one layout."""
+    return np.array([[classify_bias(a, b).value for b in roles] for a in roles],
+                    dtype=np.int64).reshape(len(roles), len(roles))
 
 
-@lru_cache(maxsize=512)
-def _selectors(roles: tuple[Role, ...], head_count: int, width: int,
-               dtype_name: str) -> tuple[np.ndarray, ...]:
-    """Constant 0/1 matrices that let one op sequence serve every head and type.
+class BatchLayout:
+    """The sequences of a batch of queries, laid end to end.
 
-    ``rep`` (H·n, n) stacks the sequence once per head; ``head_cols``
-    (H·n, d) keeps head h's columns in row block h; ``expand`` (T, T·n)
-    spreads a per-type column over that type's block of slot pairs and
-    ``fold`` (T·n, n) sums the blocks back; ``masks`` (H·n, T·n) holds the
-    bias-type masks side by side, tiled once per head.
+    Query q owns slots ``starts[q]`` to ``starts[q] + len(layouts[q]) - 1``
+    of the batch sequence, and ``mask_slots[q]`` is its mask slot there.
     """
-    dtype = np.dtype(dtype_name)
-    n, dh = len(roles), width // head_count
-    eye = np.eye(n, dtype=dtype)
-    rep = np.tile(eye, (head_count, 1))
-    head_cols = np.kron(np.eye(head_count, dtype=dtype), np.ones((n, dh), dtype=dtype))
-    expand = np.kron(np.eye(NUM_BIAS_TYPES, dtype=dtype), np.ones((1, n), dtype=dtype))
-    fold = np.tile(eye, (NUM_BIAS_TYPES, 1))
-    masks = np.tile(np.concatenate(_mask_cache(roles, dtype_name), axis=1), (head_count, 1))
-    return rep, head_cols, expand, fold, masks
+
+    def __init__(self, layouts):
+        self.layouts = tuple(layouts)
+        sizes = [len(layout) for layout in self.layouts]
+        self.starts = np.cumsum([0] + sizes[:-1]).tolist()
+        self.mask_slots = [start + layout.mask_slot
+                           for start, layout in zip(self.starts, self.layouts)]
+        self._size = sum(sizes)
+        self._selectors: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def __len__(self):
+        return self._size
+
+    def selectors(self, head_count: int, width: int, dtype_name: str) -> tuple[np.ndarray, ...]:
+        """Constant matrices that let one op sequence serve every head and type.
+
+        ``rep`` (H·S, S) stacks the batch sequence once per head and
+        ``head_cols`` (H·S, d) keeps head h's columns in row block h;
+        ``types`` (H·S, S) holds each slot pair's bias type, or
+        ``NUM_BIAS_TYPES`` for a pair of two queries, tiled once per head.
+        """
+        key = (head_count, width, dtype_name)
+        if key not in self._selectors:
+            dtype = np.dtype(dtype_name)
+            n, dh = self._size, width // head_count
+            types = np.full((n, n), NUM_BIAS_TYPES, dtype=np.int64)
+            for start, layout in zip(self.starts, self.layouts):
+                types[start:start + len(layout), start:start + len(layout)] = \
+                    _bias_types(layout.roles)
+            self._selectors[key] = (
+                np.tile(np.eye(n, dtype=dtype), (head_count, 1)),
+                np.kron(np.eye(head_count, dtype=dtype), np.ones((n, dh), dtype=dtype)),
+                np.tile(types, (head_count, 1)))
+        return self._selectors[key]
+
+
+def _batch(layout: SequenceLayout | BatchLayout) -> BatchLayout:
+    """A single query's layout is a batch of one."""
+    return layout if isinstance(layout, BatchLayout) else BatchLayout((layout,))
 
 
 @dataclass
@@ -183,74 +211,89 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
     return params
 
 
-def assemble_sequence(query: QueryFact, kg: Hkg, rel_states: Value,
-                      ent_states: Value, params: DecoderParams) -> tuple[Value, SequenceLayout]:
-    """Stack the per-slot vectors for one query, mask slot included.
+def assemble_sequence(queries: Sequence[QueryFact], kg: Hkg, rel_states: Value,
+                      ent_states: Value, params: DecoderParams) -> tuple[Value, BatchLayout]:
+    """Stack the per-slot vectors of a batch of queries, mask slots included.
 
-    One gather reads every slot from the table [entity states; relation
-    states; mask token].
+    The states hold one block of rows per query, in batch order.  One
+    gather reads every slot from the table [entity states; relation states;
+    mask token].
     """
-    if ent_states.shape[0] != kg.num_entities or rel_states.shape[0] != kg.num_relations:
-        raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} do not cover "
-                         f"the graph's {kg.num_entities} entities and "
-                         f"{kg.num_relations} relations")
-    layout = layout_for(query)
+    blocks = len(queries)
+    ne, nr = kg.num_entities, kg.num_relations
+    if ent_states.shape[0] != blocks * ne or rel_states.shape[0] != blocks * nr:
+        raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} are not "
+                         f"{blocks} block(s) of the graph's {ne} entities and "
+                         f"{nr} relations")
+    layout = BatchLayout(layout_for(query) for query in queries)
     rows: list[int] = []
-    for slot, role in enumerate(layout.roles):
-        if slot == layout.mask_slot:
-            rows.append(kg.num_entities + kg.num_relations)
-        elif role.is_entity:
-            name = query.base.entity_at(role)
-            if name not in kg.entity_index:
-                raise VocabularyError(f"entity {name!r} not in the graph vocabulary")
-            rows.append(kg.entity_index[name])
-        else:
-            name = (query.base.relation if role.kind is RoleKind.PRIMARY_RELATION
-                    else query.base.qualifiers[role.index][0])
-            if name not in kg.relation_index:
-                raise VocabularyError(f"relation {name!r} not in the graph vocabulary")
-            rows.append(kg.num_entities + kg.relation_index[name])
+    for q, (query, part) in enumerate(zip(queries, layout.layouts)):
+        for slot, role in enumerate(part.roles):
+            if slot == part.mask_slot:
+                rows.append(blocks * (ne + nr))
+            elif role.is_entity:
+                name = query.base.entity_at(role)
+                if name not in kg.entity_index:
+                    raise VocabularyError(f"entity {name!r} not in the graph vocabulary")
+                rows.append(q * ne + kg.entity_index[name])
+            else:
+                name = (query.base.relation if role.kind is RoleKind.PRIMARY_RELATION
+                        else query.base.qualifiers[role.index][0])
+                if name not in kg.relation_index:
+                    raise VocabularyError(f"relation {name!r} not in the graph vocabulary")
+                rows.append(blocks * ne + q * nr + kg.relation_index[name])
     table = ad.concat([ent_states, rel_states, params.mask_token], axis=0)
     return ad.gather(table, rows), layout
 
 
-def attention_layer(seq: Value, layout: SequenceLayout, layer: DecoderLayerParams,
-                    params: DecoderParams) -> Value:
+def attention_layer(seq: Value, layout: SequenceLayout | BatchLayout,
+                    layer: DecoderLayerParams, params: DecoderParams) -> Value:
     """One block: biased multi-head attention, then the position-wise net.
 
     Row block h of ``q``, ``weights`` and ``out`` belongs to head h; the
-    constant selectors keep each head to its own columns and each slot pair
-    to its bias type, so no step loops over heads or types.
+    constant selectors keep each head to its own columns, and the bias-type
+    picks give each slot pair its bias and keep it within its query, so no
+    step loops over heads, types or queries.
     """
-    rep, head_cols, expand, fold, masks = _selectors(
-        layout.roles, params.head_count, params.width, seq.data.dtype.name)
+    rep, head_cols, types = _batch(layout).selectors(
+        params.head_count, params.width, seq.data.dtype.name)
     inv_scale = np.asarray(params.head_width ** -0.5, dtype=seq.data.dtype).reshape(1, 1)
-    q = ad.mul(ad.matmul(rep, ad.matmul(seq, layer.wq)), head_cols)        # (H·n, d)
+    q = ad.mul(ad.matmul(rep, ad.matmul(seq, layer.wq)), head_cols)        # (H·S, d)
     k = ad.matmul(seq, layer.wk)
     v = ad.matmul(seq, layer.wv)
-    per_type = ad.matmul(ad.matmul(q, ad.transpose(layer.key_bias)), expand)
-    bias = ad.matmul(ad.mul(per_type, masks), fold)                          # (H·n, n)
+    per_type = ad.matmul(q, ad.transpose(layer.key_bias))                  # (H·S, T)
+    bias = ad.take_columns(per_type, types, fill=-np.inf)                  # (H·S, S)
     weights = ad.rowwise_softmax(
         ad.mul(ad.add(ad.matmul(q, ad.transpose(k)), bias), inv_scale))
-    shares = ad.matmul(ad.mul(ad.matmul(weights, fold.T), masks), expand.T)  # (H·n, T)
+    shares = ad.sum_columns(weights, types, NUM_BIAS_TYPES)                # (H·S, T)
     out = ad.add(ad.matmul(weights, v), ad.matmul(shares, layer.value_bias))
-    attn = ad.matmul(rep.T, ad.mul(out, head_cols))                          # (n, d)
+    attn = ad.matmul(rep.T, ad.mul(out, head_cols))                        # (S, d)
     x = ad.layer_norm(ad.add(seq, attn), layer.ln1_gain, layer.ln1_bias)
     ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1)),
                            layer.ffn_w2), layer.ffn_b2)
     return ad.layer_norm(ad.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
 
 
-def decode(seq: Value, layout: SequenceLayout, params: DecoderParams) -> Value:
+def decode(seq: Value, layout: SequenceLayout | BatchLayout, params: DecoderParams) -> Value:
+    layout = _batch(layout)
     for layer in params.layers:
         seq = attention_layer(seq, layout, layer, params)
     return seq
 
 
-def mask_vector(decoded: Value, layout: SequenceLayout) -> Value:
-    return ad.gather(decoded, [layout.mask_slot])
+def mask_vector(decoded: Value, layout: SequenceLayout | BatchLayout) -> Value:
+    """The mask slot's output row of each query, in batch order."""
+    return ad.gather(decoded, _batch(layout).mask_slots)
 
 
 def entity_logits(x_m: Value, ent_states: Value, out_bias: Value) -> Value:
-    """One logit per entity: the mask vector dotted with each entity state."""
-    return ad.add(ad.matmul(x_m, ad.transpose(ent_states)), out_bias)
+    """Row q: query q's mask vector dotted with each entity state of block q
+    of ``ent_states``."""
+    blocks = x_m.shape[0]
+    n = ent_states.shape[0] // blocks
+    if ent_states.shape[0] != blocks * n:
+        raise ShapeError(f"{ent_states.shape[0]} entity states do not split into "
+                         f"{blocks} blocks")
+    own = np.arange(blocks)[:, None] * n + np.arange(n)
+    scores = ad.take_columns(ad.matmul(x_m, ad.transpose(ent_states)), own)
+    return ad.add(scores, out_bias)

@@ -14,6 +14,13 @@ and applies a linear map plus relu.  Nodes without incoming edges still pass
 through the update with a zero aggregate.  Leaving a fact out (the
 training leakage guard) drops the edges only it induced from every layer.
 
+A batch of queries is encoded at once, stacked along the rows: query q owns
+the block of rows q·N to (q+1)·N - 1 of one state matrix, with its own
+labels and its own left-out fact, and every layer runs once over the
+stacked plan (:meth:`~hyrel.foundation.FoundationGraph.message_plan`), the
+way many graphs form one block-diagonal graph.  No edge joins two blocks,
+so each block sums the same rows in the same order as a batch of one.
+
 A message depends only on its source node and gate row, and many edges
 share both (every edge out of one head with one type, say), so a layer
 multiplies each distinct (source, gate row) pair once and fans the products
@@ -40,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Value
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .foundation import FoundationGraph, MessagePlan
 
 
@@ -92,14 +99,17 @@ def init_relation_projections(store: ParamStore, prefix: str, params: EncoderPar
                                         rng.normal(0.0, d ** -1.5, (d, d)).astype(dtype))
 
 
-def indicator_init(g: FoundationGraph, query_nodes: Iterable[int], width: int,
+def indicator_init(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], width: int,
                    dtype=np.float32) -> Value:
-    """All-ones rows for the query's nodes, zeros everywhere else."""
-    init = np.zeros((g.num_nodes, width), dtype=dtype)
-    for n in query_nodes:
-        if not 0 <= n < g.num_nodes:
-            raise IndexError(f"query node {n} out of range for {g.num_nodes} nodes")
-        init[n] = 1.0
+    """One block of rows per query: all-ones rows for its nodes, zeros
+    everywhere else."""
+    n = g.num_nodes
+    init = np.zeros((len(query_nodes) * n, width), dtype=dtype)
+    for q, nodes in enumerate(query_nodes):
+        for node in nodes:
+            if not 0 <= node < n:
+                raise IndexError(f"query node {node} out of range for {n} nodes")
+            init[q * n + node] = 1.0
     return Value(init)
 
 
@@ -111,11 +121,13 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
     ``edge_states``, its annotated relation's row of ``edge_states @
     layer.relation_proj``.  Messages are computed once per (source, gate
     row) pair and summed at the destinations along ``plan``
-    (:meth:`FoundationGraph.message_plan`; all edges by default).
+    (:meth:`FoundationGraph.message_plan`; one block over all edges by
+    default), whose blocks stack along the rows of ``states``.
     """
-    if states.shape[0] != g.num_nodes:
-        raise ConfigError(f"state matrix has {states.shape[0]} rows for a graph of "
-                          f"{g.num_nodes} nodes")
+    plan = plan or g.message_plan(edge_states is not None)
+    if states.shape[0] != plan.blocks * g.num_nodes:
+        raise ConfigError(f"state matrix has {states.shape[0]} rows for {plan.blocks} "
+                          f"block(s) of a graph of {g.num_nodes} nodes")
     if edge_states is None:
         gates = layer.type_vectors
         if gates.shape[0] != len(g.alphabet):
@@ -125,23 +137,39 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
         raise ContractError("edge states gate only the layers that have a relation_proj")
     else:
         gates = ad.matmul(edge_states, layer.relation_proj)
-    plan = plan or g.message_plan(edge_states is not None)
     messages = ad.mul(ad.gather(states, plan.src), ad.gather(gates, plan.gate))
-    agg = ad.scatter_add(messages, plan.dst, g.num_nodes, rows=plan.fan)
+    agg = ad.scatter_add(messages, plan.dst, states.shape[0], rows=plan.fan)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 
 
-def encode(g: FoundationGraph, query_nodes: Iterable[int], params: EncoderParams,
-           edge_states: Value | None = None, leave_out: int | None = None) -> Value:
+def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: EncoderParams,
+           edge_states: Value | None = None,
+           leave_outs: Sequence[int | None] | None = None) -> Value:
     """Indicator initialization followed by every layer of message passing,
-    over the edges that remain when fact ``leave_out`` is left out."""
+    one block of rows per query.
+
+    Block q is labelled at ``query_nodes[q]`` and reads the edges left when
+    fact ``leave_outs[q]`` is left out (None, or no ``leave_outs``: every
+    edge).  ``edge_states``, when given, stacks one block of gate rows per
+    query in the same order.
+    """
     if params.alphabet != g.alphabet:
         raise ConfigError(f"encoder alphabet {[t.value for t in params.alphabet]} does not "
                           f"match graph alphabet {[t.value for t in g.alphabet]}")
+    blocks = len(query_nodes)
+    leave_outs = [None] * blocks if leave_outs is None else list(leave_outs)
+    if len(leave_outs) != blocks:
+        raise ContractError(f"{len(leave_outs)} left-out facts for {blocks} queries")
+    stride = 0
+    if edge_states is not None:
+        if not blocks or edge_states.shape[0] % blocks:
+            raise ShapeError(f"{edge_states.shape[0]} edge-state rows do not split into "
+                             f"{blocks} blocks")
+        stride = edge_states.shape[0] // blocks
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
-    plan = g.message_plan(edge_states is not None, leave_out)
+    plan = g.message_plan(edge_states is not None, leave_outs, stride)
     for layer in params.layers:
         states = mp_layer(states, g, layer, edge_states, plan)
     return states

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Segments
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, ShapeError
 from .model import Hkg
 
 
@@ -153,19 +153,27 @@ def preset(name: str) -> InteractionConfig:
 
 @dataclass(frozen=True)
 class MessagePlan:
-    """How one layer of message passing reads a graph's edges.
+    """How one layer of message passing reads a graph's edges, for a batch
+    of ``blocks`` queries stacked along the rows.
 
     A message depends only on its edge's source node and gate row, so each
     distinct (source, gate row) pair is one message: ``src`` and ``gate``
     plan the pairs' source nodes and gate rows.  The edges come in stable
     destination order: ``fan`` plans the pair each edge reads, and ``dst``
     the edges' destinations, already ascending.
+
+    Block q owns node rows q·N to (q+1)·N - 1 and pair rows q·P to
+    (q+1)·P - 1 of a graph of N nodes and P pairs; its fan and destination
+    entries are the graph's edges left for query q, and it reads the gate
+    rows of a shared gate table, or of its own block of one when the gates
+    are per query.
     """
 
     src: Segments
     gate: Segments
     fan: Segments
     dst: Segments
+    blocks: int = 1
 
 
 @dataclass(frozen=True)
@@ -178,7 +186,7 @@ class FoundationGraph:
     that drives entity messages with encoded relation states).
     ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
     removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`)
-    over the cached :meth:`message_plan`.
+    over the cached :meth:`message_plan`, one per query of a batch.
     """
 
     num_nodes: int
@@ -213,17 +221,26 @@ class FoundationGraph:
             self._arrays["er"] = np.asarray(self.edge_relations, dtype=np.int64)
         return self._arrays["er"]
 
-    def kept(self, leave_out: int) -> np.ndarray:
-        """Boolean mask of the edges left when fact ``leave_out`` is left out."""
+    def kept(self, leave_out: int | Sequence[int]) -> np.ndarray:
+        """Boolean mask of the edges left when fact ``leave_out`` is left
+        out; an array of facts gives one row of the mask per fact."""
         if self.edge_facts is None:
             raise ContractError("graph was built without per-edge fact records")
-        return (self.edge_facts != leave_out).all(axis=1)
+        return (self.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
 
-    def message_plan(self, by_relation: bool, leave_out: int | None = None) -> MessagePlan:
-        """The :class:`MessagePlan` of the edges left when fact ``leave_out``
-        is left out; gate rows are edge types, or the annotated relations
-        when ``by_relation``.  The full plan is built once and cached; a
-        left-out fact filters it by :meth:`kept` without sorting again."""
+    def message_plan(self, by_relation: bool,
+                     leave_outs: Sequence[int | None] = (None,),
+                     gate_stride: int = 0) -> MessagePlan:
+        """The :class:`MessagePlan` of one block per entry of ``leave_outs``:
+        block q reads the edges left when fact ``leave_outs[q]`` is left out
+        (None: every edge).  Gate rows are edge types, or the annotated
+        relations when ``by_relation``; block q's are offset by
+        q·``gate_stride`` (0: one gate table shared by every block).
+
+        The one-block plan of the whole graph is built once and cached, and
+        is what a single unmasked block gets; the other plans are read off
+        it by :meth:`kept` masks (:meth:`Segments.kept`), without sorting
+        again."""
         key = "relation_plan" if by_relation else "type_plan"
         if key not in self._arrays:
             src, type_row, dst = self.arrays()
@@ -235,10 +252,24 @@ class FoundationGraph:
                 Segments(pairs // span), Segments(pairs % span),
                 Segments(pair_of[by_dst]), Segments(dst[by_dst]))
         by_dst, plan = self._arrays[key]
-        if leave_out is None:
+        if list(leave_outs) == [None]:
             return plan
-        keep = self.kept(leave_out)[by_dst]
-        return MessagePlan(plan.src, plan.gate, plan.fan.kept(keep), plan.dst.kept(keep))
+        if gate_stride and plan.gate.rows.size and plan.gate.rows[-1] >= gate_stride:
+            raise ShapeError(f"gate row {int(plan.gate.rows[-1])} is past the "
+                             f"{gate_stride} gate rows of a block")
+        blocks = len(leave_outs)
+        keep = np.ones((blocks, by_dst.size), dtype=bool)
+        masked = [q for q, f in enumerate(leave_outs) if f is not None]
+        if masked:
+            keep[masked] = self.kept([leave_outs[q] for q in masked])[:, by_dst]
+        every_pair = np.ones((blocks, plan.src.index.size), dtype=bool)
+        if gate_stride or blocks == 1:
+            gate = plan.gate.kept(every_pair, gate_stride)
+        else:  # the blocks share gate rows, so the runs merge across blocks
+            gate = Segments(np.tile(plan.gate.index, blocks))
+        return MessagePlan(plan.src.kept(every_pair, self.num_nodes), gate,
+                           plan.fan.kept(keep, plan.src.index.size),
+                           plan.dst.kept(keep, self.num_nodes), blocks)
 
 
 def _finish(num_nodes: int, enum_cls, active: frozenset,

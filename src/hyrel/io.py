@@ -72,12 +72,23 @@ def format_fact_line(fact: HyperFact) -> str:
 
 
 def _open_text(path: Path) -> _io.TextIOBase:
+    """The file as text; bytes that are not UTF-8 decode to lone surrogates,
+    which :func:`read_facts` reports by line."""
     raw = open(path, "rb")
     magic = raw.read(2)
     raw.seek(0)
     if magic == GZIP_MAGIC:
-        return _io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return _io.TextIOWrapper(raw, encoding="utf-8")
+        raw = gzip.GzipFile(fileobj=raw)
+    return _io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str, line_no: int) -> None:
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ParseError(f"not UTF-8: byte {ord(line[e.start]) - 0xDC00:#04x} at "
+                             f"character {e.start + 1}", line_no) from None
 
 
 def read_facts(path: str | Path) -> list[HyperFact]:
@@ -91,6 +102,7 @@ def read_facts(path: str | Path) -> list[HyperFact]:
             if line.strip() == "":
                 continue
             try:
+                _check_utf8(line, no)
                 if jsonl:
                     try:
                         obj = json.loads(line)

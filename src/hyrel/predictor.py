@@ -1,16 +1,19 @@
 """The end-to-end link predictor: two graph encoders plus the decoder.
 
-Given a KG and a masked query, the predictor builds (or is handed) the
-relation and entity foundation graphs, encodes each conditioned on the
-query's visible relations and entities, assembles the fact sequence and
-scores every entity of the vocabulary.  Parameters attach only to
-interaction types, layer maps and bias types, never to vocabulary items,
-so the same weights score any graph.
+Given a KG and a batch of masked queries, the predictor builds (or is
+handed) the relation and entity foundation graphs, encodes each
+conditioned on every query's visible relations and entities (one block of
+rows per query), decodes the queries' fact sequences as one batch and
+scores every entity of the vocabulary for each query.  Scoring a single
+query is the batch of one.  Parameters attach only to interaction types,
+layer maps and bias types, never to vocabulary items, so the same weights
+score any graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -144,16 +147,23 @@ class LinkPredictor:
             ent_nodes.add(idx)
         return rel_nodes, ent_nodes
 
-    def query_logits(self, kg: Hkg, query: QueryFact, graphs: GraphPair,
-                     leave_out: int | None = None) -> Value:
-        """Unnormalized scores over every entity of ``kg``; fact ``leave_out`` is left out."""
-        rel_nodes, ent_nodes = self._query_nodes(kg, query)
-        rel_states = enc.encode(graphs.relation_graph, rel_nodes, self.rel_params,
-                                leave_out=leave_out)
+    def query_logits(self, kg: Hkg, queries: Sequence[QueryFact], graphs: GraphPair,
+                     leave_outs: Sequence[int | None] | None = None,
+                     rel_states: Value | None = None) -> Value:
+        """Unnormalized scores, one row per query over every entity of ``kg``.
+
+        Query q is encoded without fact ``leave_outs[q]`` (None, or no
+        ``leave_outs``: the whole graph).  ``rel_states`` is the batch's
+        relation encoding when the caller already has it.
+        """
+        nodes = [self._query_nodes(kg, query) for query in queries]
+        if rel_states is None:
+            rel_states = enc.encode(graphs.relation_graph, [rel for rel, _ in nodes],
+                                    self.rel_params, leave_outs=leave_outs)
         gates = None if self.cfg.structure == PARALLEL else rel_states
-        ent_states = enc.encode(graphs.entity_graph, ent_nodes, self.ent_params, gates,
-                                leave_out)
-        seq, layout = dec.assemble_sequence(query, kg, rel_states, ent_states,
+        ent_states = enc.encode(graphs.entity_graph, [ent for _, ent in nodes],
+                                self.ent_params, gates, leave_outs)
+        seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
                                             self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)
         x_m = dec.mask_vector(decoded, layout)
@@ -161,9 +171,17 @@ class LinkPredictor:
 
     # Scoring-model protocol used by the evaluator.
     def prepare(self, kg: Hkg):
-        return (kg, self.build_graphs(kg))
+        """The graphs of ``kg``, and a cache of relation encodings: with no
+        fact left out, a query's relation encoding depends only on its
+        relation nodes, so queries that share them share it."""
+        return kg, self.build_graphs(kg), {}
 
     def entity_scores(self, ctx, query: QueryFact) -> np.ndarray:
-        kg, graphs = ctx
-        probs = ad.rowwise_softmax(self.query_logits(kg, query, graphs))
-        return probs.data[0].copy()
+        kg, graphs, relation_cache = ctx
+        rel_nodes, _ = self._query_nodes(kg, query)
+        key = frozenset(rel_nodes)
+        if key not in relation_cache:
+            states = enc.encode(graphs.relation_graph, [rel_nodes], self.rel_params)
+            relation_cache[key] = Value(states.data)  # scores need no gradient
+        logits = self.query_logits(kg, [query], graphs, rel_states=relation_cache[key])
+        return ad.rowwise_softmax(logits).data[0].copy()

@@ -21,25 +21,29 @@ from .model import queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
 from .reference import (brute_force_entity_edges, brute_force_relation_edges,
                         permute_hkg, random_hkg)
-from .training import query_loss
+from .training import query_losses
 
 
 def _gradient_suite(log: Callable[[str], None], quick: bool, structure: str) -> bool:
     rng = np.random.default_rng(7)
     kg = random_hkg(rng, max_facts=3, min_facts=3, max_qualifiers=2)
-    queries = queries_from_facts(kg.facts)
+    batch = [(f, query) for f, fact in enumerate(kg.facts)
+             for query in queries_from_facts([fact])]
     cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
                       structure=structure)
-    predictor = LinkPredictor.build(cfg, seed=3, dtype=np.float64)
-    # Zero-state rows sit exactly on a relu kink, where central differences
-    # are undefined; nudging the update biases moves them off it.
+    # Model seed chosen so that, with each query's fact left out, no relu
+    # pre-activation sits within the probe step h of its kink, where central
+    # differences are undefined.  Zero-state rows sit exactly on it; nudging
+    # the update biases moves them off it.
+    predictor = LinkPredictor.build(cfg, seed=0, dtype=np.float64)
     for name, value in predictor.store.items():
         if name.endswith("update_b"):
             value.data[:] = 0.01
     graphs = predictor.build_graphs(kg)
 
-    def loss():
-        return query_loss(predictor, kg, queries[0], graphs)
+    def loss():  # every query on one tape, as a training step makes it
+        return ad.total_sum(query_losses(predictor, kg, [q for _, q in batch], graphs,
+                                         [f for f, _ in batch]))
 
     params = dict(predictor.store.items())
     if quick:

@@ -51,6 +51,8 @@ class SplitConfig(TextConfig):
             raise ConfigError("seed_count must be >= 1")
         if self.hops < 0:
             raise ConfigError("hops must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.ratios) != 3 or any(r < 0 for r in self.ratios) or self.ratios[0] <= 0:
             raise ConfigError("ratios must be three non-negative numbers with a "
                               "positive inference share")

@@ -10,6 +10,10 @@ source fact is left out of both foundation graphs, so the encoders cannot
 read the answer off edges the fact itself induced.  Each graph is built once
 per run; leaving a fact out masks the edges only it induced, which equals a
 rebuild without it.
+
+A step builds one tape for its whole batch: the queries are encoded as one
+block-stacked state matrix, each block without its own source fact, decoded
+as one sequence and scored by one per-row cross-entropy.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, ParamStore, clip_global_norm
-from .config import TextConfig
+from .config import TextConfig, parse_value
 from .errors import ConfigError, ContractError, DataError, NumericalError
 from .evaluation import bundle_known_facts, evaluate
 from .foundation import preset
@@ -54,8 +58,9 @@ class TrainConfig(TextConfig):
         for name in ("batch_size", "step_size", "checkpoint_every", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         self.model_config()  # fail early on a model that cannot be built
 
     def model_config(self) -> ModelConfig:
@@ -75,23 +80,28 @@ class TrainStats:
     step_losses: list[float] = field(default_factory=list)
 
 
-def query_loss(predictor: LinkPredictor, kg: Hkg, query: QueryFact,
-               graphs: GraphPair, stats: TrainStats | None = None,
-               leave_out: int | None = None):
-    """Cross-entropy of the answer against all entities, without fact ``leave_out``."""
-    answer_idx = kg.entity_index.get(query.answer)
-    if answer_idx is None:
-        raise DataError(f"query answer {query.answer!r} missing from the vocabulary")
-    logits = predictor.query_logits(kg, query, graphs, leave_out)
+def query_losses(predictor: LinkPredictor, kg: Hkg, queries: Sequence[QueryFact],
+                 graphs: GraphPair, leave_outs: Sequence[int | None] | None = None,
+                 stats: TrainStats | None = None) -> ad.Value:
+    """The (B, 1) cross-entropies of each query's answer against all
+    entities, query q encoded without fact ``leave_outs[q]``."""
+    answers = []
+    for query in queries:
+        answer = kg.entity_index.get(query.answer)
+        if answer is None:
+            raise DataError(f"query answer {query.answer!r} missing from the vocabulary")
+        answers.append(answer)
+    logits = predictor.query_logits(kg, queries, graphs, leave_outs)
     if stats is not None:
-        stats.candidate_counts.append(logits.shape[1])
-    return ad.cross_entropy(logits, answer_idx)
+        for _ in queries:  # one append per query, as observers of the list count them
+            stats.candidate_counts.append(logits.shape[1])
+    return ad.cross_entropy(logits, answers)
 
 
 def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: Hkg,
                optimizer: Adam, cfg: TrainConfig, graphs: GraphPair,
                source_facts: Sequence[int], stats: TrainStats | None = None) -> float:
-    """One optimizer step on the mean loss of a query batch.
+    """One optimizer step on the mean loss of a query batch, on one tape.
 
     ``graphs`` are the foundation graphs of ``kg_train``, built once.
     ``source_facts`` names each query's source fact index so the leakage
@@ -106,14 +116,10 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
         if not (isinstance(src, (int, np.integer)) and 0 <= src < kg_train.num_facts):
             raise ContractError(f"source fact {src!r} out of range "
                                 f"(0..{kg_train.num_facts - 1})")
-    losses = []
-    for query, src in zip(batch, source_facts):
-        leave_out = src if cfg.leakage_guard else None
-        losses.append(query_loss(predictor, kg_train, query, graphs, stats, leave_out))
-    total = losses[0] if len(losses) == 1 else ad.add(losses[0], losses[1])
-    for extra in losses[2:]:
-        total = ad.add(total, extra)
-    loss = ad.mul(total, ad.as_value(np.asarray(1.0 / len(losses), dtype=total.data.dtype)))
+    leave_outs = source_facts if cfg.leakage_guard else None
+    losses = query_losses(predictor, kg_train, batch, graphs, leave_outs, stats)
+    loss = ad.mul(ad.total_sum(losses),
+                  np.full((1, 1), 1.0 / len(batch), dtype=losses.data.dtype))
     predictor.store.zero_grads()
     ad.backward(loss)
     norm = clip_global_norm(predictor.store.values(), cfg.grad_clip)
@@ -196,7 +202,9 @@ class Checkpoint:
             train_config = TrainConfig.from_dict(sections["train"])
             if "epoch" not in sections["state"]:
                 raise ValueError("[state] records no epoch")
-            epoch = int(sections["state"]["epoch"])
+            epoch = parse_value("epoch", sections["state"]["epoch"], 0)
+            if epoch < 0:
+                raise ValueError(f"epoch must be >= 0, got {epoch}")
         except ValueError as e:  # ConfigError is one too
             raise DataError(f"{meta}: {e}") from e
         if sections["state"].get("bin_sha256") != hashlib.sha256(blob).hexdigest():

@@ -169,8 +169,8 @@ def test_criterion_03_gradient_correctness():
 
 
 def predictor_query_loss(predictor, kg, query, graphs):
-    from hyrel.training import query_loss
-    return query_loss(predictor, kg, query, graphs)
+    from hyrel.training import query_losses
+    return query_losses(predictor, kg, [query], graphs)
 
 
 def test_criterion_04_no_negative_sampling(overfit_run):

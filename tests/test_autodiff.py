@@ -268,6 +268,56 @@ def test_kept_plan_equals_a_fresh_plan_of_the_kept_entries(data):
     _same_plan(full.kept(keep), Segments(full.index[keep]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_kept_plan_equals_a_fresh_plan_of_the_blocks(data):
+    index = data.draw(st.lists(st.integers(0, 6), max_size=20))
+    blocks = data.draw(st.integers(1, 4))
+    keep = np.array(data.draw(st.lists(
+        st.lists(st.booleans(), min_size=len(index), max_size=len(index)),
+        min_size=blocks, max_size=blocks)), dtype=bool).reshape(blocks, len(index))
+    full = Segments(index)
+    stacked = np.concatenate([full.index[keep[q]] + 7 * q for q in range(blocks)])
+    _same_plan(full.kept(keep, 7), Segments(stacked))
+
+
+def test_take_and_sum_columns_are_adjoint(rng):
+    x = Value(rng.normal(size=(3, 4)))
+    cols = np.array([[0, 3, 3, 4, 1], [2, 2, 2, 2, 2], [4, 4, 0, 1, 3]])
+    picked = ad.take_columns(x, cols, fill=-np.inf)
+    assert picked.data[0].tolist() == [x.data[0, 0], x.data[0, 3], x.data[0, 3],
+                                       -np.inf, x.data[0, 1]]
+    y = Value(rng.normal(size=(3, 5)))
+    sums = ad.sum_columns(y, cols, 4)
+    expected = np.zeros((3, 4))
+    for r in range(3):
+        for c in range(5):
+            if cols[r, c] < 4:
+                expected[r, cols[r, c]] += y.data[r, c]
+    assert np.allclose(sums.data, expected, atol=1e-12)
+    w = Value(rng.normal(size=(5, 2)))
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.take_columns(x, cols), w)), {"x": x, "w": w})
+    v = Value(rng.normal(size=(4, 2)))
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.sum_columns(y, cols, 4), v)),
+             {"y": y, "v": v})
+    with pytest.raises(IndexError):
+        ad.take_columns(x, cols + 1)
+    with pytest.raises(ShapeError):
+        ad.sum_columns(x, cols, 4)
+
+
+def test_cross_entropy_per_row(rng):
+    logits = Value(rng.normal(size=(3, 5)))
+    losses = ad.cross_entropy(logits, [4, 0, 2])
+    assert losses.shape == (3, 1)
+    for row, target in enumerate([4, 0, 2]):
+        one = ad.cross_entropy(Value(logits.data[row:row + 1]), target)
+        assert abs(losses.data[row, 0] - one.data[0, 0]) < 1e-12
+    fd_check(lambda: ad.total_sum(ad.cross_entropy(logits, [4, 0, 2])), {"logits": logits})
+    with pytest.raises(ShapeError):
+        ad.cross_entropy(logits, [1, 2])
+
+
 def test_cross_entropy_uniform():
     loss = ad.cross_entropy(val([[1.0, 1.0, 1.0, 1.0]]), 2)
     assert abs(loss.data[0, 0] - math.log(4)) < 1e-12

@@ -125,8 +125,10 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys):
                                ("train", "width = abc", "width"),
                                ("train", "step_size = nan", "step_size"),
                                ("train", "interactions = bogus", "interaction"),
+                               ("train", "seed = -1", "seed"),
                                ("split", "relation_disjoint = yes", "relation_disjoint"),
-                               ("split", "ratios = 0.5,x,0.5", "ratios")):
+                               ("split", "ratios = 0.5,x,0.5", "ratios"),
+                               ("split", "seed = -1", "seed")):
         cfg_file.write_text(line + "\n", encoding="utf-8")
         paths = (["--bundle", "x", "--out", str(tmp_path / "run")] if command == "train"
                  else ["--input", "x", "--out", str(tmp_path / "bundle")])

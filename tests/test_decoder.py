@@ -4,9 +4,9 @@ import pytest
 import hyrel.autodiff as ad
 from hyrel import HEAD, TAIL, Hkg, HyperFact, QueryFact, ShapeError, value_role
 from hyrel.autodiff import ParamStore, Value
-from hyrel.decoder import (BiasType, _mask_cache, assemble_sequence, attention_layer,
-                           classify_bias, decode, entity_logits, init_decoder_params,
-                           layout_for, mask_vector)
+from hyrel.decoder import (BiasType, BatchLayout, _bias_types, assemble_sequence,
+                           attention_layer, classify_bias, decode, entity_logits,
+                           init_decoder_params, layout_for, mask_vector)
 from hyrel.model import PRIMARY_RELATION, key_role
 from hyrel.reference import naive_attention_layer
 
@@ -45,12 +45,27 @@ def test_classify_bias_table():
     assert classify_bias(key_role(0), key_role(1)) is BiasType.OTHER
 
 
-def test_mask_cache_partitions_the_grid():
+def test_bias_types_classify_every_slot_pair():
     fact = HyperFact("h", "r", "t", (("k1", "v1"), ("k2", "v2")))
-    layout = layout_for(QueryFact.from_fact(fact, HEAD))
-    masks = _mask_cache(layout.roles, "float32")
-    total = sum(masks)
-    assert (total == 1).all()
+    roles = layout_for(QueryFact.from_fact(fact, HEAD)).roles
+    types = _bias_types(roles)
+    assert types.shape == (len(roles), len(roles))
+    assert types.tolist() == [[classify_bias(a, b).value for b in roles] for a in roles]
+
+
+def test_batch_selectors_keep_pairs_within_their_query():
+    # Slot pairs of two queries get the extra bias type, whose pick is -inf.
+    triple = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t"), TAIL))
+    pair = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t", (("k", "v"),)),
+                                          value_role(0)))
+    batch = BatchLayout((triple, pair))
+    assert len(batch) == 8 and batch.starts == [0, 3] and batch.mask_slots == [2, 7]
+    rep, head_cols, types = batch.selectors(2, 4, "float64")
+    assert rep.shape == (16, 8) and head_cols.shape == (16, 4) and types.shape == (16, 8)
+    for block in (types[:8], types[8:]):
+        assert (block[:3, :3] == _bias_types(triple.roles)).all()
+        assert (block[3:, 3:] == _bias_types(pair.roles)).all()
+        assert (block[:3, 3:] == len(BiasType)).all() and (block[3:, :3] == len(BiasType)).all()
 
 
 def test_assemble_sequence_triple(small_kg, rng):
@@ -58,14 +73,14 @@ def test_assemble_sequence_triple(small_kg, rng):
     store, params = fresh_decoder(width=4)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
-    seq, layout = assemble_sequence(q, small_kg, rel_states, ent_states, params)
+    seq, layout = assemble_sequence([q], small_kg, rel_states, ent_states, params)
     assert seq.data.shape == (3, 4)
     assert np.allclose(seq.data[0], ent_states.data[small_kg.entity_index["b"]])
     assert np.allclose(seq.data[1], rel_states.data[small_kg.relation_index["s"]])
     assert np.allclose(seq.data[2], params.mask_token.data[0])
     # One table holds every slot's rows, so states must match the vocabularies.
     with pytest.raises(ShapeError):
-        assemble_sequence(q, small_kg, rel_states, ad.concat([ent_states] * 2, axis=0),
+        assemble_sequence([q], small_kg, rel_states, ad.concat([ent_states] * 2, axis=0),
                           params)
 
 
@@ -76,7 +91,7 @@ def test_assemble_sequence_unknown_id(small_kg, rng):
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
     with pytest.raises(VocabularyError):
-        assemble_sequence(q, small_kg, rel_states, ent_states, params)
+        assemble_sequence([q], small_kg, rel_states, ent_states, params)
 
 
 def test_attention_reduces_to_scaled_dot_product(rng):

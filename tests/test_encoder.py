@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hyrel.autodiff as ad
-from hyrel import ConfigError, ContractError
+from hyrel import ConfigError, ContractError, ShapeError
 from hyrel.autodiff import ParamStore, Segments, Value
 from hyrel.encoder import (encode, indicator_init, init_encoder_params,
                            init_relation_projections, mp_layer)
@@ -44,18 +44,18 @@ def relation_gated_params(alphabet, depth=1, width=4, seed=0, dtype=np.float64):
 
 def test_indicator_rows():
     g = line_graph(3)
-    states = indicator_init(g, {0, 2}, 2)
+    states = indicator_init(g, [{0, 2}], 2)
     assert states.data.tolist() == [[1, 1], [0, 0], [1, 1]]
 
 
 def test_indicator_empty_query():
     g = line_graph(4)
-    assert (indicator_init(g, set(), 3).data == 0).all()
+    assert (indicator_init(g, [set()], 3).data == 0).all()
 
 
 def test_indicator_out_of_range():
     with pytest.raises(IndexError):
-        indicator_init(line_graph(2), {5}, 2)
+        indicator_init(line_graph(2), [{5}], 2)
 
 
 def test_masked_entity_never_labeled(small_kg):
@@ -72,7 +72,7 @@ def test_masked_entity_never_labeled(small_kg):
 def test_mp_layer_no_edges_applies_update_everywhere():
     g = FoundationGraph(3, (T, TR), ())
     store, params = fresh_params((T, TR), width=4)
-    states = indicator_init(g, {1}, 4, np.float64)
+    states = indicator_init(g, [{1}], 4, np.float64)
     out = mp_layer(states, g, params.layers[0])
     w = params.layers[0].update_w.data
     b = params.layers[0].update_b.data
@@ -143,7 +143,7 @@ def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
         for leave_out in (None, *range(kg.num_facts)):
             keep = (np.ones(g.num_edges, dtype=bool) if leave_out is None
                     else g.kept(leave_out))
-            plan = g.message_plan(gated_by_relations, leave_out)
+            plan = g.message_plan(gated_by_relations, [leave_out])
             out = mp_layer(states, g, layer, edge_states, plan)
             expected = per_edge_layer(states, g, layer, edge_states, keep)
             assert out.data.tobytes() == expected.tobytes()
@@ -152,7 +152,7 @@ def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
 def test_typed_layer_refuses_edge_states():
     g = FoundationGraph(2, (T, TR), ((0, T, 1), (1, TR, 0)), edge_relations=(0, 0))
     _, params = fresh_params((T, TR), width=3)
-    states = indicator_init(g, {0}, 3, np.float64)
+    states = indicator_init(g, [{0}], 3, np.float64)
     with pytest.raises(ContractError, match="relation_proj"):
         mp_layer(states, g, params.layers[0], Value(np.ones((1, 3))))
 
@@ -160,7 +160,7 @@ def test_typed_layer_refuses_edge_states():
 def test_mp_layer_rejects_alphabet_mismatch():
     g = line_graph(2)
     store, params = fresh_params((T,) , width=4)  # missing the reciprocal type
-    states = indicator_init(g, {0}, 4, np.float64)
+    states = indicator_init(g, [{0}], 4, np.float64)
     with pytest.raises(ConfigError):
         mp_layer(states, g, params.layers[0])
 
@@ -168,8 +168,8 @@ def test_mp_layer_rejects_alphabet_mismatch():
 def test_encode_depth_zero_returns_indicator():
     g = line_graph(4)
     store, params = fresh_params((T, TR), depth=0)
-    out = encode(g, {2}, params)
-    assert out.data.tolist() == indicator_init(g, {2}, 4).data.tolist()
+    out = encode(g, [{2}], params)
+    assert out.data.tolist() == indicator_init(g, [{2}], 4).data.tolist()
 
 
 def test_unreached_nodes_share_the_zero_chain_value(rng):
@@ -177,7 +177,7 @@ def test_unreached_nodes_share_the_zero_chain_value(rng):
     # farther than two hops, so their states equal the no-input update chain.
     g = line_graph(6)
     store, params = fresh_params((T, TR), depth=2, width=4, seed=9)
-    out = encode(g, {0}, params)
+    out = encode(g, [{0}], params)
     chain = Value(np.zeros((1, 4)))
     for layer in params.layers:
         agg = Value(np.zeros((1, 4)))
@@ -191,8 +191,8 @@ def test_unreached_nodes_share_the_zero_chain_value(rng):
 def test_encode_conditioning_sensitivity(rng):
     g = line_graph(4)
     store, params = fresh_params((T, TR), depth=2, width=8, seed=4)
-    a = encode(g, {0}, params).data
-    b = encode(g, {3}, params).data
+    a = encode(g, [{0}], params).data
+    b = encode(g, [{3}], params).data
     assert not np.allclose(a[0], b[0])
     assert not np.allclose(a[3], b[3])
 
@@ -202,14 +202,14 @@ def test_encode_permutation_equivariance(rng):
     g = build_entity_graph(kg)
     store, params = fresh_params(g.alphabet, depth=3, width=8, seed=5, dtype=np.float32)
     query = {0, min(2, g.num_nodes - 1)}
-    out = encode(g, query, params).data
+    out = encode(g, [query], params).data
 
     perm = rng.permutation(g.num_nodes)
     remap = {old: int(new) for old, new in enumerate(perm)}
     edges = tuple(sorted(((remap[s], t, remap[d]) for s, t, d in g.edges),
                          key=lambda e: (e[0], e[1].value, e[2])))
     pg = FoundationGraph(g.num_nodes, g.alphabet, edges)
-    pout = encode(pg, {remap[q] for q in query}, params).data
+    pout = encode(pg, [{remap[q] for q in query}], params).data
     for old in range(g.num_nodes):
         assert np.allclose(out[old], pout[remap[old]], atol=1e-5)
 
@@ -218,13 +218,50 @@ def test_encode_rejects_wrong_alphabet(small_kg):
     g = build_relation_graph(small_kg)
     store, params = fresh_params((T, TR))
     with pytest.raises(ConfigError):
-        encode(g, set(), params)
+        encode(g, [set()], params)
 
 
 def test_edge_state_encoding_runs(small_kg, rng):
     g = build_entity_graph(small_kg, with_fact_relations=True)
     store, params = relation_gated_params(g.alphabet, depth=2, width=4, seed=1)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
-    out = encode(g, {0}, params, edge_states=rel_states)
+    out = encode(g, [{0}], params, edge_states=rel_states)
     assert out.data.shape == (small_kg.num_entities, 4)
     assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("gated_by_relations", [False, True])
+def test_batched_encode_blocks_equal_single_encodes_bit_for_bit(gated_by_relations):
+    # Mixed left-out facts and None in one batch; block q must be the
+    # batch-of-one encoding of query q exactly, for both gate sources.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        kg = random_hkg(rng, max_facts=8, min_facts=3, num_entities=8)
+        g = build_entity_graph(kg, with_fact_relations=gated_by_relations)
+        _, params = (relation_gated_params(g.alphabet, depth=2, width=6, seed=2,
+                                           dtype=np.float32)
+                     if gated_by_relations
+                     else fresh_params(g.alphabet, depth=2, width=6, seed=2,
+                                       dtype=np.float32))
+        leave_outs = [None, *range(kg.num_facts), None]
+        nodes = [set(rng.choice(g.num_nodes, 2, replace=False).tolist())
+                 for _ in leave_outs]
+        r = kg.num_relations
+        edge_states = (Value(rng.normal(size=(len(leave_outs) * r, 6)).astype(np.float32))
+                       if gated_by_relations else None)
+        batched = encode(g, nodes, params, edge_states, leave_outs).data
+        n = g.num_nodes
+        for q, (query, f) in enumerate(zip(nodes, leave_outs)):
+            own = None if edge_states is None else Value(edge_states.data[q * r:(q + 1) * r])
+            single = encode(g, [query], params, own, [f]).data
+            assert single.tobytes() == batched[q * n:(q + 1) * n].tobytes(), (q, f)
+
+
+def test_encode_needs_one_leave_out_and_gate_block_per_query(small_kg):
+    g = build_entity_graph(small_kg, with_fact_relations=True)
+    _, params = relation_gated_params(g.alphabet, width=4)
+    rel = Value(np.ones((small_kg.num_relations, 4)))
+    with pytest.raises(ContractError):
+        encode(g, [{0}, {1}], params, ad.concat([rel, rel], axis=0), [None])
+    with pytest.raises(ShapeError):
+        encode(g, [{0}, {1}], params, rel)

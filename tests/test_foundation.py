@@ -179,7 +179,7 @@ def masked_edges(g, leave_out, annotated=False):
     if annotated:
         gates.append((True, g.relation_array()))
     for by_relation, gate in gates:
-        plan = g.message_plan(by_relation, leave_out)
+        plan = g.message_plan(by_relation, [leave_out])
         order = np.argsort(dst[keep], kind="stable")
         full = np.stack([src[keep], gate[keep], dst[keep]], axis=1)[order]
         assert plan_edges(plan).tolist() == full.tolist()

@@ -120,6 +120,20 @@ def test_jsonl_malformed_records_aggregate(tmp_path):
     assert len(e.value.problems) == 2
 
 
+def test_non_utf8_lines_are_parse_errors(tmp_path):
+    # UTF-8 is part of the file contract: a bad byte names its file and line,
+    # and every such line is reported at once.
+    for name, opener in (("bad.txt", open), ("bad.txt.gz", gzip.open)):
+        path = tmp_path / name
+        with opener(path, "wb") as fh:
+            fh.write(b"a\tr\tb\nc\tr\t\xe9\n\xff\tr\tb\n")
+        with pytest.raises(BundleParseError) as e:
+            read_facts(path)
+        assert [p.split(": ")[0] for p in e.value.problems] == [f"{name}:line 2",
+                                                                 f"{name}:line 3"]
+        assert "UTF-8" in e.value.problems[0]
+
+
 def _write_bundle_dir(tmp_path, train, inference, valid, test):
     for name, facts in (("train", train), ("inference", inference),
                         ("valid", valid), ("test", test)):

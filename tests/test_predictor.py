@@ -64,7 +64,7 @@ def test_relation_driven_gradients(rng):
     # (decoder slots and entity-message gates); both must be exact.
     import hyrel.autodiff as ad
     from hyrel.reference import random_hkg as make
-    from hyrel.training import query_loss
+    from hyrel.training import query_losses
     kg = make(np.random.default_rng(21), max_facts=3, min_facts=3, max_qualifiers=2)
     cfg = ModelConfig(width=6, encoder_depth=2, head_count=1, decoder_depth=1,
                       structure=RELATION_DRIVEN)
@@ -78,7 +78,7 @@ def test_relation_driven_gradients(rng):
     queries = queries_from_facts(kg.facts)
 
     def loss():
-        return query_loss(predictor, kg, queries[1], graphs)
+        return query_losses(predictor, kg, [queries[1]], graphs)
 
     result = ad.check_gradients(loss, dict(predictor.store.items()), h=1e-4)
     assert max(result.values()) <= 1e-3, result
@@ -95,7 +95,7 @@ def test_relation_driven_logits_stay_on_the_parallel_scale():
         predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=1)
         graphs = predictor.build_graphs(kg)
         largest[structure] = max(
-            float(np.abs(predictor.query_logits(kg, q, graphs).data).max()) for q in queries)
+            float(np.abs(predictor.query_logits(kg, [q], graphs).data).max()) for q in queries)
     assert largest[RELATION_DRIVEN] <= 10 * largest[PARALLEL], largest
 
 
@@ -172,3 +172,20 @@ def test_invalid_model_config_rejected():
         ModelConfig(width=8, head_count=3)
     with pytest.raises(ConfigError, match="divisible"):
         TrainConfig(width=8, head_count=3)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_relation_encodings_are_shared_within_one_context(structure):
+    # With no fact left out, queries with the same relation nodes share one
+    # relation encoding; their scores equal an uncached scoring bit for bit.
+    import hyrel.autodiff as ad
+    kg = random_hkg(np.random.default_rng(4), max_facts=8, min_facts=8)
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1, structure=structure), seed=1)
+    ctx = predictor.prepare(kg)
+    queries = queries_from_facts(kg.facts)
+    for query in queries:
+        cached = predictor.entity_scores(ctx, query)
+        fresh = ad.rowwise_softmax(predictor.query_logits(kg, [query], ctx[1])).data[0]
+        assert cached.tobytes() == fresh.tobytes()
+    assert len(ctx[2]) == len({frozenset(q.base.relations()) for q in queries}) < len(queries)

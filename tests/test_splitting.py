@@ -266,3 +266,5 @@ def test_bad_configs_rejected():
         SplitConfig(ratios=(0.5, 0.5, 0.5))
     with pytest.raises(ConfigError):
         SplitConfig(seed_count=0)
+    with pytest.raises(ConfigError, match="seed"):
+        SplitConfig(seed=-1)

@@ -13,8 +13,13 @@ from hyrel.foundation import preset
 from hyrel.io import DatasetBundle
 from hyrel.predictor import RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig
 from hyrel.reference import random_hkg
-from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_loss,
+from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_losses,
                             train_step)
+
+# A batch decodes its queries as one sequence, whose matrix products and
+# row sums may add a query's terms in another order than a batch of one (the
+# encoders' blocks are exact); seen up to 1.9e-6 on logits of size 1 to 10.
+BATCH_TOLERANCE = 1e-5
 
 
 def fixed_kg(seed=0, facts=10, entities=8):
@@ -41,9 +46,9 @@ def test_degenerate_one_fact_guard_case():
     graphs = predictor.build_graphs(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
         assert g.num_edges > 0 and not g.kept(0).any()
-        plan = g.message_plan(False, 0)
+        plan = g.message_plan(False, [0])
         assert plan.fan.index.size == 0 and plan.dst.index.size == 0
-    loss = query_loss(predictor, kg, query, graphs, leave_out=0)
+    loss = query_losses(predictor, kg, [query], graphs, [0])
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
 
 
@@ -83,7 +88,8 @@ def test_candidate_set_is_always_full_vocabulary():
                       encoder_depth=1, head_count=1, decoder_depth=1,
                       checkpoint_every=10 ** 6)
     fit(as_bundle(kg), cfg, stats=stats)
-    assert stats.candidate_counts, "instrumentation must record candidate counts"
+    # One entry per training query, though a step scores its batch at once.
+    assert len(stats.candidate_counts) == 3 * len(queries_from_facts(kg.facts))
     assert all(c == kg.num_entities for c in stats.candidate_counts)
 
 
@@ -131,7 +137,9 @@ def test_malformed_meta_is_data_error(tmp_path):
     assert text.count("width = 8\n") == 1 and "[model]" not in text  # [train] only
     for bad, key in ((text.replace("width = 8\n", ""), "width"),
                      (text.replace("width = 8\n", "width = x\n"), "width"),
-                     (text.replace("epoch = 0\n", ""), "epoch")):
+                     (text.replace("epoch = 0\n", ""), "epoch"),
+                     (text.replace("epoch = 0\n", "epoch = -3\n"), "epoch"),
+                     (text.replace("epoch = 0\n", "epoch = x\n"), "epoch")):
         meta.write_text(bad, encoding="utf-8")
         with pytest.raises(DataError, match=key):
             Checkpoint.load(path)
@@ -146,6 +154,11 @@ def test_malformed_meta_is_data_error(tmp_path):
                    "encoder_layer_norm = False", "zero_other_bias = False"]
     meta.write_text("\n".join(model_block) + "\n" + text, encoding="utf-8")
     assert Checkpoint.load(path).train_config == cfg
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1)
 
 
 def test_train_config_round_trip():
@@ -197,7 +210,7 @@ def test_missing_answer_is_data_error():
     graphs = predictor.build_graphs(kg)
     alien = QueryFact(HyperFact("e0", "r1", "ghost"), TAIL, "ghost")
     with pytest.raises(DataError):
-        query_loss(predictor, kg, alien, graphs)
+        query_losses(predictor, kg, [alien], graphs)
 
 
 def test_train_step_runs_one_update():
@@ -260,15 +273,59 @@ def test_leave_out_scores_equal_a_rebuild_without_the_fact(structure, interactio
     for _ in range(40):
         kg = random_hkg(rng)
         graphs = predictor.build_graphs(kg)
+        batch, sources, oracles = [], [], []
         for f, fact in enumerate(kg.facts):
             rest = Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
             rebuilt = predictor.build_graphs(rest)
             for query in queries_from_facts([fact]):
-                masked = predictor.query_logits(kg, query, graphs, leave_out=f).data
-                oracle = predictor.query_logits(kg, query, rebuilt).data
+                masked = predictor.query_logits(kg, [query], graphs, [f]).data
+                oracle = predictor.query_logits(kg, [query], rebuilt).data
                 assert np.array_equal(masked, oracle), (kg.facts, f, query)
+                batch.append(query)
+                sources.append(f)
+                oracles.append(oracle[0])
                 checked += 1
+        # Every query of the graph in one batch, each without its own fact.
+        batched = predictor.query_logits(kg, batch, graphs, sources).data
+        assert np.abs(batched - np.array(oracles)).max() <= BATCH_TOLERANCE, kg.facts
     assert checked > 400
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("batch", [1, 3])
+def test_batched_step_gradients(structure, batch):
+    # The step's loss, as train_step builds it: one tape over the batch, each
+    # query without its own source fact.
+    kg = random_hkg(np.random.default_rng(21), max_facts=3, min_facts=3, max_qualifiers=2)
+    cfg = ModelConfig(width=4, encoder_depth=2, head_count=2, decoder_depth=1,
+                      structure=structure)
+    predictor = LinkPredictor.build(cfg, seed=9, dtype=np.float64)
+    for name, value in predictor.store.items():
+        if name.endswith("update_b"):  # off the relu kink of zero-state rows
+            value.data[:] = 0.01
+    graphs = predictor.build_graphs(kg)
+    picked = [(f, q) for f, fact in enumerate(kg.facts)
+              for q in queries_from_facts([fact])][::2][:batch]
+    queries, sources = [q for _, q in picked], [f for f, _ in picked]
+
+    def loss():
+        losses = query_losses(predictor, kg, queries, graphs, sources)
+        return ad.mul(ad.total_sum(losses), np.full((1, 1), 1.0 / batch))
+
+    report = ad.check_gradients(loss, dict(predictor.store.items()), h=1e-4)
+    assert max(report.values()) <= 1e-3, report
+
+
+def test_batched_losses_equal_single_query_losses():
+    kg = fixed_kg()
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1), seed=3)
+    graphs = predictor.build_graphs(kg)
+    picked = [(f, q) for f, fact in enumerate(kg.facts) for q in queries_from_facts([fact])]
+    queries, sources = [q for _, q in picked], [f for f, _ in picked]
+    batched = query_losses(predictor, kg, queries, graphs, sources).data[:, 0]
+    single = [query_losses(predictor, kg, [q], graphs, [f]).data[0, 0] for f, q in picked]
+    assert np.abs(batched - single).max() <= BATCH_TOLERANCE
 
 
 def test_valid_tracking_keeps_best(tmp_path):
