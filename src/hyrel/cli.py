@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DataError, HyrelError
-from .evaluation import evaluate_bundle
+from .evaluation import evaluate_bundle, require_finite
 from .foundation import (InteractionConfig, build_entity_graph, build_relation_graph,
                          export_edge_list, graph_stats, preset)
 from .io import load_bundle, load_kg
@@ -244,11 +244,11 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"--topk must be at least 1, got {args.topk}")
     checkpoint = Checkpoint.load(args.checkpoint)
     predictor = checkpoint.predictor()
-    _print_header({"seed": str(checkpoint.train_config.seed), "topk": str(args.topk)})
     kg = load_bundle(args.bundle).inference if args.bundle else load_kg(args.kg)
     query = _parse_query(args.query)
-    ctx = predictor.prepare(kg)
-    scores = predictor.entity_scores(ctx, query)
+    scores = predictor.entity_scores(predictor.prepare(kg), query)
+    require_finite(scores)  # NaN sorts anywhere: never print it as a ranking
+    _print_header({"seed": str(checkpoint.train_config.seed), "topk": str(args.topk)})
     order = np.argsort(-scores)[:args.topk]
     print("rank\tentity\tprobability")
     for rank, idx in enumerate(order, start=1):

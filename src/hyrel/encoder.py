@@ -102,7 +102,7 @@ def init_relation_projections(store: ParamStore, prefix: str, params: EncoderPar
 def indicator_init(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], width: int,
                    dtype=np.float32) -> Value:
     """One block of rows per query: all-ones rows for its nodes, zeros
-    everywhere else."""
+    everywhere else.  The labels are constants: no gradient reaches them."""
     n = g.num_nodes
     init = np.zeros((len(query_nodes) * n, width), dtype=dtype)
     for q, nodes in enumerate(query_nodes):
@@ -110,7 +110,7 @@ def indicator_init(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], wid
             if not 0 <= node < n:
                 raise IndexError(f"query node {node} out of range for {n} nodes")
             init[q * n + node] = 1.0
-    return Value(init)
+    return Value.constant(init)
 
 
 def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,

@@ -30,6 +30,14 @@ class ScoringModel(Protocol):
     def entity_scores(self, ctx, query: QueryFact) -> np.ndarray: ...
 
 
+def require_finite(scores: np.ndarray) -> None:
+    """Raise :class:`NumericalError` when any score is NaN or infinite."""
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise NumericalError(f"{finite.size - int(finite.sum())} of {finite.size} "
+                             "scores are NaN or infinite")
+
+
 def rank_of(scores: np.ndarray, answer: int, filter_out: Iterable[int] = ()) -> float:
     """Mean-tie rank of ``answer`` among the non-filtered candidates.
 
@@ -37,10 +45,7 @@ def rank_of(scores: np.ndarray, answer: int, filter_out: Iterable[int] = ()) -> 
     compares false both ways, so a diverged model would otherwise rank first.
     """
     scores = np.asarray(scores).reshape(-1)
-    finite = np.isfinite(scores)
-    if not finite.all():
-        raise NumericalError(f"{scores.size - int(finite.sum())} of {scores.size} "
-                             "scores are NaN or infinite")
+    require_finite(scores)
     filtered = set(filter_out)
     if answer in filtered:
         raise ContractError("the answer itself may not be filtered out")

@@ -4,14 +4,18 @@ Given a KG and a batch of masked queries, the predictor builds (or is
 handed) the relation and entity foundation graphs, encodes each
 conditioned on every query's visible relations and entities (one block of
 rows per query), decodes the queries' fact sequences as one batch and
-scores every entity of the vocabulary for each query.  Scoring a single
-query is the batch of one.  Parameters attach only to interaction types,
-layer maps and bias types, never to vocabulary items, so the same weights
-score any graph.
+scores every entity of the vocabulary for each query.  Parameters attach
+only to interaction types, layer maps and bias types, never to vocabulary
+items, so the same weights score any graph.
+
+Training records a tape through the parameters.  Scoring one query
+(:meth:`LinkPredictor.entity_scores`) runs the same forward pass through
+constants that share the parameter arrays, so it records nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -72,6 +76,31 @@ def ablation_overrides(name: str) -> dict[str, str]:
 class GraphPair:
     relation_graph: FoundationGraph
     entity_graph: FoundationGraph
+
+
+def _constants(params):
+    """``params`` with every :class:`Value` in it replaced by a constant that
+    shares its array."""
+    if isinstance(params, Value):
+        return Value.constant(params.data)
+    if isinstance(params, list):
+        return [_constants(p) for p in params]
+    if dataclasses.is_dataclass(params):
+        return dataclasses.replace(params, **{f.name: _constants(getattr(params, f.name))
+                                              for f in dataclasses.fields(params)})
+    return params
+
+
+@dataclass
+class ScoringContext:
+    """What :meth:`LinkPredictor.entity_scores` reads: the graph, its
+    foundation graphs, the model's constant view and the relation encodings
+    computed so far, one per set of relation nodes."""
+
+    kg: Hkg
+    graphs: GraphPair
+    model: "LinkPredictor"
+    relations: dict = field(default_factory=dict)
 
 
 class LinkPredictor:
@@ -170,18 +199,23 @@ class LinkPredictor:
         return dec.entity_logits(x_m, ent_states, self.dec_params.out_bias)
 
     # Scoring-model protocol used by the evaluator.
-    def prepare(self, kg: Hkg):
-        """The graphs of ``kg``, and a cache of relation encodings: with no
-        fact left out, a query's relation encoding depends only on its
-        relation nodes, so queries that share them share it."""
-        return kg, self.build_graphs(kg), {}
+    def prepare(self, kg: Hkg) -> ScoringContext:
+        """The graphs of ``kg``, a view of this model whose parameters are
+        constants sharing its arrays (so scoring records no tape, and sees
+        in-place updates of the parameters), and an empty cache of relation
+        encodings: with no fact left out, a query's relation encoding depends
+        only on its relation nodes, so queries that share them share it."""
+        view = LinkPredictor(self.cfg, self.store, _constants(self.rel_params),
+                             _constants(self.ent_params), _constants(self.dec_params))
+        return ScoringContext(kg, self.build_graphs(kg), view)
 
-    def entity_scores(self, ctx, query: QueryFact) -> np.ndarray:
-        kg, graphs, relation_cache = ctx
-        rel_nodes, _ = self._query_nodes(kg, query)
+    def entity_scores(self, ctx: ScoringContext, query: QueryFact) -> np.ndarray:
+        rel_nodes, _ = self._query_nodes(ctx.kg, query)
         key = frozenset(rel_nodes)
-        if key not in relation_cache:
-            states = enc.encode(graphs.relation_graph, [rel_nodes], self.rel_params)
-            relation_cache[key] = Value(states.data)  # scores need no gradient
-        logits = self.query_logits(kg, [query], graphs, rel_states=relation_cache[key])
+        model = ctx.model
+        if key not in ctx.relations:
+            ctx.relations[key] = enc.encode(ctx.graphs.relation_graph, [rel_nodes],
+                                            model.rel_params)
+        logits = model.query_logits(ctx.kg, [query], ctx.graphs,
+                                    rel_states=ctx.relations[key])
         return ad.rowwise_softmax(logits).data[0].copy()

@@ -464,3 +464,82 @@ def test_determinism_same_seed_bitwise():
 def test_value_requires_2d():
     with pytest.raises(ShapeError):
         Value(np.zeros(3))
+
+
+def test_constant_keeps_its_array_and_requires_2d():
+    with pytest.raises(ShapeError):
+        Value.constant(np.zeros(3))
+    data = np.ones((2, 3))
+    c = Value.constant(data)
+    assert c.data is data and not c.requires_grad and Value(data).requires_grad
+
+
+# Each op of more than one operand, as a function of its operands, and the
+# operands' shapes.
+MULTI_OPERAND_OPS = {
+    "add": (ad.add, [(3, 4), (1, 4)]),
+    "mul": (ad.mul, [(3, 4), (3, 1)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "concat_rows": (lambda a, b, c: ad.concat([a, b, c], axis=0), [(2, 3), (4, 3), (1, 3)]),
+    "concat_columns": (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 1)]),
+    "layer_norm": (ad.layer_norm, [(4, 6), (1, 6), (1, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_OPERAND_OPS))
+def test_constant_operand_changes_no_other_gradient(name, rng):
+    op, shapes = MULTI_OPERAND_OPS[name]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    weight = rng.normal(size=op(*map(val, arrays)).shape)
+
+    def operands_after_backward(constant: int | None) -> list[Value]:
+        operands = [Value.constant(a) if i == constant else Value(a)
+                    for i, a in enumerate(arrays)]
+        out = op(*operands)
+        assert out._parents == tuple(v for v in operands if v.requires_grad)
+        backward(ad.total_sum(ad.mul(out, weight)))
+        return operands
+
+    tracked = operands_after_backward(None)
+    for constant in range(len(arrays)):
+        operands = operands_after_backward(constant)
+        assert operands[constant]._grad is None
+        for i, v in enumerate(operands):
+            if i != constant:
+                assert v.grad.tobytes() == tracked[i].grad.tobytes()
+
+
+def test_ops_over_constants_record_nothing(rng):
+    x = Value.constant(rng.normal(size=(4, 4)))
+    y = Value.constant(rng.normal(size=(4, 4)))
+    row = Value.constant(rng.normal(size=(1, 4)))
+    cols = np.array([[0, 4, 1, 1], [2, 2, 3, 0], [4, 4, 4, 4], [3, 2, 1, 0]])
+    outs = [ad.add(x, y), ad.add(x, np.ones((1, 4))), ad.mul(x, row), ad.matmul(x, y),
+            ad.transpose(x), ad.relu(x), ad.concat([x, y], axis=0), ad.rowwise_softmax(x),
+            ad.layer_norm(x, row, row), ad.gather(x, [0, 2, 2]),
+            ad.scatter_add(x, [1, 0, 1, 3], 5),
+            ad.scatter_add(x, [0, 1, 1], 2, rows=Segments([3, 3, 0])), ad.total_sum(x),
+            ad.take_columns(x, cols), ad.sum_columns(x, cols, 4),
+            ad.cross_entropy(x, [0, 1, 2, 3])]
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    for v in (x, y, row):
+        assert v._grad is None
+
+
+def test_backward_from_a_constant_is_contract_error():
+    # Returning instead would leave every gradient silently unset.
+    p = val([[1.0]])
+    with pytest.raises(ContractError, match="constant"):
+        backward(ad.total_sum(ad.mul(Value.constant(np.ones((1, 1))), [[2.0]])))
+    backward(ad.total_sum(ad.mul(p, Value.constant(np.ones((1, 1))))))
+    assert p.grad.tolist() == [[1.0]]
+
+
+def test_relu_keeps_nan_and_otherwise_equals_where_bit_for_bit():
+    for dtype in (np.float32, np.float64):
+        x = np.array([[np.nan, -0.0, 0.0, -np.inf, np.inf, -1e-45, 1e-45, -2.5, 3.5]],
+                     dtype=dtype)
+        y = ad.relu(Value(x)).data
+        assert np.isnan(y[0, 0]) and y.dtype == dtype
+        assert y[:, 1:].tobytes() == np.where(x > 0, x, 0)[:, 1:].astype(dtype).tobytes()

@@ -184,6 +184,31 @@ def test_predict_topk_below_one_is_usage_error(tmp_path, capsys):
     assert "--topk must be at least 1" in capsys.readouterr().err
 
 
+def test_non_finite_scores_are_data_errors_in_predict_and_eval(tmp_path, capsys):
+    # A diverged checkpoint, saved with a valid hash: NaN scores must never
+    # print as a ranking or a metric.
+    from hyrel.io import load_bundle
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    cfg = TrainConfig(epochs=0, seed=0, width=8, encoder_depth=1, head_count=1,
+                      decoder_depth=1)
+    ckpt = fit(load_bundle(bundle_dir), cfg)
+    ckpt.store["decoder/out_bias"].data[:] = np.nan
+    path = tmp_path / "nan.bin"
+    ckpt.save(path)
+    capsys.readouterr()
+    assert dispatch(["predict", "--checkpoint", str(path), "--kg", str(kg_path),
+                     "--query", "x0 xr [MASK]", "--topk", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "NaN or infinite" in captured.err
+    assert dispatch(["eval", "--bundle", str(bundle_dir), "--checkpoint", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "mrr" not in captured.out and "NaN or infinite" in captured.err
+
+
 def test_head_count_not_dividing_width_is_usage_error(tmp_path, capsys):
     # Exit 1 before the (absent) bundle is read; reading it would exit 2.
     assert dispatch(["train", "--bundle", str(tmp_path / "absent"),

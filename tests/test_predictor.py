@@ -40,6 +40,17 @@ def test_unknown_query_ids_raise(small_kg):
         predictor.entity_scores(ctx, alien)
 
 
+def test_a_nan_encoder_parameter_reaches_every_score(small_kg):
+    # A relu that maps NaN to 0 turned a diverged encoder into finite,
+    # uniform scores, and so into a plausible-looking metric.
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2,
+                                                head_count=2, decoder_depth=1), seed=1)
+    predictor.store["ent_encoder/layer1/update_b"].data[:] = np.nan
+    scores = predictor.entity_scores(predictor.prepare(small_kg),
+                                     queries_from_facts(small_kg.facts)[0])
+    assert np.isnan(scores).all()
+
+
 def test_relation_driven_structure_runs_and_is_equivariant(rng):
     cfg = ModelConfig(width=8, encoder_depth=2, head_count=1, decoder_depth=1,
                       structure=RELATION_DRIVEN)
@@ -177,7 +188,8 @@ def test_invalid_model_config_rejected():
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_relation_encodings_are_shared_within_one_context(structure):
     # With no fact left out, queries with the same relation nodes share one
-    # relation encoding; their scores equal an uncached scoring bit for bit.
+    # relation encoding; their scores equal an uncached scoring through the
+    # tracked parameters bit for bit.
     import hyrel.autodiff as ad
     kg = random_hkg(np.random.default_rng(4), max_facts=8, min_facts=8)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
@@ -186,6 +198,41 @@ def test_relation_encodings_are_shared_within_one_context(structure):
     queries = queries_from_facts(kg.facts)
     for query in queries:
         cached = predictor.entity_scores(ctx, query)
-        fresh = ad.rowwise_softmax(predictor.query_logits(kg, [query], ctx[1])).data[0]
+        tracked = predictor.query_logits(kg, [query], ctx.graphs)
+        assert tracked.requires_grad
+        fresh = ad.rowwise_softmax(tracked).data[0]
         assert cached.tobytes() == fresh.tobytes()
-    assert len(ctx[2]) == len({frozenset(q.base.relations()) for q in queries}) < len(queries)
+    assert len(ctx.relations) == len({frozenset(q.base.relations()) for q in queries}) \
+        < len(queries)
+    assert not any(states.requires_grad for states in ctx.relations.values())
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_scoring_records_no_tape(structure, monkeypatch):
+    # The scoring view holds constants that share the parameter arrays, so
+    # its logits keep no parents and scoring makes no tracked Value at all.
+    from hyrel.autodiff import Value
+    kg = random_hkg(np.random.default_rng(5), max_facts=6, min_facts=6)
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1, structure=structure), seed=2)
+    ctx = predictor.prepare(kg)
+    view, model = ctx.model, predictor
+    pairs = [(view.dec_params.out_bias, model.dec_params.out_bias),
+             (view.dec_params.layers[0].wq, model.dec_params.layers[0].wq)]
+    for mine, theirs in zip(view.rel_params.layers + view.ent_params.layers,
+                            model.rel_params.layers + model.ent_params.layers):
+        pairs.append((mine.update_w, theirs.update_w))
+    for constant, param in pairs:
+        assert constant.data is param.data and param.requires_grad
+        assert not constant.requires_grad
+    query = queries_from_facts(kg.facts)[0]
+    logits = view.query_logits(kg, [query], ctx.graphs)
+    assert not logits.requires_grad and logits._parents == () and logits._backward is None
+    made = []
+    init = Value.__init__
+    monkeypatch.setattr(Value, "__init__", lambda self, *a, **k: made.append(1) or
+                        init(self, *a, **k))
+    for q in queries_from_facts(kg.facts):
+        predictor.entity_scores(ctx, q)
+    assert not made
+    assert all(v._grad is None for v in predictor.store.values())
