@@ -132,11 +132,6 @@ class BatchLayout:
         return self._selectors[key]
 
 
-def _batch(layout: SequenceLayout | BatchLayout) -> BatchLayout:
-    """A single query's layout is a batch of one."""
-    return layout if isinstance(layout, BatchLayout) else BatchLayout((layout,))
-
-
 @dataclass
 class DecoderLayerParams:
     wq: Value          # (d, d); head h owns columns h·dh:(h+1)·dh
@@ -246,7 +241,7 @@ def assemble_sequence(queries: Sequence[QueryFact], kg: Hkg, rel_states: Value,
     return ad.gather(table, rows), layout
 
 
-def attention_layer(seq: Value, layout: SequenceLayout | BatchLayout,
+def attention_layer(seq: Value, layout: BatchLayout,
                     layer: DecoderLayerParams, params: DecoderParams) -> Value:
     """One block: biased multi-head attention, then the position-wise net.
 
@@ -255,7 +250,7 @@ def attention_layer(seq: Value, layout: SequenceLayout | BatchLayout,
     picks give each slot pair its bias and keep it within its query, so no
     step loops over heads, types or queries.
     """
-    rep, head_cols, types = _batch(layout).selectors(
+    rep, head_cols, types = layout.selectors(
         params.head_count, params.width, seq.data.dtype.name)
     inv_scale = np.asarray(params.head_width ** -0.5, dtype=seq.data.dtype).reshape(1, 1)
     q = ad.mul(ad.matmul(rep, ad.matmul(seq, layer.wq)), head_cols)        # (H·S, d)
@@ -274,16 +269,15 @@ def attention_layer(seq: Value, layout: SequenceLayout | BatchLayout,
     return ad.layer_norm(ad.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
 
 
-def decode(seq: Value, layout: SequenceLayout | BatchLayout, params: DecoderParams) -> Value:
-    layout = _batch(layout)
+def decode(seq: Value, layout: BatchLayout, params: DecoderParams) -> Value:
     for layer in params.layers:
         seq = attention_layer(seq, layout, layer, params)
     return seq
 
 
-def mask_vector(decoded: Value, layout: SequenceLayout | BatchLayout) -> Value:
+def mask_vector(decoded: Value, layout: BatchLayout) -> Value:
     """The mask slot's output row of each query, in batch order."""
-    return ad.gather(decoded, _batch(layout).mask_slots)
+    return ad.gather(decoded, layout.mask_slots)
 
 
 def entity_logits(x_m: Value, ent_states: Value, out_bias: Value) -> Value:

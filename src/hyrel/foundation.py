@@ -20,6 +20,11 @@ several facts.
 Every edge type has a reciprocal type and every built graph is closed under
 reciprocity: for each edge (u, t, v) the edge (v, reciprocal(t), u) exists.
 Edges are deduplicated; multiplicity is deliberately not modeled.
+
+A built graph is its sorted int64 edge arrays (see :class:`FoundationGraph`)
+plus a record per edge of the facts whose removal alone deletes it.  The
+builders key each edge by its int type row, so no interaction type is
+hashed per edge.
 """
 
 from __future__ import annotations
@@ -140,15 +145,12 @@ PRESETS: dict[str, InteractionConfig] = {
     "nov": InteractionConfig(entity_set=frozenset({EntInteraction.H2T, EntInteraction.T2H})),
 }
 
-PRESET_NAMES = tuple(PRESETS)
-
-
 def preset(name: str) -> InteractionConfig:
     try:
         return PRESETS[name.lower()]
     except KeyError:
         raise ConfigError(f"unknown interaction preset {name!r}; "
-                          f"expected one of {', '.join(PRESET_NAMES)}")
+                          f"expected one of {', '.join(PRESETS)}")
 
 
 @dataclass(frozen=True)
@@ -176,14 +178,15 @@ class MessagePlan:
     blocks: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoundationGraph:
-    """A typed directed edge set over dense node ids.
+    """A typed directed edge set over dense node ids, as int64 arrays: edge
+    i runs from ``src[i]`` to ``dst[i]`` with type ``alphabet[type_row[i]]``.
 
-    ``edges`` is sorted and duplicate-free, and closed under reciprocity.
-    ``edge_relations``, when present, annotates each edge with the dense id
-    of the relation that induced it (used by the rewired encoder variant
-    that drives entity messages with encoded relation states).
+    The rows are sorted by (src, type row, dst[, relation]), duplicate-free
+    and closed under reciprocity; :attr:`edges` is their derived tuple view.
+    ``relation``, when present, annotates each edge with the dense id of the
+    relation that induced it (the gates of the relation-driven structure).
     ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
     removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`)
     over the cached :meth:`message_plan`, one per query of a batch.
@@ -191,41 +194,29 @@ class FoundationGraph:
 
     num_nodes: int
     alphabet: tuple[Enum, ...]
-    edges: tuple[tuple[int, Enum, int], ...]
-    edge_relations: tuple[int, ...] | None = None
-    edge_facts: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _arrays: dict = field(default_factory=dict, repr=False, compare=False)
+    src: np.ndarray
+    type_row: np.ndarray
+    dst: np.ndarray
+    edge_facts: np.ndarray = field(repr=False)
+    relation: np.ndarray | None = None
+    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.src.size
+
+    @property
+    def edges(self) -> list[tuple[int, Enum, int]]:
+        """The (src, type, dst) edges in row order."""
+        return list(zip(self.src.tolist(), [self.alphabet[t] for t in self.type_row.tolist()],
+                        self.dst.tolist()))
 
     def edge_set(self) -> frozenset[tuple[int, Enum, int]]:
         return frozenset(self.edges)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, type_row, dst) int64 arrays; type_row indexes the alphabet."""
-        if "sd" not in self._arrays:
-            row = {t: i for i, t in enumerate(self.alphabet)}
-            src = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-            trw = np.fromiter((row[e[1]] for e in self.edges), dtype=np.int64,
-                              count=len(self.edges))
-            dst = np.fromiter((e[2] for e in self.edges), dtype=np.int64, count=len(self.edges))
-            self._arrays["sd"] = (src, trw, dst)
-        return self._arrays["sd"]
-
-    def relation_array(self) -> np.ndarray:
-        if self.edge_relations is None:
-            raise ContractError("graph was built without per-edge relation annotations")
-        if "er" not in self._arrays:
-            self._arrays["er"] = np.asarray(self.edge_relations, dtype=np.int64)
-        return self._arrays["er"]
-
     def kept(self, leave_out: int | Sequence[int]) -> np.ndarray:
         """Boolean mask of the edges left when fact ``leave_out`` is left
         out; an array of facts gives one row of the mask per fact."""
-        if self.edge_facts is None:
-            raise ContractError("graph was built without per-edge fact records")
         return (self.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
 
     def message_plan(self, by_relation: bool,
@@ -241,17 +232,17 @@ class FoundationGraph:
         is what a single unmasked block gets; the other plans are read off
         it by :meth:`kept` masks (:meth:`Segments.kept`), without sorting
         again."""
-        key = "relation_plan" if by_relation else "type_plan"
-        if key not in self._arrays:
-            src, type_row, dst = self.arrays()
-            gate = self.relation_array() if by_relation else type_row
-            by_dst = np.argsort(dst, kind="stable")
+        if by_relation not in self._plans:
+            gate = self.relation if by_relation else self.type_row
+            if gate is None:
+                raise ContractError("graph was built without per-edge relation annotations")
+            by_dst = np.argsort(self.dst, kind="stable")
             span = int(gate.max()) + 1 if gate.size else 1
-            pairs, pair_of = np.unique(src * span + gate, return_inverse=True)
-            self._arrays[key] = by_dst, MessagePlan(
+            pairs, pair_of = np.unique(self.src * span + gate, return_inverse=True)
+            self._plans[by_relation] = by_dst, MessagePlan(
                 Segments(pairs // span), Segments(pairs % span),
-                Segments(pair_of[by_dst]), Segments(dst[by_dst]))
-        by_dst, plan = self._arrays[key]
+                Segments(pair_of[by_dst]), Segments(self.dst[by_dst]))
+        by_dst, plan = self._plans[by_relation]
         if list(leave_outs) == [None]:
             return plan
         if gate_stride and plan.gate.rows.size and plan.gate.rows[-1] >= gate_stride:
@@ -272,15 +263,15 @@ class FoundationGraph:
                            plan.dst.kept(keep, self.num_nodes), blocks)
 
 
-def _finish(num_nodes: int, enum_cls, active: frozenset,
+def _finish(num_nodes: int, alphabet: tuple[Enum, ...],
             records: dict[tuple, tuple[int, int]], annotated: bool) -> FoundationGraph:
-    """Sort the edges (keys of ``records``; a 4th entry is the annotation)."""
-    alphabet = tuple(t for t in enum_cls if t in active)
-    order = {t: i for i, t in enumerate(alphabet)}
-    ordered = sorted(records, key=lambda e: (e[0], order[e[1]], e[2:]))
+    """Sort the edges, the keys of ``records``: (src, type row, dst[, relation]);
+    ``alphabet`` lists the types by row, in declaration order."""
+    ordered = sorted(records)
+    cols = np.array(ordered, dtype=np.int64).reshape(-1, 3 + annotated).T.copy()
     facts = np.array([records[e] for e in ordered], dtype=np.int64).reshape(-1, 2)
-    return FoundationGraph(num_nodes, alphabet, tuple(e[:3] for e in ordered),
-                           tuple(e[3] for e in ordered) if annotated else None, facts)
+    return FoundationGraph(num_nodes, alphabet, *cols[:3], facts,
+                           cols[3] if annotated else None)
 
 
 def _distinct_facts(entries: Sequence[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
@@ -295,8 +286,8 @@ def _distinct_facts(entries: Sequence[tuple[int, int]]) -> dict[int, tuple[int, 
 
 def _cross_fact_pairs(a_entries: Sequence[tuple[int, int]],
                       b_entries: Sequence[tuple[int, int]],
-                      itype: Enum, records: dict) -> None:
-    """Record (node_a, itype, node_b) for entry pairs drawn from distinct facts.
+                      type_row: int, records: dict) -> None:
+    """Record (node_a, type_row, node_b) for entry pairs drawn from distinct facts.
 
     Entries are (fact_index, node_index) at one anchor.  The edge exists iff
     some pair (A, B) with A != B realises it.  Its record meets (intersects)
@@ -317,7 +308,7 @@ def _cross_fact_pairs(a_entries: Sequence[tuple[int, int]],
                 common = one + tuple(rest) if len(rest) == 1 else one
             else:
                 common = fa if fa == fb and len(fa) == 2 else ()
-            key = (na, itype, nb)
+            key = (na, type_row, nb)
             prev = records.get(key)
             if prev is None:
                 records[key] = common
@@ -342,7 +333,7 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
     whose removal alone deletes it (see :meth:`FoundationGraph.kept`).
     """
     cfg = cfg or InteractionConfig()
-    active = cfg.relation_set
+    row = {t: i for i, t in enumerate(x for x in RelInteraction if x in cfg.relation_set)}
 
     rel_of = [kg.relation_index[f.relation] for f in kg.facts]
     heads: dict[int, list[tuple[int, int]]] = defaultdict(list)
@@ -355,28 +346,29 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
             values[kg.entity_index[v]].append((fi, kg.relation_index[k]))
 
     cross: dict[tuple, tuple[int, ...]] = {}
-    anchors = set(heads) | set(tails) | set(values)
-    for e in anchors:
+    for e in set(heads) | set(tails) | set(values):
         h, t, v = heads.get(e, ()), tails.get(e, ()), values.get(e, ())
         for itype, a, b in ((RelInteraction.H2H, h, h), (RelInteraction.T2T, t, t),
                             (RelInteraction.H2T, h, t), (RelInteraction.H2V, h, v),
                             (RelInteraction.T2V, t, v), (RelInteraction.V2V, v, v)):
-            if itype in active and a and b:
-                _cross_fact_pairs(a, b, itype, cross)
+            if a and b and itype in row:
+                _cross_fact_pairs(a, b, row[itype], cross)
 
     records = {e: (common + _SHARED)[:2] for e, common in cross.items()}
+    r2k, k2k = row.get(RelInteraction.R2K), row.get(RelInteraction.K2K)
     for fi, f in enumerate(kg.facts):
         own, r = (fi, -1), rel_of[fi]
         keys = [kg.relation_index[k] for k, _ in f.qualifiers]
-        if RelInteraction.R2K in active:
+        if r2k is not None:
             for k in keys:
-                _induce(records, (r, RelInteraction.R2K, k), own)
-        if RelInteraction.K2K in active:
+                _induce(records, (r, r2k, k), own)
+        if k2k is not None:
             for ki, kj in permutations(keys, 2):
-                _induce(records, (ki, RelInteraction.K2K, kj), own)
+                _induce(records, (ki, k2k, kj), own)
+    reciprocal = [row[REL_RECIPROCAL[t]] for t in row]
     for (s, t, d), rec in list(records.items()):
-        records.setdefault((d, REL_RECIPROCAL[t], s), rec)
-    return _finish(kg.num_relations, RelInteraction, active, records, annotated=False)
+        records.setdefault((d, reciprocal[t], s), rec)
+    return _finish(kg.num_relations, tuple(row), records, annotated=False)
 
 
 def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
@@ -392,14 +384,14 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
     deduplication then distinguishes edges with different annotations.
     """
     cfg = cfg or InteractionConfig()
-    active = cfg.entity_set
-
+    row = {t: i for i, t in enumerate(x for x in EntInteraction if x in cfg.entity_set)}
+    h2t, t2h, h2v, v2h, t2v, v2t, v2v = map(row.get, EntInteraction)  # None: inactive
     records: dict[tuple, tuple[int, int]] = {}
 
-    def put(src: int, itype: EntInteraction, dst: int, rel: int) -> None:
-        if itype in active:
-            _induce(records, (src, itype, dst, rel) if with_fact_relations
-                    else (src, itype, dst), own)
+    def put(src: int, type_row: int | None, dst: int, rel: int) -> None:
+        if type_row is not None:
+            _induce(records, (src, type_row, dst, rel) if with_fact_relations
+                    else (src, type_row, dst), own)
 
     for fi, f in enumerate(kg.facts):
         own = (fi, -1)
@@ -407,18 +399,17 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
         t = kg.entity_index[f.tail]
         r = kg.relation_index[f.relation]
         vals = [(kg.relation_index[k], kg.entity_index[v]) for k, v in f.qualifiers]
-        put(h, EntInteraction.H2T, t, r)
-        put(t, EntInteraction.T2H, h, r)
+        put(h, h2t, t, r)
+        put(t, t2h, h, r)
         for k, v in vals:
-            put(h, EntInteraction.H2V, v, k)
-            put(v, EntInteraction.V2H, h, k)
-            put(t, EntInteraction.T2V, v, k)
-            put(v, EntInteraction.V2T, t, k)
+            put(h, h2v, v, k)
+            put(v, v2h, h, k)
+            put(t, t2v, v, k)
+            put(v, v2t, t, k)
         for (ki, vi), (_, vj) in permutations(vals, 2):
-            put(vi, EntInteraction.V2V, vj, ki)
+            put(vi, v2v, vj, ki)
 
-    return _finish(kg.num_entities, EntInteraction, active, records,
-                   annotated=with_fact_relations)
+    return _finish(kg.num_entities, tuple(row), records, annotated=with_fact_relations)
 
 
 @dataclass
@@ -440,13 +431,10 @@ class GraphStats:
 
 def graph_stats(g: FoundationGraph) -> GraphStats:
     """Exact per-type edge counts and the out-degree histogram of ``g``."""
-    type_counts = {t.value: 0 for t in g.alphabet}
-    out_degree = Counter()
-    for s, t, _ in g.edges:
-        type_counts[t.value] += 1
-        out_degree[s] += 1
-    hist = Counter(out_degree.get(n, 0) for n in range(g.num_nodes))
-    return GraphStats(g.num_nodes, g.num_edges, type_counts, dict(hist))
+    counts = np.bincount(g.type_row, minlength=len(g.alphabet)).tolist()
+    hist = Counter(np.bincount(g.src, minlength=g.num_nodes).tolist())
+    return GraphStats(g.num_nodes, g.num_edges,
+                      {t.value: c for t, c in zip(g.alphabet, counts)}, dict(hist))
 
 
 def export_edge_list(g: FoundationGraph, names: Sequence[str]) -> list[str]:

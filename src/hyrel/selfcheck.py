@@ -70,6 +70,10 @@ def _foundation_suite(log: Callable[[str], None], quick: bool) -> bool:
             built = build_entity_graph(kg, cfg).edge_set()
             if built != brute_force_entity_edges(kg, cfg):
                 failures += 1
+            g = build_entity_graph(kg, cfg, with_fact_relations=True)
+            built = {e + (r,) for e, r in zip(g.edges, g.relation.tolist())}
+            if built != brute_force_entity_edges(kg, cfg, with_fact_relations=True):
+                failures += 1
     ok = failures == 0
     log(f"{'ok' if ok else 'FAIL'} - foundation graphs vs brute-force rules "
         f"({cases} graphs x {len(PRESETS)} presets, {failures} mismatches)")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,7 +35,7 @@ from .evaluation import bundle_known_facts, evaluate
 from .foundation import preset
 from .io import DatasetBundle
 from .model import Hkg, QueryFact, queries_from_facts
-from .predictor import PARALLEL, GraphPair, LinkPredictor, ModelConfig
+from .predictor import PARALLEL, GraphPair, LinkPredictor, ModelConfig, ScoringContext
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,18 @@ class Checkpoint:
         )
 
 
+class _Prepared:
+    """A scoring model that prepares ``kg`` once: each pass reuses its graphs
+    with an empty relation cache, since the parameters have moved."""
+
+    def __init__(self, predictor: LinkPredictor, kg: Hkg):
+        self.ctx = predictor.prepare(kg)
+        self.entity_scores = predictor.entity_scores
+
+    def prepare(self, kg: Hkg) -> ScoringContext:
+        return replace(self.ctx, relations={})
+
+
 def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = None,
         log: Callable[[str], None] | None = None,
         stats: TrainStats | None = None,
@@ -247,6 +259,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     valid_queries = queries_from_facts(bundle.valid)
     known = bundle_known_facts(bundle)
     graphs = predictor.build_graphs(kg)
+    validation = _Prepared(predictor, bundle.inference) if valid_queries else None
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -279,7 +292,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         epochs_run = epoch + 1
         valid_mrr = float("nan")
         if valid_queries:
-            valid_mrr = evaluate(predictor, bundle.inference, valid_queries, known).mrr_all
+            valid_mrr = evaluate(validation, bundle.inference, valid_queries, known).mrr_all
             stats.valid_mrr.append(valid_mrr)
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr

@@ -105,7 +105,7 @@ def test_attention_reduces_to_scaled_dot_product(rng):
     head.key_bias.data[:] = 0
     head.value_bias.data[:] = 0
     fact = HyperFact("h", "r", "t")
-    layout = layout_for(QueryFact.from_fact(fact, HEAD))
+    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, HEAD)),))
     x = rng.normal(size=(3, width))
     seq = Value(x)
     out = attention_layer(seq, layout, layer, params)
@@ -141,7 +141,7 @@ def test_attention_layer_matches_naive_loops(heads, rng):
         for masked in [role for role in roles if role.is_entity]:
             layout = layout_for(QueryFact.from_fact(fact, masked))
             x = rng.normal(size=(len(layout), 8))
-            out = attention_layer(Value(x), layout, params.layers[0], params)
+            out = attention_layer(Value(x), BatchLayout((layout,)), params.layers[0], params)
             expected = naive_attention_layer(x, layout.roles, heads, layer_weights)
             assert np.abs(out.data - expected).max() <= 1e-10
 
@@ -162,7 +162,7 @@ def test_attention_tape_size_ignores_heads_and_layout(rng):
         _, params = fresh_decoder(width=8, heads=heads, depth=1)
         for arity in (0, 3):
             fact = HyperFact("h", "r", "t", tuple((f"k{i}", f"v{i}") for i in range(arity)))
-            layout = layout_for(QueryFact.from_fact(fact, TAIL))
+            layout = BatchLayout((layout_for(QueryFact.from_fact(fact, TAIL)),))
             seq = Value(rng.normal(size=(len(layout), 8)))
             sizes.add(tape_size(attention_layer(seq, layout, params.layers[0], params)))
     assert len(sizes) == 1, sizes
@@ -172,7 +172,7 @@ def test_attention_weights_rows_sum_to_one(rng):
     # Realized indirectly: a singleton sequence must attend fully to itself.
     store, params = fresh_decoder(width=4, heads=2)
     fact = HyperFact("h", "r", "h")
-    layout = layout_for(QueryFact.from_fact(fact, HEAD))
+    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, HEAD)),))
     seq = Value(rng.normal(size=(3, 4)))
     out = attention_layer(seq, layout, params.layers[0], params)
     assert np.isfinite(out.data).all()
@@ -185,7 +185,7 @@ def test_attention_weights_rows_sum_to_one(rng):
 def test_multi_head_shapes(rng):
     store, params = fresh_decoder(width=8, heads=4, depth=2)
     fact = HyperFact("h", "r", "t", (("k", "v"),))
-    layout = layout_for(QueryFact.from_fact(fact, value_role(0)))
+    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, value_role(0))),))
     seq = Value(rng.normal(size=(5, 8)))
     out = decode(seq, layout, params)
     assert out.data.shape == (5, 8)
@@ -272,7 +272,7 @@ def test_decoder_gradients(rng):
         width = 2 * heads
         store, params = fresh_decoder(width=width, heads=heads, depth=1, seed=11)
         fact = HyperFact("h", "r", "t", (("k", "v"),))
-        layout = layout_for(QueryFact.from_fact(fact, value_role(0)))
+        layout = BatchLayout((layout_for(QueryFact.from_fact(fact, value_role(0))),))
         seq = Value(rng.normal(size=(5, width)))
         ents = Value(rng.normal(size=(6, width)))
 

@@ -14,6 +14,15 @@ T = EntInteraction.H2T
 TR = EntInteraction.T2H
 
 
+def graph(n, edges, relations=None, alphabet=(T, TR)):
+    """A hand-made graph of ``n`` nodes over (src, type, dst) ``edges``, each
+    edge induced by more than one fact."""
+    row = {t: i for i, t in enumerate(alphabet)}
+    cols = np.array([(s, row[t], d) for s, t, d in edges], dtype=np.int64).reshape(-1, 3)
+    return FoundationGraph(n, alphabet, *cols.T, np.full((len(edges), 2), -1),
+                           None if relations is None else np.array(relations, dtype=np.int64))
+
+
 def line_graph(n=3):
     """A simple path 0 -> 1 -> ... -> n-1 with reciprocal edges."""
     edges = []
@@ -22,7 +31,7 @@ def line_graph(n=3):
         edges.append((i + 1, TR, i))
     order = {T: 0, TR: 1}
     edges.sort(key=lambda e: (e[0], order[e[1]], e[2]))
-    return FoundationGraph(n, (T, TR), tuple(edges))
+    return graph(n, edges)
 
 
 def fresh_params(alphabet, depth=1, width=4, seed=0, dtype=np.float64, **kw):
@@ -70,7 +79,7 @@ def test_masked_entity_never_labeled(small_kg):
 
 
 def test_mp_layer_no_edges_applies_update_everywhere():
-    g = FoundationGraph(3, (T, TR), ())
+    g = graph(3, ())
     store, params = fresh_params((T, TR), width=4)
     states = indicator_init(g, [{1}], 4, np.float64)
     out = mp_layer(states, g, params.layers[0])
@@ -82,7 +91,7 @@ def test_mp_layer_no_edges_applies_update_everywhere():
 
 
 def test_mp_layer_identity_message():
-    g = FoundationGraph(2, (T, TR), ((0, T, 1),))
+    g = graph(2, ((0, T, 1),))
     store, params = fresh_params((T, TR), width=3)
     params.layers[0].type_vectors.data[:] = 1.0
     states = Value(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
@@ -93,7 +102,7 @@ def test_mp_layer_identity_message():
 
 def test_mp_layer_matches_naive_loop(rng):
     base = line_graph(3)
-    g = FoundationGraph(3, base.alphabet, base.edges, edge_relations=(1, 0, 0, 1))
+    g = graph(3, base.edges, relations=(1, 0, 0, 1))
     states = Value(rng.normal(size=(3, 5)))
     edge_states = Value(rng.normal(size=(2, 5)))
     # Gated by the type vectors, then by the projected rows of two relation states.
@@ -107,18 +116,18 @@ def test_mp_layer_matches_naive_loop(rng):
             layer.type_vectors.data if gates is None else None,
             layer.update_w.data, layer.update_b.data,
             None if gates is None else gates.data @ layer.relation_proj.data,
-            g.edge_relations)
+            g.relation)
         assert np.allclose(out.data, expected, atol=1e-6)
 
 
 def per_edge_layer(states, g, layer, edge_states, keep):
     """One layer by the per-edge formula ``states[src] * gates[gate_row]``,
     summed at the kept edges' destinations by a fresh :class:`Segments`."""
-    src, type_row, dst = g.arrays()
+    src, type_row, dst = g.src, g.type_row, g.dst
     if edge_states is None:
         gates, gate_row = layer.type_vectors.data, type_row
     else:
-        gates, gate_row = edge_states.data @ layer.relation_proj.data, g.relation_array()
+        gates, gate_row = edge_states.data @ layer.relation_proj.data, g.relation
     messages = states.data[src[keep]] * gates[gate_row[keep]]
     plan = Segments(dst[keep])
     agg = np.zeros_like(states.data)
@@ -150,7 +159,7 @@ def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
 
 
 def test_typed_layer_refuses_edge_states():
-    g = FoundationGraph(2, (T, TR), ((0, T, 1), (1, TR, 0)), edge_relations=(0, 0))
+    g = graph(2, ((0, T, 1), (1, TR, 0)), relations=(0, 0))
     _, params = fresh_params((T, TR), width=3)
     states = indicator_init(g, [{0}], 3, np.float64)
     with pytest.raises(ContractError, match="relation_proj"):
@@ -208,7 +217,7 @@ def test_encode_permutation_equivariance(rng):
     remap = {old: int(new) for old, new in enumerate(perm)}
     edges = tuple(sorted(((remap[s], t, remap[d]) for s, t, d in g.edges),
                          key=lambda e: (e[0], e[1].value, e[2])))
-    pg = FoundationGraph(g.num_nodes, g.alphabet, edges)
+    pg = graph(g.num_nodes, edges, alphabet=g.alphabet)
     pout = encode(pg, [{remap[q] for q in query}], params).data
     for old in range(g.num_nodes):
         assert np.allclose(out[old], pout[remap[old]], atol=1e-5)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -174,17 +176,17 @@ def masked_edges(g, leave_out, annotated=False):
     checking that the masked message plans read exactly those edges, in
     stable destination order."""
     keep = g.kept(leave_out)
-    src, type_row, dst = g.arrays()
+    src, type_row, dst = g.src, g.type_row, g.dst
     gates = [(False, type_row)]
     if annotated:
-        gates.append((True, g.relation_array()))
+        gates.append((True, g.relation))
     for by_relation, gate in gates:
         plan = g.message_plan(by_relation, [leave_out])
         order = np.argsort(dst[keep], kind="stable")
         full = np.stack([src[keep], gate[keep], dst[keep]], axis=1)[order]
         assert plan_edges(plan).tolist() == full.tolist()
         assert plan.dst.order is None
-    rels = g.edge_relations if annotated else [None] * g.num_edges
+    rels = g.relation.tolist() if annotated else [None] * g.num_edges
     return [e + (r,) * annotated for e, r, k in zip(g.edges, rels, keep) if k]
 
 
@@ -206,7 +208,7 @@ def test_annotated_entity_graph_matches_oracle(rng):
         kg = random_hkg(rng)
         for cfg in PRESETS.values():
             g = build_entity_graph(kg, cfg, with_fact_relations=True)
-            full = {e + (r,) for e, r in zip(g.edges, g.edge_relations)}
+            full = {e + (r,) for e, r in zip(g.edges, g.relation.tolist())}
             assert len(full) == g.num_edges
             assert full == brute_force_entity_edges(kg, cfg, with_fact_relations=True)
             for f in range(kg.num_facts):
@@ -232,14 +234,41 @@ def test_construction_permutation_equivariance(rng):
             {(pkg.entities[s], t, pkg.entities[d]) for s, t, d in pge.edges}
 
 
+def edge_arrays(g):
+    return [g.src, g.type_row, g.dst] + ([] if g.relation is None else [g.relation])
+
+
+BUILDS = {
+    "relation": (build_relation_graph, REL_RECIPROCAL),
+    "entity": (build_entity_graph, ENT_RECIPROCAL),
+    "entity-annotated": (lambda kg, cfg: build_entity_graph(kg, cfg, with_fact_relations=True),
+                         ENT_RECIPROCAL),
+}
+
+
 def test_edges_sorted_and_deterministic(rng):
-    kg = random_hkg(rng)
-    g1 = build_relation_graph(kg, preset("addAllFI"))
-    g2 = build_relation_graph(kg, preset("addAllFI"))
-    assert g1.edges == g2.edges
-    order = {t: i for i, t in enumerate(g1.alphabet)}
-    keys = [(s, order[t], d) for s, t, d in g1.edges]
-    assert keys == sorted(keys)
+    for _ in range(20):
+        kg = random_hkg(rng)
+        for (name, (build, reciprocal)), cfg in product(BUILDS.items(), PRESETS.values()):
+            g, again = build(kg, cfg), build(kg, cfg)
+            arrays = edge_arrays(g)
+            assert len(arrays) == (4 if name == "entity-annotated" else 3)
+            assert all(a.dtype == np.int64 and a.shape == (g.num_edges,) for a in arrays)
+            assert g.edge_facts.shape == (g.num_edges, 2)
+            for a, b in zip(arrays + [g.edge_facts], edge_arrays(again) + [again.edge_facts]):
+                assert a.tobytes() == b.tobytes()
+            rows = list(zip(*(a.tolist() for a in arrays)))
+            assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly: no duplicates
+            edges = g.edge_set()
+            assert all((d, reciprocal[t], s) in edges for s, t, d in edges)
+            # An annotated graph may hold one (src, type, dst) under two relations.
+            counted = g.edges if g.relation is not None else edges
+            stats = graph_stats(g)
+            assert stats.num_edges == len(counted)
+            assert stats.type_counts == {t.value: sum(e[1] is t for e in counted)
+                                         for t in g.alphabet}
+            degree = [sum(e[0] == n for e in counted) for n in range(g.num_nodes)]
+            assert stats.degree_histogram == {k: degree.count(k) for k in set(degree)}
 
 
 def test_export_edge_list_format():
@@ -252,7 +281,7 @@ def test_export_edge_list_format():
 def test_annotated_entity_graph_carries_relations():
     kg = Hkg([HyperFact("h", "r", "t", (("k", "v"),))])
     g = build_entity_graph(kg, with_fact_relations=True)
-    rels = g.relation_array()
+    rels = g.relation
     assert len(rels) == g.num_edges
     r, k = kg.relation_index["r"], kg.relation_index["k"]
     by_type = {}
@@ -268,9 +297,9 @@ def test_annotated_entity_graph_carries_relations():
 def test_message_plans_are_cached_over_the_edge_arrays():
     kg = Hkg([HyperFact("h", "r", "t", (("k", "v"),)), HyperFact("t", "s", "v")])
     g = build_entity_graph(kg, with_fact_relations=True)
-    src, type_row, dst = g.arrays()
+    src, type_row, dst = g.src, g.type_row, g.dst
     order = np.argsort(dst, kind="stable")
-    for by_relation, gate in ((False, type_row), (True, g.relation_array())):
+    for by_relation, gate in ((False, type_row), (True, g.relation)):
         plan = g.message_plan(by_relation)
         assert g.message_plan(by_relation) is plan
         full = np.stack([src, gate, dst], axis=1)[order]

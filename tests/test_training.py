@@ -344,6 +344,31 @@ def test_valid_tracking_keeps_best(tmp_path):
     assert "epochs = 3" in meta
 
 
+def test_fit_builds_the_validation_graphs_once(tmp_path, monkeypatch):
+    # ...and starts each epoch's validation pass with an empty relation cache.
+    import hyrel.predictor
+    kg, inference = fixed_kg(), fixed_kg(seed=1)
+    bundle = DatasetBundle(train=kg, inference=inference, valid=list(inference.facts[:3]),
+                           test=[])
+    built, cached = [], []
+    build, scores = hyrel.predictor.build_entity_graph, LinkPredictor.entity_scores
+    monkeypatch.setattr(hyrel.predictor, "build_entity_graph",
+                        lambda g, *a, **k: built.append(g) or build(g, *a, **k))
+    monkeypatch.setattr(LinkPredictor, "entity_scores",
+                        lambda self, ctx, q: cached.append(len(ctx.relations)) or
+                        scores(self, ctx, q))
+    cfg = TrainConfig(epochs=3, seed=0, width=8, encoder_depth=1, head_count=1,
+                      decoder_depth=1)
+    stats = TrainStats()
+    fit(bundle, cfg, out_dir=tmp_path, stats=stats)
+    assert [g is inference for g in built] == [False, True]
+    queries = queries_from_facts(bundle.valid)
+    assert len(cached) == 3 * len(queries) and cached[::len(queries)] == [0, 0, 0]
+    final = Checkpoint.load(tmp_path / "ckpt_final.bin").predictor()
+    assert evaluate(final, inference, queries, inference.facts + tuple(bundle.valid)).mrr_all \
+        == stats.valid_mrr[-1]
+
+
 def test_early_stop_callback():
     kg = fixed_kg()
     cfg = TrainConfig(epochs=50, batch_size=64, step_size=1e-3, seed=0, width=8,
