@@ -8,13 +8,15 @@ compose from.  Arithmetic is 32-bit by default; gradient checking builds the
 same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
-is always a sorted-segment sum over a :class:`Segments` plan, built once per
-index array and reused by every layer that sums over it; a masked subset of
-an index, or block-stacked masked copies of it, get their plan from the full
-one (:meth:`Segments.kept`) without sorting again.  ``scatter_add`` can also
-fan rows out: given a second plan it reads message row ``rows[e]`` for
-destination entry e, so a message shared by many edges is computed once and
-only the sum sees every edge.
+is always a segment sum over a :class:`Segments` plan, built once per index
+array and reused by every layer that sums over it.  Every run is added
+strictly left to right, so a zero cell adds nothing and leaving entries out
+of a sum is the same as zeroing them.  Both ops take a block count: blocks
+of rows stacked along the rows share one plan, each block summed on its own,
+and zeroed (entry, block) cells leave an entry out of one block only.
+``scatter_add`` can also fan rows out: given a second plan it reads message
+row ``rows[e]`` for destination entry e, so a message shared by many edges
+is computed once and only the sum sees every edge.
 
 Only what a gradient needs is recorded.  A :class:`Value` made by
 ``Value(data)`` (a parameter, or an input under a gradient check) needs a
@@ -254,98 +256,199 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float = 1e-5) -> Value:
 
 
 class Segments:
-    """A grouping plan for summing rows that share an index.
+    """A plan for summing the values whose entries share an index, each run
+    strictly left to right in entry order.
 
-    ``order`` is a stable permutation that brings equal entries of ``index``
-    together (None when ``index`` is already sorted), ``starts`` the offset
-    of each run of equal entries in that order, and ``rows`` the index value
-    of each run, ascending and distinct.  ``index`` is kept as given, not
-    copied, when it is already a 1-D int64 array.
+    ``index`` is kept as given, not copied, when it is already a 1-D int64
+    array.  ``order`` is a stable permutation that brings equal entries
+    together (None when ``index`` is already sorted), and ``rows`` the index
+    value of each run, ascending and distinct.  :meth:`block_sums` returns
+    the runs in the order of ``sum_rows`` instead, longest first.
+
+    The sums work from a layout built once, on the first sum.  Slot s of a
+    gathered array holds entry ``entries[s]``, level by level: first the
+    first entry of every run, longest run first, then the second entry of
+    every run longer than one, and so on.  Level 0 is the accumulator, and
+    each later level adds onto the prefix of it that is still running.
+    Consecutive levels with the same number of runs form one contiguous
+    block, which is summed in one call (:func:`_steps`).
     """
 
-    __slots__ = ("index", "order", "starts", "rows")
+    __slots__ = ("index", "order", "rows", "_starts", "_memo")
 
     def __init__(self, index: Sequence[int] | Array):
         idx = np.asarray(index, dtype=np.int64)
         if idx.ndim != 1:
             raise ShapeError(f"index must be 1-D, got shape {idx.shape}")
-        self._plan(idx, np.argsort(idx, kind="stable") if _unsorted(idx) else None)
-
-    def _plan(self, idx: Array, order: Array | None) -> None:
         self.index = idx
-        self.order = order
-        ordered = idx if order is None else idx[order]
+        self.order = np.argsort(idx, kind="stable") if _unsorted(idx) else None
+        ordered = idx if self.order is None else idx[self.order]
         bounds = np.empty(idx.size, dtype=bool)
         bounds[:1] = True
         np.not_equal(ordered[1:], ordered[:-1], out=bounds[1:])
-        self.starts = np.flatnonzero(bounds)
-        self.rows = ordered[self.starts]
+        self._starts = np.flatnonzero(bounds)
+        self.rows = ordered[self._starts]
+        self._memo: dict[tuple, tuple] = {}
 
-    def kept(self, keep: Array, stride: int = 0) -> "Segments":
-        """The plan of ``index[keep]`` for a boolean mask ``keep``, read off
-        this plan's order instead of sorting again.
+    def _memoized(self, key: tuple, make: Callable[[], object], tag=None):
+        """``make()``, kept under ``key`` while ``tag`` (compared by identity)
+        stays the same."""
+        hit = self._memo.get(key)
+        if hit is None or hit[0] is not tag:
+            hit = self._memo[key] = tag, make()
+        return hit[1]
 
-        A (B, n) mask gives B blocks laid end to end, block q holding
-        ``index[keep[q]] + q·stride``; ``stride`` must exceed every index,
-        so that no run spans two blocks.
+    def _layout(self) -> tuple[Array, Array, Array, list]:
+        """(the runs longest first, ``sum_rows``, the entry of each slot, the
+        adds of :func:`_steps`), built on the first sum."""
+        return self._memoized(("layout",), self._lay_out)
+
+    def _lay_out(self) -> tuple[Array, Array, Array, list]:
+        size, starts = self.index.size, self._starts
+        lengths = np.diff(starts, append=size)
+        by_length = np.argsort(-lengths, kind="stable")
+        # Entry j of the k-th longest run sits at slot level_start[j] + k.
+        n = lengths[by_length]
+        alive = np.searchsorted(-n, -np.arange(n[0] if n.size else 0), side="left")
+        level_start = np.cumsum(alive) - alive
+        k = np.repeat(np.arange(n.size), n)
+        j = np.arange(size) - np.repeat(np.cumsum(n) - n, n)
+        position = np.empty(size, dtype=np.int64)  # of each slot, in sorted order
+        position[level_start[j] + k] = starts[by_length][k] + j
+        entries = position if self.order is None else self.order[position]
+        return (by_length, self.rows[by_length], entries,
+                _steps(alive.tolist(), level_start.tolist()))
+
+    @property
+    def sum_rows(self) -> Array:
+        """The index value of each run, in the order of :meth:`block_sums`."""
+        return self._layout()[1]
+
+    def _block_index(self, blocks: int, stride: int) -> Array:
+        """The index once per block, block after block, block q's entries
+        offset by q·``stride``."""
+        if blocks == 1:
+            return self.index
+        return self._memoized(("index", blocks, stride), lambda: (
+            self.index + stride * np.arange(blocks)[:, None]).ravel())
+
+    def _block_rows(self, blocks: int, stride: int) -> Array:
+        """The (runs, blocks) rows q·``stride`` + ``sum_rows``, where the cells
+        of :meth:`block_sums` belong."""
+        return self._memoized(("rows", blocks, stride), lambda: (
+            self.sum_rows[:, None] + stride * np.arange(blocks)))
+
+    def block_sums(self, values: Array, blocks: int = 1, read: Array | None = None,
+                   zeroed: tuple[Array, Array] | None = None) -> Array:
+        """The (runs, blocks, d) sums of ``values``, one run per entry of
+        ``sum_rows``.
+
+        ``values`` stacks ``blocks`` equal blocks of rows, and entry e of
+        block q reads row ``read[e]`` of block q (row e when ``read`` is
+        None).  The ``zeroed`` cells, a pair of arrays of entries and their
+        blocks, add -0.0 instead: the exact identity of float addition, so a
+        run's sum equals that of a plan without those entries, bit for bit,
+        except that a run left with no entry sums to -0.0.  Each cell is
+        summed strictly left to right in entry order, whatever ``blocks``.
         """
-        keep = np.asarray(keep, dtype=bool)
-        blocks = keep if keep.ndim == 2 else keep[None]
-        idx = (self.index + stride * np.arange(blocks.shape[0])[:, None])[blocks]
-        order = None
-        if self.order is not None and _unsorted(idx):
-            position = (np.cumsum(blocks) - 1).reshape(blocks.shape)  # in idx
-            order = position[:, self.order][blocks[:, self.order]]
-        plan = Segments.__new__(Segments)
-        plan._plan(idx, order)
-        return plan
+        _, sum_rows, entries, steps = self._layout()
+        stride = values.shape[0] // blocks
+        slots = self._memoized(("slots", blocks, stride), lambda: (
+            entries if read is None else read[entries])[:, None]
+            + stride * np.arange(blocks), read)
+        x = np.take(values, slots, axis=0)
+        if zeroed is not None:
+            slot_of = self._memoized(("slot of",), lambda: np.argsort(entries))
+            x.reshape(-1, values.shape[1])[slot_of[zeroed[0]] * blocks + zeroed[1]] = -0.0
+        for front, start, count, end in steps:
+            if front == start:
+                x[:count] += x[start:end]
+                continue
+            if front:
+                x[front:start] = x[:count]
+            # The accumulator now leads the block: a sum over the leading
+            # axis adds its rows in order onto the initial -0.0, unless each
+            # row is one number, which accumulating always adds in order.
+            block = x[front:end].reshape(-1, count * x[0].size)
+            x[:count] = (block.sum(axis=0, initial=-0.0) if block.shape[1] > 1
+                         else np.add.accumulate(block)[-1]).reshape(count, *x.shape[1:])
+        return x[:sum_rows.size]
 
     def sums(self, values: Array) -> Array:
-        """Sum of the ``values`` rows of each run, one row per entry of ``rows``.
-
-        ``reduceat`` makes one reduction per (run, column), and with many
-        short runs those calls, not the additions, set its cost.  So an even
-        number of float columns is summed as half as many complex ones.  A
-        complex sum adds the two components independently, so each column is
-        still summed on its own, in a fixed order that depends only on the
-        run's length.
-        """
-        if not self.rows.size:
-            return np.zeros((0, values.shape[1]), dtype=values.dtype)
-        grouped = values if self.order is None else np.take(values, self.order, axis=0)
-        paired = _PAIRED.get(grouped.dtype)
-        if paired is None or grouped.shape[1] % 2:
-            return np.add.reduceat(grouped, self.starts, axis=0)
-        pairs = np.ascontiguousarray(grouped).view(paired)
-        return np.add.reduceat(pairs, self.starts, axis=0).view(grouped.dtype)
+        """Sum of the ``values`` rows of each run, one row per entry of
+        ``rows``, each added strictly left to right in entry order."""
+        out = np.empty((self.rows.size, values.shape[1]), dtype=values.dtype)
+        out[self._layout()[0]] = self.block_sums(values)[:, 0]
+        return out
 
 
-_PAIRED = {np.dtype(np.float32): np.complex64, np.dtype(np.float64): np.complex128}
+def _steps(alive: list[int], level_start: list[int]) -> list[tuple[int, int, int, int]]:
+    """The adds of a level layout, as (front, start, count, end): slots
+    start to end hold levels of ``count`` runs each, added onto the first
+    ``count`` slots; when front < start they are added in one call, with the
+    accumulator copied to slots front to start first (unless front is 0).
+
+    A copy may only land on slots already added: of the level before, past
+    the accumulator's own level 0."""
+    steps = []
+    j = 1
+    while j < len(alive):
+        count, start = alive[j], level_start[j]
+        last = j
+        while last + 1 < len(alive) and alive[last + 1] == count:
+            last += 1
+        if last == j or (j == 1 and count < alive[0]):  # one level alone
+            steps.append((start, start, count, start + count))
+            j += 1
+            continue
+        steps.append((start - count, start, count, start + (last - j + 1) * count))
+        j = last + 1
+    return steps
 
 
 def _unsorted(idx: Array) -> bool:
     return idx.size > 1 and bool((idx[1:] < idx[:-1]).any())
 
 
-def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
-    """Select rows of ``x`` (with repetition) by index.
+def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) -> None:
+    """Block q reads rows q·``stride`` + ``plan.index`` of ``rows`` rows; with
+    several blocks and a nonzero stride no block may read past its own."""
+    hit = plan.rows  # distinct and ascending: fewer to check
+    if not hit.size:
+        return
+    if blocks > 1 and stride and hit[-1] >= stride:
+        raise ShapeError(f"{what} {int(hit[-1])} is past the {stride} rows of a block")
+    if hit[0] < 0 or (blocks - 1) * stride + hit[-1] >= rows:
+        raise IndexError(f"{what} out of range for {rows} rows")
 
-    ``rows`` may be a :class:`Segments` plan of the index; a plain index is
-    planned here.  The backward pass sums over the plan.
+
+def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
+           stride: int | None = None) -> Value:
+    """Select rows of ``x`` (with repetition) by index, once per block.
+
+    Block q of the result reads rows q·``stride`` + index of ``x``; the
+    stride defaults to x's rows over ``blocks``, and 0 makes every block read
+    the same rows.  ``rows`` may be a :class:`Segments` plan of the index; a
+    plain index is planned here.  The backward pass sums over the plan.
     """
     plan = rows if isinstance(rows, Segments) else Segments(rows)
-    hit = plan.rows  # distinct and ascending: fewer to check
-    if hit.size and (hit[0] < 0 or hit[-1] >= x.shape[0]):
-        raise IndexError(f"row index out of range for {x.shape[0]} rows")
+    if stride is None:
+        stride = x.shape[0] // blocks
+    _check_rows(plan, x.shape[0], blocks, stride, "row index")
 
     def bwd(g: Array):
-        x.grad[plan.rows] += plan.sums(g)
+        sums = plan.block_sums(g, blocks)
+        if blocks > 1 and not stride:  # every block read the same rows
+            x.grad[plan.sum_rows] += sums.sum(axis=1)
+        else:
+            x.grad[plan._block_rows(blocks, stride)] += sums
 
-    return _record(np.take(x.data, plan.index, axis=0), (x,), bwd)
+    return _record(np.take(x.data, plan._block_index(blocks, stride), axis=0), (x,), bwd)
 
 
 def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
-                num_rows: int, rows: Segments | None = None) -> Value:
+                num_rows: int, rows: Segments | None = None, blocks: int = 1,
+                zeroed: tuple[Array, Array] | None = None) -> Value:
     """Sum message rows into their destination rows; absent rows stay zero.
 
     ``dst`` may be a :class:`Segments` plan of the destination index.  Given
@@ -353,30 +456,40 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
     row ``rows.index[e]``, so one row may fan out to many destinations; the
     fanned-out rows are a temporary, and the backward pass sums each row's
     destinations over the ``rows`` plan.
+
+    The messages and the ``num_rows`` result stack ``blocks`` equal blocks
+    of rows, and block q of the result sums block q's messages.  The
+    ``zeroed`` cells, a pair of arrays of entries and their blocks, are left
+    out of both sums (:meth:`Segments.block_sums`).
     """
     plan = dst if isinstance(dst, Segments) else Segments(dst)
-    entries = messages.shape[0] if rows is None else rows.index.size
-    if plan.index.size != entries:
-        raise ShapeError(f"need one destination per message entry, got {plan.index.shape} "
-                         f"for {entries} entries")
-    hit = plan.rows
-    if hit.size and (hit[0] < 0 or hit[-1] >= num_rows):
-        raise IndexError(f"destination index out of range for {num_rows} rows")
-    read = messages.data
+    per_block = messages.shape[0] // blocks
+    entries = per_block if rows is None else rows.index.size
+    if plan.index.size != entries or messages.shape[0] != blocks * per_block \
+            or num_rows % blocks:
+        raise ShapeError(f"need one destination per message entry of {blocks} block(s), got "
+                         f"{plan.index.shape} for {messages.shape[0]} message rows and "
+                         f"{num_rows} destination rows")
+    width = num_rows // blocks
+    _check_rows(plan, num_rows, blocks, width, "destination index")
+    read = None
     if rows is not None:
-        if rows.rows.size and (rows.rows[0] < 0 or rows.rows[-1] >= messages.shape[0]):
-            raise IndexError(f"message row index out of range for {messages.shape[0]} rows")
-        read = np.take(read, rows.index, axis=0)
+        _check_rows(rows, messages.shape[0], blocks, per_block, "message row index")
+        read = rows.index
     acc = np.zeros((num_rows, messages.shape[1]), dtype=messages.data.dtype)
-    acc[hit] = plan.sums(read)
+    acc[plan._block_rows(blocks, width)] = plan.block_sums(
+        messages.data, blocks, read, zeroed)
     idx = plan.index
 
     def bwd(g: Array):
-        per_entry = np.take(g, idx, axis=0)
-        if rows is None:
-            messages.grad += per_entry
-        else:
-            messages.grad[rows.rows] += rows.sums(per_entry)
+        if rows is not None:
+            sums = rows.block_sums(g, blocks, idx, zeroed)
+            messages.grad[rows._block_rows(blocks, per_block)] += sums
+            return
+        per_entry = np.take(g, plan._block_index(blocks, width), axis=0)
+        if zeroed is not None:
+            per_entry[zeroed[1] * per_block + zeroed[0]] = 0
+        messages.grad += per_entry
 
     return _record(acc, (messages,), bwd)
 

@@ -17,9 +17,12 @@ training leakage guard) drops the edges only it induced from every layer.
 A batch of queries is encoded at once, stacked along the rows: query q owns
 the block of rows q·N to (q+1)·N - 1 of one state matrix, with its own
 labels and its own left-out fact, and every layer runs once over the
-stacked plan (:meth:`~hyrel.foundation.FoundationGraph.message_plan`), the
-way many graphs form one block-diagonal graph.  No edge joins two blocks,
-so each block sums the same rows in the same order as a batch of one.
+graph's one message plan
+(:meth:`~hyrel.foundation.FoundationGraph.message_plan`), shared by every
+block.  No edge joins two blocks, and a left-out fact zeroes its edges'
+cells in its own block only.  Every sum adds left to right, so each block
+sums the same rows in the same order as a batch of one, and a zeroed edge
+adds what an absent one would.
 
 A message depends only on its source node and gate row, and many edges
 share both (every edge out of one head with one type, say), so a layer
@@ -122,7 +125,8 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
     layer.relation_proj``.  Messages are computed once per (source, gate
     row) pair and summed at the destinations along ``plan``
     (:meth:`FoundationGraph.message_plan`; one block over all edges by
-    default), whose blocks stack along the rows of ``states``.
+    default), whose blocks stack along the rows of ``states``, and along
+    those of ``edge_states`` when given.
     """
     plan = plan or g.message_plan(edge_states is not None)
     if states.shape[0] != plan.blocks * g.num_nodes:
@@ -137,8 +141,11 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
         raise ContractError("edge states gate only the layers that have a relation_proj")
     else:
         gates = ad.matmul(edge_states, layer.relation_proj)
-    messages = ad.mul(ad.gather(states, plan.src), ad.gather(gates, plan.gate))
-    agg = ad.scatter_add(messages, plan.dst, states.shape[0], rows=plan.fan)
+    stride = 0 if edge_states is None else gates.shape[0] // plan.blocks
+    messages = ad.mul(ad.gather(states, plan.src, plan.blocks),
+                      ad.gather(gates, plan.gate, plan.blocks, stride))
+    agg = ad.scatter_add(messages, plan.dst, states.shape[0], plan.fan, plan.blocks,
+                         plan.zeroed)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 
@@ -161,15 +168,12 @@ def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: Enc
     leave_outs = [None] * blocks if leave_outs is None else list(leave_outs)
     if len(leave_outs) != blocks:
         raise ContractError(f"{len(leave_outs)} left-out facts for {blocks} queries")
-    stride = 0
-    if edge_states is not None:
-        if not blocks or edge_states.shape[0] % blocks:
-            raise ShapeError(f"{edge_states.shape[0]} edge-state rows do not split into "
-                             f"{blocks} blocks")
-        stride = edge_states.shape[0] // blocks
+    if edge_states is not None and (not blocks or edge_states.shape[0] % blocks):
+        raise ShapeError(f"{edge_states.shape[0]} edge-state rows do not split into "
+                         f"{blocks} blocks")
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
-    plan = g.message_plan(edge_states is not None, leave_outs, stride)
+    plan = g.message_plan(edge_states is not None, leave_outs)
     for layer in params.layers:
         states = mp_layer(states, g, layer, edge_states, plan)
     return states

@@ -143,18 +143,23 @@ def evaluate_bundle(model: ScoringModel, bundle, split: str = "test",
 
 
 def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
-             known_facts: Iterable[HyperFact], filtered: bool = True,
-             ks: Sequence[int] = HITS_KS) -> Metrics:
+             known_facts: Iterable[HyperFact] = (), filtered: bool = True,
+             ks: Sequence[int] = HITS_KS, index: dict | None = None) -> Metrics:
     """Score every query against all entities of ``kg_inf`` and aggregate.
 
     ``known_facts`` feeds the filter; pass the union of the inference, valid
-    and test facts for the standard protocol.  Queries must carry answers.
+    and test facts for the standard protocol, or their
+    :func:`completion_index` as ``index`` when it is already built.  Queries
+    must carry answers.
     """
     for q in queries:
         if q.answer is None:
             raise ContractError("evaluation queries must carry their answer")
     ctx = model.prepare(kg_inf)
-    index = completion_index(known_facts) if filtered else {}
+    if not filtered:
+        index = {}
+    elif index is None:
+        index = completion_index(known_facts)
 
     def rank_one(query: QueryFact) -> float:
         scores = model.entity_scores(ctx, query)

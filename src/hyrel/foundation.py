@@ -30,7 +30,7 @@ hashed per edge.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import permutations
 from typing import Mapping, Sequence
@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .autodiff import Segments
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 from .model import Hkg
 
 
@@ -164,11 +164,13 @@ class MessagePlan:
     destination order: ``fan`` plans the pair each edge reads, and ``dst``
     the edges' destinations, already ascending.
 
-    Block q owns node rows q·N to (q+1)·N - 1 and pair rows q·P to
-    (q+1)·P - 1 of a graph of N nodes and P pairs; its fan and destination
-    entries are the graph's edges left for query q, and it reads the gate
-    rows of a shared gate table, or of its own block of one when the gates
-    are per query.
+    Every block shares these plans of the whole graph.  Block q owns node
+    rows q·N to (q+1)·N - 1 and pair rows q·P to (q+1)·P - 1 of a graph of N
+    nodes and P pairs, and reads the gate rows of a shared gate table, or of
+    its own block of one when the gates are per query.  ``zeroed`` pairs the
+    edges (positions in destination order) left out of a block with that
+    block, by block then edge; their (edge, block) cells are zeroed in the
+    sum at the destinations and in the one back to the pairs.
     """
 
     src: Segments
@@ -176,6 +178,7 @@ class MessagePlan:
     fan: Segments
     dst: Segments
     blocks: int = 1
+    zeroed: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,8 +191,9 @@ class FoundationGraph:
     ``relation``, when present, annotates each edge with the dense id of the
     relation that induced it (the gates of the relation-driven structure).
     ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
-    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`)
-    over the cached :meth:`message_plan`, one per query of a batch.
+    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`):
+    every query of a batch shares the one cached :meth:`message_plan`, and
+    zeroes the cells of its own masked edges.
     """
 
     num_nodes: int
@@ -220,18 +224,16 @@ class FoundationGraph:
         return (self.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
 
     def message_plan(self, by_relation: bool,
-                     leave_outs: Sequence[int | None] = (None,),
-                     gate_stride: int = 0) -> MessagePlan:
+                     leave_outs: Sequence[int | None] = (None,)) -> MessagePlan:
         """The :class:`MessagePlan` of one block per entry of ``leave_outs``:
         block q reads the edges left when fact ``leave_outs[q]`` is left out
         (None: every edge).  Gate rows are edge types, or the annotated
-        relations when ``by_relation``; block q's are offset by
-        q·``gate_stride`` (0: one gate table shared by every block).
+        relations when ``by_relation``.
 
-        The one-block plan of the whole graph is built once and cached, and
-        is what a single unmasked block gets; the other plans are read off
-        it by :meth:`kept` masks (:meth:`Segments.kept`), without sorting
-        again."""
+        The plan of the whole graph is built once and cached, and is what a
+        single block with no fact left out gets; the others share its
+        :class:`Segments` and zero the cells of the edges that :meth:`kept`
+        drops."""
         if by_relation not in self._plans:
             gate = self.relation if by_relation else self.type_row
             if gate is None:
@@ -243,24 +245,15 @@ class FoundationGraph:
                 Segments(pairs // span), Segments(pairs % span),
                 Segments(pair_of[by_dst]), Segments(self.dst[by_dst]))
         by_dst, plan = self._plans[by_relation]
-        if list(leave_outs) == [None]:
+        leave_outs = list(leave_outs)
+        if leave_outs == [None]:
             return plan
-        if gate_stride and plan.gate.rows.size and plan.gate.rows[-1] >= gate_stride:
-            raise ShapeError(f"gate row {int(plan.gate.rows[-1])} is past the "
-                             f"{gate_stride} gate rows of a block")
-        blocks = len(leave_outs)
-        keep = np.ones((blocks, by_dst.size), dtype=bool)
         masked = [q for q, f in enumerate(leave_outs) if f is not None]
+        zeroed = None
         if masked:
-            keep[masked] = self.kept([leave_outs[q] for q in masked])[:, by_dst]
-        every_pair = np.ones((blocks, plan.src.index.size), dtype=bool)
-        if gate_stride or blocks == 1:
-            gate = plan.gate.kept(every_pair, gate_stride)
-        else:  # the blocks share gate rows, so the runs merge across blocks
-            gate = Segments(np.tile(plan.gate.index, blocks))
-        return MessagePlan(plan.src.kept(every_pair, self.num_nodes), gate,
-                           plan.fan.kept(keep, plan.src.index.size),
-                           plan.dst.kept(keep, self.num_nodes), blocks)
+            block, edge = np.nonzero(~self.kept([leave_outs[q] for q in masked])[:, by_dst])
+            zeroed = edge, np.asarray(masked, dtype=np.int64)[block]
+        return replace(plan, blocks=len(leave_outs), zeroed=zeroed)
 
 
 def _finish(num_nodes: int, alphabet: tuple[Enum, ...],

@@ -1,8 +1,9 @@
 """Built-in verification suites behind the ``selfcheck`` subcommand.
 
-Three suites: finite-difference gradient checks over a small 64-bit model
+Four suites: finite-difference gradient checks over a small 64-bit model
 of each structure, foundation-graph equivalence against the brute-force
-reference enumerators, and permutation equivariance of the end-to-end
+reference enumerators, scores with a fact left out against scores over
+graphs rebuilt without it, and permutation equivariance of the end-to-end
 scores.  All of them also run (more thoroughly) in the test suite; this
 entry point exists so an installed build can be verified without a test
 harness.
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .evaluation import rank_of
-from .foundation import PRESETS, build_entity_graph, build_relation_graph
-from .model import queries_from_facts
+from .foundation import PRESETS, build_entity_graph, build_relation_graph, preset
+from .model import Hkg, queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
 from .reference import (brute_force_entity_edges, brute_force_relation_edges,
                         permute_hkg, random_hkg)
@@ -80,6 +81,33 @@ def _foundation_suite(log: Callable[[str], None], quick: bool) -> bool:
     return ok
 
 
+def _leave_out_suite(log: Callable[[str], None], quick: bool) -> bool:
+    # The leakage guard zeroes the left-out fact's edges in one graph build;
+    # that must score exactly as graphs rebuilt without the fact.
+    rng = np.random.default_rng(17)
+    cases = 3 if quick else 10
+    checked = mismatches = 0
+    for structure in STRUCTURES:
+        cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
+                          interactions=preset("addAllFI"), structure=structure)
+        predictor = LinkPredictor.build(cfg, seed=4)
+        for _ in range(cases):
+            kg = random_hkg(rng)
+            graphs = predictor.build_graphs(kg)
+            for f, fact in enumerate(kg.facts):
+                rest = Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
+                rebuilt = predictor.build_graphs(rest)
+                for query in queries_from_facts([fact]):
+                    masked = predictor.query_logits(kg, [query], graphs, [f]).data
+                    oracle = predictor.query_logits(kg, [query], rebuilt).data
+                    checked += 1
+                    mismatches += masked.tobytes() != oracle.tobytes()
+    ok = mismatches == 0
+    log(f"{'ok' if ok else 'FAIL'} - leaving a fact out vs rebuilding without it "
+        f"({checked} queries over {len(STRUCTURES)} structures, {mismatches} not bit-equal)")
+    return ok
+
+
 def _equivariance_suite(log: Callable[[str], None], quick: bool) -> bool:
     rng = np.random.default_rng(13)
     cases = 3 if quick else 8
@@ -119,6 +147,7 @@ def run_selfcheck(quick: bool = False, log: Callable[[str], None] = print) -> bo
     results = [
         _foundation_suite(log, quick),
         *(_gradient_suite(log, quick, structure) for structure in STRUCTURES),
+        _leave_out_suite(log, quick),
         _equivariance_suite(log, quick),
     ]
     ok = all(results)

@@ -31,10 +31,10 @@ from . import autodiff as ad
 from .autodiff import Adam, ParamStore, clip_global_norm
 from .config import TextConfig, parse_value
 from .errors import ConfigError, ContractError, DataError, NumericalError
-from .evaluation import bundle_known_facts, evaluate
+from .evaluation import bundle_known_facts, completion_index, evaluate
 from .foundation import preset
 from .io import DatasetBundle
-from .model import Hkg, QueryFact, queries_from_facts
+from .model import Hkg, HyperFact, QueryFact, queries_from_facts
 from .predictor import PARALLEL, GraphPair, LinkPredictor, ModelConfig, ScoringContext
 
 
@@ -221,11 +221,13 @@ class Checkpoint:
 
 class _Prepared:
     """A scoring model that prepares ``kg`` once: each pass reuses its graphs
-    with an empty relation cache, since the parameters have moved."""
+    with an empty relation cache, since the parameters have moved.  It keeps
+    the filter ``index`` of the run's known facts, which never change."""
 
-    def __init__(self, predictor: LinkPredictor, kg: Hkg):
+    def __init__(self, predictor: LinkPredictor, kg: Hkg, known: list[HyperFact]):
         self.ctx = predictor.prepare(kg)
         self.entity_scores = predictor.entity_scores
+        self.index = completion_index(known)
 
     def prepare(self, kg: Hkg) -> ScoringContext:
         return replace(self.ctx, relations={})
@@ -257,9 +259,9 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     if not queries:
         raise DataError("training graph has no facts to derive queries from")
     valid_queries = queries_from_facts(bundle.valid)
-    known = bundle_known_facts(bundle)
     graphs = predictor.build_graphs(kg)
-    validation = _Prepared(predictor, bundle.inference) if valid_queries else None
+    validation = (_Prepared(predictor, bundle.inference, bundle_known_facts(bundle))
+                  if valid_queries else None)
     out = None
     if out_dir is not None:
         out = Path(out_dir)
@@ -292,7 +294,8 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         epochs_run = epoch + 1
         valid_mrr = float("nan")
         if valid_queries:
-            valid_mrr = evaluate(validation, bundle.inference, valid_queries, known).mrr_all
+            valid_mrr = evaluate(validation, bundle.inference, valid_queries,
+                                 index=validation.index).mrr_all
             stats.valid_mrr.append(valid_mrr)
             if valid_mrr > best_mrr:
                 best_mrr = valid_mrr

@@ -249,36 +249,86 @@ def test_scatter_add_fan_gradient(rng):
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
-def _same_plan(a: Segments, b: Segments) -> None:
-    assert a.index.tolist() == b.index.tolist()
-    assert (a.order is None) == (b.order is None)
-    if a.order is not None:
-        assert a.order.tolist() == b.order.tolist()
-    assert a.starts.tolist() == b.starts.tolist() and a.rows.tolist() == b.rows.tolist()
+@pytest.mark.parametrize("fan", [False, True])
+def test_scatter_add_blocks_sum_their_own_rows_without_zeroed_cells(rng, fan):
+    # Two blocks of messages into two blocks of 4 rows; entry 1 of block 0
+    # and entry 3 of block 1 are left out of both the sum and the gradient.
+    dst = [2, 0, 2, 3, 0]
+    rows = Segments([1, 0, 1, 2, 2]) if fan else None
+    per_block = 3 if fan else 5
+    messages = Value(rng.normal(size=(2 * per_block, 2)))
+    zeroed = (np.array([1, 3]), np.array([0, 1]))
+    out = ad.scatter_add(messages, dst, 8, rows, blocks=2, zeroed=zeroed)
+    expected = np.zeros((8, 2))
+    for q in range(2):
+        for e, d in enumerate(dst):
+            if (e, q) not in {(1, 0), (3, 1)}:
+                read = rows.index[e] if fan else e
+                expected[4 * q + d] += messages.data[q * per_block + read]
+    assert np.allclose(out.data, expected, atol=1e-12)
+    w = Value(rng.normal(size=(2, 1)))
+    fd_check(lambda: ad.total_sum(ad.matmul(
+        ad.scatter_add(messages, dst, 8, rows, blocks=2, zeroed=zeroed), w)),
+        {"messages": messages})
+    with pytest.raises(ShapeError):
+        ad.scatter_add(messages, dst, 7, rows, blocks=2)
 
 
-@settings(max_examples=200, deadline=None)
+def _left_to_right(values, index, blocks, zeroed):
+    """The oracle of :meth:`Segments.block_sums`: per distinct index value
+    and block, a plain loop over the entries in order, a zeroed cell adding
+    -0.0."""
+    stride = values.shape[0] // blocks
+    out = {}
+    for q in range(blocks):
+        for e, row in enumerate(index):
+            cell = np.full_like(values[0], -0.0) if (e, q) in zeroed else values[q * stride + e]
+            key = (row, q)
+            out[key] = cell.copy() if key not in out else out[key] + cell
+    return out
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.data())
-def test_kept_plan_equals_a_fresh_plan_of_the_kept_entries(data):
-    index = data.draw(st.lists(st.integers(0, 6), max_size=30))
-    keep = np.array(data.draw(st.one_of(
-        st.just([True] * len(index)), st.just([False] * len(index)),
-        st.lists(st.booleans(), min_size=len(index), max_size=len(index)))), dtype=bool)
-    full = Segments(index)
-    _same_plan(full.kept(keep), Segments(full.index[keep]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_stacked_kept_plan_equals_a_fresh_plan_of_the_blocks(data):
-    index = data.draw(st.lists(st.integers(0, 6), max_size=20))
-    blocks = data.draw(st.integers(1, 4))
-    keep = np.array(data.draw(st.lists(
-        st.lists(st.booleans(), min_size=len(index), max_size=len(index)),
-        min_size=blocks, max_size=blocks)), dtype=bool).reshape(blocks, len(index))
-    full = Segments(index)
-    stacked = np.concatenate([full.index[keep[q]] + 7 * q for q in range(blocks)])
-    _same_plan(full.kept(keep, 7), Segments(stacked))
+def test_block_sums_add_left_to_right_and_a_zeroed_cell_is_a_dropped_entry(data):
+    # Runs of 1 to 90 entries, sometimes one of more than 1,000, sorted or
+    # shuffled, over 1-3 blocks, with some cells zeroed.
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    lengths = data.draw(st.lists(st.sampled_from([1, 2, 3, 7, 63, 64, 65, 90]),
+                                 min_size=1, max_size=6))
+    if data.draw(st.booleans()):
+        lengths.append(int(rng.integers(1001, 1300)))
+    index = np.repeat(rng.permutation(len(lengths) + 2)[:len(lengths)], lengths)
+    if data.draw(st.booleans()):
+        rng.shuffle(index)
+    blocks = data.draw(st.integers(1, 3))
+    width = data.draw(st.integers(1, 3))
+    values = (rng.normal(size=(blocks * index.size, width))
+              * 10.0 ** rng.integers(-4, 5, size=(blocks * index.size, width))).astype(np.float32)
+    values[rng.random(values.shape) < 0.05] = -0.0
+    cells = rng.random((index.size, blocks)) < data.draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    entries, block = np.nonzero(cells)
+    plan = Segments(index)
+    sums = plan.block_sums(values, blocks, zeroed=(entries, block))
+    oracle = _left_to_right(values, index.tolist(), blocks, set(zip(entries.tolist(),
+                                                                    block.tolist())))
+    for r, row in enumerate(plan.sum_rows.tolist()):
+        for q in range(blocks):
+            assert sums[r, q].tobytes() == oracle[row, q].tobytes(), (row, q)
+    if blocks == 1:
+        unzeroed = plan.sums(values)
+        expected = [plan.block_sums(values)[plan.sum_rows.tolist().index(row), 0]
+                    for row in plan.rows.tolist()]
+        assert unzeroed.tobytes() == np.array(expected).tobytes()
+    for q in range(blocks):  # zeroing (e, q) equals a plan without entry e
+        kept = ~cells[:, q]
+        fresh = Segments(index[kept])
+        got = dict(zip(plan.sum_rows.tolist(), sums[:, q]))
+        for row, total in zip(fresh.rows.tolist(),
+                              fresh.sums(values[q * index.size:(q + 1) * index.size][kept])):
+            assert got.pop(row).tobytes() == total.tobytes(), (row, q)
+        assert all((left == 0).all() for left in got.values())  # runs with no entry left
 
 
 def test_take_and_sum_columns_are_adjoint(rng):

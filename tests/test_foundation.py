@@ -173,19 +173,22 @@ def plan_edges(plan):
 
 def masked_edges(g, leave_out, annotated=False):
     """The edges ``g`` keeps without fact ``leave_out``, in order, after
-    checking that the masked message plans read exactly those edges, in
-    stable destination order."""
+    checking that the masked message plan reads every edge in stable
+    destination order and zeroes the cells of exactly the edges that
+    :meth:`kept` drops, in that order."""
     keep = g.kept(leave_out)
     src, type_row, dst = g.src, g.type_row, g.dst
+    order = np.argsort(dst, kind="stable")
     gates = [(False, type_row)]
     if annotated:
         gates.append((True, g.relation))
     for by_relation, gate in gates:
         plan = g.message_plan(by_relation, [leave_out])
-        order = np.argsort(dst[keep], kind="stable")
-        full = np.stack([src[keep], gate[keep], dst[keep]], axis=1)[order]
-        assert plan_edges(plan).tolist() == full.tolist()
-        assert plan.dst.order is None
+        full = np.stack([src, gate, dst], axis=1)[order]
+        assert plan.blocks == 1 and plan_edges(plan).tolist() == full.tolist()
+        edges, blocks = plan.zeroed
+        assert edges.tolist() == np.flatnonzero(~keep[order]).tolist()
+        assert blocks.tolist() == [0] * edges.size
     rels = g.relation.tolist() if annotated else [None] * g.num_edges
     return [e + (r,) * annotated for e, r, k in zip(g.edges, rels, keep) if k]
 

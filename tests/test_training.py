@@ -46,8 +46,8 @@ def test_degenerate_one_fact_guard_case():
     graphs = predictor.build_graphs(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
         assert g.num_edges > 0 and not g.kept(0).any()
-        plan = g.message_plan(False, [0])
-        assert plan.fan.index.size == 0 and plan.dst.index.size == 0
+        edges, blocks = g.message_plan(False, [0]).zeroed
+        assert edges.tolist() == list(range(g.num_edges)) and not blocks.any()
     loss = query_losses(predictor, kg, [query], graphs, [0])
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
 
@@ -345,15 +345,22 @@ def test_valid_tracking_keeps_best(tmp_path):
 
 
 def test_fit_builds_the_validation_graphs_once(tmp_path, monkeypatch):
-    # ...and starts each epoch's validation pass with an empty relation cache.
+    # ...and its filter index once, and starts each epoch's validation pass
+    # with an empty relation cache.
+    import hyrel.evaluation
     import hyrel.predictor
+    import hyrel.training
     kg, inference = fixed_kg(), fixed_kg(seed=1)
     bundle = DatasetBundle(train=kg, inference=inference, valid=list(inference.facts[:3]),
                            test=[])
-    built, cached = [], []
+    built, cached, indexed = [], [], []
     build, scores = hyrel.predictor.build_entity_graph, LinkPredictor.entity_scores
     monkeypatch.setattr(hyrel.predictor, "build_entity_graph",
                         lambda g, *a, **k: built.append(g) or build(g, *a, **k))
+    index = hyrel.evaluation.completion_index
+    for module in (hyrel.evaluation, hyrel.training):
+        monkeypatch.setattr(module, "completion_index",
+                            lambda facts: indexed.append(1) or index(facts))
     monkeypatch.setattr(LinkPredictor, "entity_scores",
                         lambda self, ctx, q: cached.append(len(ctx.relations)) or
                         scores(self, ctx, q))
@@ -361,7 +368,7 @@ def test_fit_builds_the_validation_graphs_once(tmp_path, monkeypatch):
                       decoder_depth=1)
     stats = TrainStats()
     fit(bundle, cfg, out_dir=tmp_path, stats=stats)
-    assert [g is inference for g in built] == [False, True]
+    assert [g is inference for g in built] == [False, True] and len(indexed) == 1
     queries = queries_from_facts(bundle.valid)
     assert len(cached) == 3 * len(queries) and cached[::len(queries)] == [0, 0, 0]
     final = Checkpoint.load(tmp_path / "ckpt_final.bin").predictor()
