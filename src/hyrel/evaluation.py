@@ -19,15 +19,28 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .errors import ContractError, NumericalError, VocabularyError
-from .model import Hkg, HyperFact, QueryFact
+from .model import Hkg, HyperFact, QueryFact, RoleKind
 
 HITS_KS = (1, 3, 10)
 
 
+# Queries scored per model call: the default training batch size.
+CHUNK = 8
+
+
 class ScoringModel(Protocol):
+    """What :func:`evaluate` needs of a model.
+
+    ``prepare`` returns the context of one graph, and ``batch_scores`` the
+    (len(queries), |E|) scores of a chunk of at most :data:`CHUNK` (8)
+    queries, one row per query.  :class:`~hyrel.predictor.LinkPredictor`
+    encodes each query of a chunk on its own and decodes the chunk as one
+    sequence.
+    """
+
     def prepare(self, kg: Hkg): ...
 
-    def entity_scores(self, ctx, query: QueryFact) -> np.ndarray: ...
+    def batch_scores(self, ctx, queries: Sequence[QueryFact]) -> np.ndarray: ...
 
 
 def require_finite(scores: np.ndarray) -> None:
@@ -112,19 +125,33 @@ def _aggregate(ranks: Sequence[float], ht_flags: Sequence[bool],
 
 
 def completion_index(known_facts: Iterable[HyperFact]) -> dict:
-    """Map (fact with one entity slot blanked, role) to the entities filling it."""
+    """Map each fact with one entity slot blanked to the entities filling it.
+
+    A key is the fact's plain (head, relation, tail, qualifiers) tuple with
+    the blanked entity set to None, as :func:`filter_set` builds it.
+    """
     index: dict[tuple, set[str]] = {}
     for fact in known_facts:
-        for role, entity in fact.entity_roles():
-            key = (fact.replace_entity(role, ""), role)
-            index.setdefault(key, set()).add(entity)
+        head, relation, tail, quals = fact.head, fact.relation, fact.tail, fact.qualifiers
+        index.setdefault((None, relation, tail, quals), set()).add(head)
+        index.setdefault((head, relation, None, quals), set()).add(tail)
+        for i, (key, value) in enumerate(quals):
+            blanked = quals[:i] + ((key, None),) + quals[i + 1:]
+            index.setdefault((head, relation, tail, blanked), set()).add(value)
     return index
 
 
 def filter_set(query: QueryFact, kg: Hkg, index: dict) -> set[int]:
     """Dense ids of the known alternative answers for ``query`` (answer excluded)."""
-    key = (query.base.replace_entity(query.masked, ""), query.masked)
-    others = index.get(key, set()) - {query.answer}
+    fact, role = query.base, query.masked
+    head, tail, quals = fact.head, fact.tail, fact.qualifiers
+    if role.kind is RoleKind.HEAD:
+        head = None
+    elif role.kind is RoleKind.TAIL:
+        tail = None
+    else:
+        quals = quals[:role.index] + ((quals[role.index][0], None),) + quals[role.index + 1:]
+    others = index.get((head, fact.relation, tail, quals), set()) - {query.answer}
     return {kg.entity_index[e] for e in others if e in kg.entity_index}
 
 
@@ -147,11 +174,17 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
              ks: Sequence[int] = HITS_KS, index: dict | None = None) -> Metrics:
     """Score every query against all entities of ``kg_inf`` and aggregate.
 
+    The queries are scored in chunks of :data:`CHUNK` (8), each from one
+    ``model.batch_scores`` matrix; a matrix of any shape other than
+    (chunk size, ``kg_inf.num_entities``) is a :class:`ContractError`.  A
+    :class:`~hyrel.predictor.LinkPredictor` still encodes each query of a
+    chunk on its own; only the decoder sees the chunk at once.
     ``known_facts`` feeds the filter; pass the union of the inference, valid
     and test facts for the standard protocol, or their
     :func:`completion_index` as ``index`` when it is already built.  Queries
     must carry answers.
     """
+    queries = list(queries)
     for q in queries:
         if q.answer is None:
             raise ContractError("evaluation queries must carry their answer")
@@ -161,13 +194,18 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
     elif index is None:
         index = completion_index(known_facts)
 
-    def rank_one(query: QueryFact) -> float:
-        scores = model.entity_scores(ctx, query)
-        answer_idx = kg_inf.entity_index.get(query.answer)
-        if answer_idx is None:
-            raise VocabularyError(f"answer {query.answer!r} not in the graph vocabulary")
-        out = filter_set(query, kg_inf, index) if filtered else set()
-        return rank_of(scores, answer_idx, out)
-
-    ranks = [rank_one(q) for q in queries]
+    ranks = []
+    for start in range(0, len(queries), CHUNK):
+        chunk = queries[start:start + CHUNK]
+        scores = model.batch_scores(ctx, chunk)
+        expected = (len(chunk), kg_inf.num_entities)
+        if np.shape(scores) != expected:
+            raise ContractError(f"batch_scores returned shape {np.shape(scores)}, "
+                                f"expected {expected}")
+        for query, row in zip(chunk, scores):
+            answer_idx = kg_inf.entity_index.get(query.answer)
+            if answer_idx is None:
+                raise VocabularyError(f"answer {query.answer!r} not in the graph vocabulary")
+            out = filter_set(query, kg_inf, index) if filtered else set()
+            ranks.append(rank_of(row, answer_idx, out))
     return _aggregate(ranks, [q.is_head_or_tail for q in queries], ks)

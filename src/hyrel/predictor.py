@@ -8,9 +8,12 @@ scores every entity of the vocabulary for each query.  Parameters attach
 only to interaction types, layer maps and bias types, never to vocabulary
 items, so the same weights score any graph.
 
-Training records a tape through the parameters.  Scoring one query
-(:meth:`LinkPredictor.entity_scores`) runs the same forward pass through
-constants that share the parameter arrays, so it records nothing.
+Training records a tape through the parameters.  Scoring
+(:meth:`LinkPredictor.batch_scores`) runs the same forward pass through
+constants that share the parameter arrays, so it records nothing.  It
+encodes each query's graphs on its own, one block at a time, reusing a
+relation encoding across queries with the same relation nodes, and decodes
+the whole chunk of queries as one sequence.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _constants(params):
 
 @dataclass
 class ScoringContext:
-    """What :meth:`LinkPredictor.entity_scores` reads: the graph, its
+    """What :meth:`LinkPredictor.batch_scores` reads: the graph, its
     foundation graphs, the model's constant view and the relation encodings
     computed so far, one per set of relation nodes."""
 
@@ -177,21 +180,24 @@ class LinkPredictor:
         return rel_nodes, ent_nodes
 
     def query_logits(self, kg: Hkg, queries: Sequence[QueryFact], graphs: GraphPair,
-                     leave_outs: Sequence[int | None] | None = None,
-                     rel_states: Value | None = None) -> Value:
+                     leave_outs: Sequence[int | None] | None = None) -> Value:
         """Unnormalized scores, one row per query over every entity of ``kg``.
 
         Query q is encoded without fact ``leave_outs[q]`` (None, or no
-        ``leave_outs``: the whole graph).  ``rel_states`` is the batch's
-        relation encoding when the caller already has it.
+        ``leave_outs``: the whole graph).
         """
         nodes = [self._query_nodes(kg, query) for query in queries]
-        if rel_states is None:
-            rel_states = enc.encode(graphs.relation_graph, [rel for rel, _ in nodes],
-                                    self.rel_params, leave_outs=leave_outs)
+        rel_states = enc.encode(graphs.relation_graph, [rel for rel, _ in nodes],
+                                self.rel_params, leave_outs=leave_outs)
         gates = None if self.cfg.structure == PARALLEL else rel_states
         ent_states = enc.encode(graphs.entity_graph, [ent for _, ent in nodes],
                                 self.ent_params, gates, leave_outs)
+        return self._decode_logits(kg, queries, rel_states, ent_states)
+
+    def _decode_logits(self, kg: Hkg, queries: Sequence[QueryFact], rel_states: Value,
+                       ent_states: Value) -> Value:
+        """Decode the queries as one sequence over their block-stacked states
+        and score each query's mask slot against its own entity block."""
         seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
                                             self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)
@@ -209,13 +215,36 @@ class LinkPredictor:
                              _constants(self.ent_params), _constants(self.dec_params))
         return ScoringContext(kg, self.build_graphs(kg), view)
 
+    def batch_scores(self, ctx: ScoringContext, queries: Sequence[QueryFact]) -> np.ndarray:
+        """The (len(queries), |E|) entity distributions of a chunk of queries.
+
+        Each query's relation encoding comes from ``ctx.relations`` (encoded
+        on first use) and its entity graph is encoded on its own, as one
+        block; the chunk is then decoded as one sequence.  Encoding the chunk
+        as one block-stacked batch instead would hold every block's per-edge
+        temporaries at once.
+        """
+        model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
+        n = kg.num_entities
+        if not queries:
+            return np.zeros((0, n))
+        ent = np.empty((len(queries) * n, self.cfg.width),
+                       dtype=model.dec_params.mask_token.data.dtype)
+        rel_blocks = []
+        for q, query in enumerate(queries):
+            rel_nodes, ent_nodes = self._query_nodes(kg, query)
+            key = frozenset(rel_nodes)
+            if key not in ctx.relations:
+                ctx.relations[key] = enc.encode(graphs.relation_graph, [rel_nodes],
+                                                model.rel_params)
+            rel_blocks.append(ctx.relations[key])
+            gates = None if self.cfg.structure == PARALLEL else rel_blocks[-1]
+            ent[q * n:(q + 1) * n] = enc.encode(graphs.entity_graph, [ent_nodes],
+                                                model.ent_params, gates).data
+        rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
+        logits = model._decode_logits(kg, queries, rel_states, Value.constant(ent))
+        return ad.rowwise_softmax(logits).data
+
     def entity_scores(self, ctx: ScoringContext, query: QueryFact) -> np.ndarray:
-        rel_nodes, _ = self._query_nodes(ctx.kg, query)
-        key = frozenset(rel_nodes)
-        model = ctx.model
-        if key not in ctx.relations:
-            ctx.relations[key] = enc.encode(ctx.graphs.relation_graph, [rel_nodes],
-                                            model.rel_params)
-        logits = model.query_logits(ctx.kg, [query], ctx.graphs,
-                                    rel_states=ctx.relations[key])
-        return ad.rowwise_softmax(logits).data[0].copy()
+        """The entity distribution of one query: a chunk of one."""
+        return self.batch_scores(ctx, [query])[0]

@@ -226,7 +226,7 @@ class _Prepared:
 
     def __init__(self, predictor: LinkPredictor, kg: Hkg, known: list[HyperFact]):
         self.ctx = predictor.prepare(kg)
-        self.entity_scores = predictor.entity_scores
+        self.batch_scores = predictor.batch_scores
         self.index = completion_index(known)
 
     def prepare(self, kg: Hkg) -> ScoringContext:

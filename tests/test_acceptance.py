@@ -36,17 +36,18 @@ class UniformModel:
     def prepare(self, kg):
         return kg
 
-    def entity_scores(self, kg, query):
-        return np.full(kg.num_entities, 1.0 / kg.num_entities)
+    def batch_scores(self, kg, queries):
+        return np.full((len(queries), kg.num_entities), 1.0 / kg.num_entities)
 
 
 class AnswerOracle:
     def prepare(self, kg):
         return kg
 
-    def entity_scores(self, kg, query):
-        scores = np.zeros(kg.num_entities)
-        scores[kg.entity_index[query.answer]] = 1.0
+    def batch_scores(self, kg, queries):
+        scores = np.zeros((len(queries), kg.num_entities))
+        for row, query in zip(scores, queries):
+            row[kg.entity_index[query.answer]] = 1.0
         return scores
 
 

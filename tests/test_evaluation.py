@@ -5,24 +5,25 @@ from hyrel import ContractError, HEAD, TAIL, Hkg, HyperFact, NumericalError, Que
 from hyrel.evaluation import (Metrics, completion_index, evaluate, filter_set,
                               rank_of)
 from hyrel.model import queries_from_facts
-from hyrel.reference import uniform_model_mrr
+from hyrel.reference import random_hkg, uniform_model_mrr
 
 
 class UniformModel:
     def prepare(self, kg):
         return kg
 
-    def entity_scores(self, kg, query):
-        return np.full(kg.num_entities, 1.0 / kg.num_entities)
+    def batch_scores(self, kg, queries):
+        return np.full((len(queries), kg.num_entities), 1.0 / kg.num_entities)
 
 
 class OracleModel:
     def prepare(self, kg):
         return kg
 
-    def entity_scores(self, kg, query):
-        scores = np.zeros(kg.num_entities)
-        scores[kg.entity_index[query.answer]] = 1.0
+    def batch_scores(self, kg, queries):
+        scores = np.zeros((len(queries), kg.num_entities))
+        for row, query in zip(scores, queries):
+            row[kg.entity_index[query.answer]] = 1.0
         return scores
 
 
@@ -59,8 +60,8 @@ def test_rank_rejects_non_finite_scores(bad, small_kg):
         rank_of(np.full(10, bad), 3)
 
     class DivergedModel(UniformModel):
-        def entity_scores(self, kg, query):
-            return np.full(kg.num_entities, bad)
+        def batch_scores(self, kg, queries):
+            return np.full((len(queries), kg.num_entities), bad)
 
     with pytest.raises(NumericalError):
         evaluate(DivergedModel(), small_kg, queries_from_facts(small_kg.facts),
@@ -82,6 +83,30 @@ def test_filtering_removes_known_completions():
     scores[kg.entity_index["a"]] = 0.1
     assert rank_of(scores, kg.entity_index["b"], out) == 1.0
     assert rank_of(scores, kg.entity_index["b"]) == 2.0
+
+
+def test_filter_sets_equal_a_scan_of_the_known_facts():
+    # Each random graph also holds, for every fact with qualifiers, two
+    # copies with another head: one with the qualifiers reversed, one with
+    # the first qualifier key changed.  An index key that dropped qualifier
+    # order or keys would filter that head out of the fact's head query.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        facts = list(random_hkg(rng, max_facts=10, min_facts=3, num_entities=4,
+                                num_relations=3).facts)
+        for f in list(facts):
+            if f.arity:
+                key, value = f.qualifiers[0]
+                for quals in (f.qualifiers[::-1], ((key + "x", value),) + f.qualifiers[1:]):
+                    facts.append(HyperFact(f.head + "x", f.relation, f.tail, quals))
+        kg = Hkg(facts)
+        index = completion_index(facts)
+        for query in queries_from_facts(facts):
+            scan = {kg.entity_index[entity] for fact in facts
+                    for role, entity in fact.entity_roles()
+                    if role == query.masked and entity != query.answer
+                    and fact.replace_entity(role, query.answer) == query.base}
+            assert filter_set(query, kg, index) == scan, (seed, query)
 
 
 def test_filtered_rr_never_lower_than_raw(rng):
@@ -131,10 +156,12 @@ def test_breakdowns_split_head_tail_from_values():
     queries = queries_from_facts(facts)
 
     class ValueOnlyOracle(OracleModel):
-        def entity_scores(self, kg_, query):
-            if query.is_head_or_tail:
-                return np.full(kg_.num_entities, 0.5)
-            return super().entity_scores(kg_, query)
+        def batch_scores(self, kg_, queries):
+            scores = super().batch_scores(kg_, queries)
+            for row, query in zip(scores, queries):
+                if query.is_head_or_tail:
+                    row[:] = 0.5
+            return scores
 
     metrics = evaluate(ValueOnlyOracle(), kg, queries, facts)
     assert metrics.count_ht == 2 and metrics.count_all == 3
@@ -148,6 +175,26 @@ def test_evaluate_requires_answers(small_kg):
         evaluate(UniformModel(), small_kg, [query], small_kg.facts)
 
 
+@pytest.mark.parametrize("extra_rows, extra_cols", [(0, 1), (0, -1), (-1, 0)])
+def test_a_wrong_shaped_score_matrix_is_contract_error(small_kg, extra_rows, extra_cols):
+    # One column too many would otherwise be ranked as one more competitor.
+    class MisShaped(UniformModel):
+        def batch_scores(self, kg, queries):
+            return np.full((len(queries) + extra_rows, kg.num_entities + extra_cols), 0.1)
+
+    with pytest.raises(ContractError, match="batch_scores returned shape"):
+        evaluate(MisShaped(), small_kg, queries_from_facts(small_kg.facts), small_kg.facts)
+
+
+def test_no_queries_are_never_scored(small_kg):
+    class Unscorable(UniformModel):
+        def batch_scores(self, kg, queries):
+            raise AssertionError("batch_scores called without queries")
+
+    metrics = evaluate(Unscorable(), small_kg, [], small_kg.facts)
+    assert metrics.count_all == 0 and metrics.count_ht == 0
+
+
 def test_raw_mode_skips_filtering():
     facts = [HyperFact("a", "r", "b"), HyperFact("a", "r", "c")]
     kg = Hkg(facts)
@@ -157,10 +204,10 @@ def test_raw_mode_skips_filtering():
         def prepare(self, kg_):
             return kg_
 
-        def entity_scores(self, kg_, q):
-            scores = np.zeros(kg_.num_entities)
-            scores[kg_.entity_index["c"]] = 0.9
-            scores[kg_.entity_index["b"]] = 0.5
+        def batch_scores(self, kg_, qs):
+            scores = np.zeros((len(qs), kg_.num_entities))
+            scores[:, kg_.entity_index["c"]] = 0.9
+            scores[:, kg_.entity_index["b"]] = 0.5
             return scores
 
     filtered = evaluate(FixedModel(), kg, [query], facts, filtered=True)

@@ -208,6 +208,42 @@ def test_relation_encodings_are_shared_within_one_context(structure):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
+def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatch):
+    # 11 queries are scored as chunks of 8 and 3.  Each chunk is decoded as
+    # one sequence, which is not block-exact, so a row matches its query's
+    # own entity_scores only up to the batch tolerance.
+    from test_training import BATCH_TOLERANCE
+    from hyrel.evaluation import evaluate
+    kg = random_hkg(np.random.default_rng(6), max_facts=8, min_facts=8)
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1, structure=structure), seed=3)
+    queries = queries_from_facts(kg.facts)[:11]
+    assert len(queries) == 11
+    chunks = []
+    batch_scores = LinkPredictor.batch_scores
+
+    def recorded(self, ctx, qs):
+        scores = batch_scores(self, ctx, qs)
+        chunks.append((ctx, list(qs), scores))
+        return scores
+
+    monkeypatch.setattr(LinkPredictor, "batch_scores", recorded)
+    evaluate(predictor, kg, queries, kg.facts)
+    monkeypatch.undo()
+    assert [len(qs) for _, qs, _ in chunks] == [8, 3]
+    ctx = chunks[0][0]
+    assert len(ctx.relations) == len({frozenset(q.base.relations()) for q in queries}) \
+        < len(queries)
+    fresh = predictor.prepare(kg)
+    assert predictor.batch_scores(fresh, []).shape == (0, kg.num_entities)
+    for _, qs, scores in chunks:
+        assert scores.shape == (len(qs), kg.num_entities)
+        for query, row in zip(qs, scores):
+            single = predictor.entity_scores(fresh, query)
+            assert np.abs(row - single).max() <= BATCH_TOLERANCE
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
 def test_scoring_records_no_tape(structure, monkeypatch):
     # The scoring view holds constants that share the parameter arrays, so
     # its logits keep no parents and scoring makes no tracked Value at all.

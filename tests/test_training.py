@@ -8,7 +8,7 @@ import hyrel.autodiff as ad
 from hyrel import (ConfigError, ContractError, DataError, Hkg, HyperFact, NumericalError,
                    QueryFact, TAIL, queries_from_facts)
 from hyrel.autodiff import Adam
-from hyrel.evaluation import evaluate
+from hyrel.evaluation import CHUNK, evaluate
 from hyrel.foundation import preset
 from hyrel.io import DatasetBundle
 from hyrel.predictor import RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig
@@ -354,23 +354,25 @@ def test_fit_builds_the_validation_graphs_once(tmp_path, monkeypatch):
     bundle = DatasetBundle(train=kg, inference=inference, valid=list(inference.facts[:3]),
                            test=[])
     built, cached, indexed = [], [], []
-    build, scores = hyrel.predictor.build_entity_graph, LinkPredictor.entity_scores
+    build, scores = hyrel.predictor.build_entity_graph, LinkPredictor.batch_scores
     monkeypatch.setattr(hyrel.predictor, "build_entity_graph",
                         lambda g, *a, **k: built.append(g) or build(g, *a, **k))
     index = hyrel.evaluation.completion_index
     for module in (hyrel.evaluation, hyrel.training):
         monkeypatch.setattr(module, "completion_index",
                             lambda facts: indexed.append(1) or index(facts))
-    monkeypatch.setattr(LinkPredictor, "entity_scores",
-                        lambda self, ctx, q: cached.append(len(ctx.relations)) or
-                        scores(self, ctx, q))
+    monkeypatch.setattr(LinkPredictor, "batch_scores",
+                        lambda self, ctx, qs: cached.append((len(ctx.relations), len(qs))) or
+                        scores(self, ctx, qs))
     cfg = TrainConfig(epochs=3, seed=0, width=8, encoder_depth=1, head_count=1,
                       decoder_depth=1)
     stats = TrainStats()
     fit(bundle, cfg, out_dir=tmp_path, stats=stats)
     assert [g is inference for g in built] == [False, True] and len(indexed) == 1
     queries = queries_from_facts(bundle.valid)
-    assert len(cached) == 3 * len(queries) and cached[::len(queries)] == [0, 0, 0]
+    chunks = -(-len(queries) // CHUNK)  # batch_scores calls per validation pass
+    assert sum(n for _, n in cached) == 3 * len(queries) and len(cached) == 3 * chunks
+    assert [size for size, _ in cached[::chunks]] == [0, 0, 0]
     final = Checkpoint.load(tmp_path / "ckpt_final.bin").predictor()
     assert evaluate(final, inference, queries, inference.facts + tuple(bundle.valid)).mrr_all \
         == stats.valid_mrr[-1]
