@@ -14,9 +14,9 @@ strictly left to right, so a zero cell adds nothing and leaving entries out
 of a sum is the same as zeroing them.  Both ops take a block count: blocks
 of rows stacked along the rows share one plan, each block summed on its own,
 and zeroed (entry, block) cells leave an entry out of one block only.
-``scatter_add`` can also fan rows out: given a second plan it reads message
-row ``rows[e]`` for destination entry e, so a message shared by many edges
-is computed once and only the sum sees every edge.
+``scatter_add`` also fans rows out: a second plan names the message row
+``rows[e]`` that destination entry e reads, so a message shared by many
+edges is computed once and only the sum sees every edge.
 
 Only what a gradient needs is recorded.  A :class:`Value` made by
 ``Value(data)`` (a parameter, or an input under a gradient check) needs a
@@ -298,12 +298,12 @@ class Segments:
             hit = self._memo[key] = tag, make()
         return hit[1]
 
-    def _layout(self) -> tuple[Array, Array, Array, list]:
-        """(the runs longest first, ``sum_rows``, the entry of each slot, the
-        adds of :func:`_steps`), built on the first sum."""
+    def _layout(self) -> tuple[Array, Array, list]:
+        """(``sum_rows``, the entry of each slot, the adds of :func:`_steps`),
+        built on the first sum."""
         return self._memoized(("layout",), self._lay_out)
 
-    def _lay_out(self) -> tuple[Array, Array, Array, list]:
+    def _lay_out(self) -> tuple[Array, Array, list]:
         size, starts = self.index.size, self._starts
         lengths = np.diff(starts, append=size)
         by_length = np.argsort(-lengths, kind="stable")
@@ -316,13 +316,12 @@ class Segments:
         position = np.empty(size, dtype=np.int64)  # of each slot, in sorted order
         position[level_start[j] + k] = starts[by_length][k] + j
         entries = position if self.order is None else self.order[position]
-        return (by_length, self.rows[by_length], entries,
-                _steps(alive.tolist(), level_start.tolist()))
+        return self.rows[by_length], entries, _steps(alive.tolist(), level_start.tolist())
 
     @property
     def sum_rows(self) -> Array:
         """The index value of each run, in the order of :meth:`block_sums`."""
-        return self._layout()[1]
+        return self._layout()[0]
 
     def _block_index(self, blocks: int, stride: int) -> Array:
         """The index once per block, block after block, block q's entries
@@ -351,7 +350,7 @@ class Segments:
         except that a run left with no entry sums to -0.0.  Each cell is
         summed strictly left to right in entry order, whatever ``blocks``.
         """
-        _, sum_rows, entries, steps = self._layout()
+        sum_rows, entries, steps = self._layout()
         stride = values.shape[0] // blocks
         slots = self._memoized(("slots", blocks, stride), lambda: (
             entries if read is None else read[entries])[:, None]
@@ -373,13 +372,6 @@ class Segments:
             x[:count] = (block.sum(axis=0, initial=-0.0) if block.shape[1] > 1
                          else np.add.accumulate(block)[-1]).reshape(count, *x.shape[1:])
         return x[:sum_rows.size]
-
-    def sums(self, values: Array) -> Array:
-        """Sum of the ``values`` rows of each run, one row per entry of
-        ``rows``, each added strictly left to right in entry order."""
-        out = np.empty((self.rows.size, values.shape[1]), dtype=values.dtype)
-        out[self._layout()[0]] = self.block_sums(values)[:, 0]
-        return out
 
 
 def _steps(alive: list[int], level_start: list[int]) -> list[tuple[int, int, int, int]]:
@@ -447,15 +439,16 @@ def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
 
 
 def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
-                num_rows: int, rows: Segments | None = None, blocks: int = 1,
+                num_rows: int, rows: Segments, blocks: int = 1,
                 zeroed: tuple[Array, Array] | None = None) -> Value:
     """Sum message rows into their destination rows; absent rows stay zero.
 
-    ``dst`` may be a :class:`Segments` plan of the destination index.  Given
-    a plan ``rows`` as long as ``dst``, entry e of ``dst`` receives message
-    row ``rows.index[e]``, so one row may fan out to many destinations; the
-    fanned-out rows are a temporary, and the backward pass sums each row's
-    destinations over the ``rows`` plan.
+    ``dst`` may be a :class:`Segments` plan of the destination index.  The
+    plan ``rows``, as long as ``dst``, names the message row of each entry:
+    entry e of ``dst`` receives message row ``rows.index[e]``, so one row
+    may fan out to many destinations.  The fanned-out rows are a temporary,
+    and the backward pass sums each row's destinations over the ``rows``
+    plan.
 
     The messages and the ``num_rows`` result stack ``blocks`` equal blocks
     of rows, and block q of the result sums block q's messages.  The
@@ -464,32 +457,22 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
     """
     plan = dst if isinstance(dst, Segments) else Segments(dst)
     per_block = messages.shape[0] // blocks
-    entries = per_block if rows is None else rows.index.size
-    if plan.index.size != entries or messages.shape[0] != blocks * per_block \
+    if plan.index.size != rows.index.size or messages.shape[0] != blocks * per_block \
             or num_rows % blocks:
         raise ShapeError(f"need one destination per message entry of {blocks} block(s), got "
-                         f"{plan.index.shape} for {messages.shape[0]} message rows and "
-                         f"{num_rows} destination rows")
+                         f"{plan.index.shape} for {rows.index.size} entries, "
+                         f"{messages.shape[0]} message rows and {num_rows} destination rows")
     width = num_rows // blocks
     _check_rows(plan, num_rows, blocks, width, "destination index")
-    read = None
-    if rows is not None:
-        _check_rows(rows, messages.shape[0], blocks, per_block, "message row index")
-        read = rows.index
+    _check_rows(rows, messages.shape[0], blocks, per_block, "message row index")
     acc = np.zeros((num_rows, messages.shape[1]), dtype=messages.data.dtype)
     acc[plan._block_rows(blocks, width)] = plan.block_sums(
-        messages.data, blocks, read, zeroed)
+        messages.data, blocks, rows.index, zeroed)
     idx = plan.index
 
     def bwd(g: Array):
-        if rows is not None:
-            sums = rows.block_sums(g, blocks, idx, zeroed)
-            messages.grad[rows._block_rows(blocks, per_block)] += sums
-            return
-        per_entry = np.take(g, plan._block_index(blocks, width), axis=0)
-        if zeroed is not None:
-            per_entry[zeroed[1] * per_block + zeroed[0]] = 0
-        messages.grad += per_entry
+        sums = rows.block_sums(g, blocks, idx, zeroed)
+        messages.grad[rows._block_rows(blocks, per_block)] += sums
 
     return _record(acc, (messages,), bwd)
 

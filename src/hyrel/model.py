@@ -95,11 +95,6 @@ class HyperFact:
         out.extend((value_role(i), v) for i, (_, v) in enumerate(self.qualifiers))
         return out
 
-    def relation_roles(self) -> list[tuple[Role, str]]:
-        out = [(PRIMARY_RELATION, self.relation)]
-        out.extend((key_role(i), k) for i, (k, _) in enumerate(self.qualifiers))
-        return out
-
     def entity_at(self, role: Role) -> str:
         if role.kind is RoleKind.HEAD:
             return self.head
@@ -111,45 +106,12 @@ class HyperFact:
             return self.qualifiers[role.index][1]
         raise ContractError(f"{role!r} is not an entity position")
 
-    def replace_entity(self, role: Role, entity: str) -> "HyperFact":
-        """A copy of this fact with the entity at ``role`` substituted."""
-        if role.kind is RoleKind.HEAD:
-            return HyperFact(entity, self.relation, self.tail, self.qualifiers)
-        if role.kind is RoleKind.TAIL:
-            return HyperFact(self.head, self.relation, entity, self.qualifiers)
-        if role.kind is RoleKind.VALUE:
-            if role.index >= self.arity:
-                raise ContractError(f"{role!r} out of range for arity {self.arity}")
-            quals = list(self.qualifiers)
-            quals[role.index] = (quals[role.index][0], entity)
-            return HyperFact(self.head, self.relation, self.tail, tuple(quals))
-        raise ContractError(f"{role!r} is not an entity position")
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding: which fact, which position, what went wrong."""
-
-    fact_index: int | None
-    role: Role | None
-    message: str
-
-    def __str__(self):
-        where = [] if self.fact_index is None else [f"fact {self.fact_index}"]
-        if self.role is not None:
-            where.append(repr(self.role))
-        prefix = ", ".join(where)
-        return f"{prefix}: {self.message}" if prefix else self.message
-
-
 class Hkg:
     """An immutable hyper-relational KG: its facts and dense vocabulary id maps.
 
     Vocabularies default to first-seen order over the fact list, which makes
     construction deterministic and file round-trips stable.  Explicit
-    vocabularies may be supplied instead (e.g. to represent a graph whose
-    declared vocabulary disagrees with its facts); ``validate`` reports any
-    resulting inconsistency.
+    vocabularies may be supplied instead.
     """
 
     __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index")
@@ -204,34 +166,6 @@ def _first_seen_vocab(facts: Sequence[HyperFact]) -> tuple[list[str], list[str]]
             rels.setdefault(k)
             ents.setdefault(v)
     return list(ents), list(rels)
-
-
-def validate(kg: Hkg) -> list[Violation]:
-    """Check the structural invariants of ``kg``.
-
-    Returns an empty list when the graph is consistent; otherwise one
-    ``Violation`` per finding.  Violations are data, not failures, and the
-    check never mutates the graph.
-    """
-    out: list[Violation] = []
-    referenced_e: set[str] = set()
-    referenced_r: set[str] = set()
-    for fi, f in enumerate(kg.facts):
-        for role, e in f.entity_roles():
-            referenced_e.add(e)
-            if e not in kg.entity_index:
-                out.append(Violation(fi, role, f"entity {e!r} missing from vocabulary"))
-        for role, r in f.relation_roles():
-            referenced_r.add(r)
-            if r not in kg.relation_index:
-                out.append(Violation(fi, role, f"relation {r!r} missing from vocabulary"))
-    for e in kg.entities:
-        if e not in referenced_e:
-            out.append(Violation(None, None, f"orphan vocabulary entity {e!r}"))
-    for r in kg.relations:
-        if r not in referenced_r:
-            out.append(Violation(None, None, f"orphan vocabulary relation {r!r}"))
-    return out
 
 
 @dataclass(frozen=True)

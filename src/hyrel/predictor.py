@@ -29,8 +29,8 @@ from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
 from .errors import ConfigError, DataError, VocabularyError
-from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
-                         RelInteraction, build_entity_graph, build_relation_graph, preset)
+from .foundation import (EntInteraction, FoundationGraph, RelInteraction,
+                         build_entity_graph, build_relation_graph, preset)
 from .model import Hkg, QueryFact
 
 PARALLEL = "parallel"
@@ -41,16 +41,18 @@ STRUCTURES = (PARALLEL, RELATION_DRIVEN)
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture knobs shared by training, evaluation and prediction."""
+    """Architecture knobs shared by training, evaluation and prediction;
+    ``interactions`` names a :func:`~hyrel.foundation.preset`."""
 
     width: int = 32
     encoder_depth: int = 4
     head_count: int = 4
     decoder_depth: int = 2
-    interactions: InteractionConfig = field(default_factory=InteractionConfig)
+    interactions: str = "default"
     structure: str = PARALLEL
 
     def __post_init__(self):
+        preset(self.interactions)  # fail early on unknown names
         if self.structure not in STRUCTURES:
             raise ConfigError(f"unknown structure {self.structure!r}; "
                               f"expected one of {STRUCTURES}")
@@ -122,8 +124,9 @@ class LinkPredictor:
         """Fresh parameters, deterministically initialized from ``seed``."""
         rng = np.random.default_rng(seed)
         store = ParamStore()
-        rel_alphabet = tuple(t for t in RelInteraction if t in cfg.interactions.relation_set)
-        ent_alphabet = tuple(t for t in EntInteraction if t in cfg.interactions.entity_set)
+        interactions = preset(cfg.interactions)
+        rel_alphabet = tuple(t for t in RelInteraction if t in interactions.relation_set)
+        ent_alphabet = tuple(t for t in EntInteraction if t in interactions.entity_set)
         rel_params = enc.init_encoder_params(
             store, "rel_encoder", rel_alphabet, cfg.encoder_depth, cfg.width, rng,
             dtype=dtype)
@@ -158,10 +161,10 @@ class LinkPredictor:
 
     def build_graphs(self, kg: Hkg) -> GraphPair:
         annotated = self.cfg.structure == RELATION_DRIVEN
+        interactions = preset(self.cfg.interactions)
         return GraphPair(
-            relation_graph=build_relation_graph(kg, self.cfg.interactions),
-            entity_graph=build_entity_graph(kg, self.cfg.interactions,
-                                            with_fact_relations=annotated),
+            relation_graph=build_relation_graph(kg, interactions),
+            entity_graph=build_entity_graph(kg, interactions, with_fact_relations=annotated),
         )
 
     def _query_nodes(self, kg: Hkg, query: QueryFact) -> tuple[set[int], set[int]]:

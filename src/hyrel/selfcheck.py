@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .evaluation import rank_of
-from .foundation import PRESETS, build_entity_graph, build_relation_graph, preset
+from .foundation import PRESETS, build_entity_graph, build_relation_graph
 from .model import Hkg, queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
 from .reference import (brute_force_entity_edges, brute_force_relation_edges,
@@ -89,7 +89,7 @@ def _leave_out_suite(log: Callable[[str], None], quick: bool) -> bool:
     checked = mismatches = 0
     for structure in STRUCTURES:
         cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
-                          interactions=preset("addAllFI"), structure=structure)
+                          interactions="addAllFI", structure=structure)
         predictor = LinkPredictor.build(cfg, seed=4)
         for _ in range(cases):
             kg = random_hkg(rng)

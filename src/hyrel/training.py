@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -32,42 +32,32 @@ from .autodiff import Adam, ParamStore, clip_global_norm
 from .config import TextConfig, parse_value
 from .errors import ConfigError, ContractError, DataError, NumericalError
 from .evaluation import bundle_known_facts, completion_index, evaluate
-from .foundation import preset
 from .io import DatasetBundle
 from .model import Hkg, HyperFact, QueryFact, queries_from_facts
-from .predictor import PARALLEL, GraphPair, LinkPredictor, ModelConfig, ScoringContext
+from .predictor import GraphPair, LinkPredictor, ModelConfig, ScoringContext
 
 
 @dataclass(frozen=True)
-class TrainConfig(TextConfig):
+class TrainConfig(ModelConfig, TextConfig):
+    """The model to train (the inherited :class:`ModelConfig` fields) and
+    how to train it.  Its text form lists the model keys first."""
+
     epochs: int = 50
     batch_size: int = 8
     step_size: float = 1e-3
     seed: int = 0
-    interactions: str = "default"
-    encoder_depth: int = 4
-    width: int = 32
-    head_count: int = 4
-    decoder_depth: int = 2
     checkpoint_every: int = 10
     leakage_guard: bool = True
-    structure: str = PARALLEL
     grad_clip: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         for name in ("batch_size", "step_size", "checkpoint_every", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        self.model_config()  # fail early on a model that cannot be built
-
-    def model_config(self) -> ModelConfig:
-        """The model these settings train; ``interactions`` names a preset."""
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig)
-                  if f.name != "interactions"}
-        return ModelConfig(interactions=preset(self.interactions), **shared)
 
 
 @dataclass
@@ -136,8 +126,9 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
 class Checkpoint:
     """A parameter snapshot plus the run settings that rebuild its model.
 
-    The model is ``train_config.model_config()``: a fully inductive model
-    names no vocabulary, so the run's settings are all it needs.
+    ``train_config`` is also the model's :class:`ModelConfig`: a fully
+    inductive model names no vocabulary, so the run's settings are all it
+    needs.
     """
 
     train_config: TrainConfig
@@ -147,14 +138,16 @@ class Checkpoint:
     valid_history: list[float]
 
     def predictor(self) -> LinkPredictor:
-        return LinkPredictor.from_store(self.train_config.model_config(), self.store)
+        return LinkPredictor.from_store(self.train_config, self.store)
 
     def save(self, path: str | Path) -> None:
         """Write the binary parameter file and its metadata sidecar.
 
         Each file is written under a temporary name and renamed into place;
-        the sidecar records the run's ``[train]`` settings, its ``[state]``
-        (epoch and the parameter file's SHA-256) and its ``[history]``.
+        the sidecar records the run's ``[train]`` settings (the model keys
+        first), its ``[state]`` (epoch and the parameter file's SHA-256) and
+        its ``[history]``.  :meth:`load` reads the settings by key, in any
+        order.
         """
         path = Path(path)
         blob = self.store.to_bytes()
@@ -246,7 +239,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     queries exist, otherwise the final state.
     """
     stats = stats if stats is not None else TrainStats()
-    predictor = LinkPredictor.build(cfg.model_config(), seed=cfg.seed)
+    predictor = LinkPredictor.build(cfg, seed=cfg.seed)
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
     kg = bundle.train

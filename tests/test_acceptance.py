@@ -375,7 +375,7 @@ def _time_fixed_workload(kg, budget=24):
     cfg = TrainConfig(epochs=1, batch_size=8, step_size=1e-3, seed=0, width=16,
                       encoder_depth=2, head_count=2, decoder_depth=1,
                       checkpoint_every=10 ** 6)
-    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    predictor = LinkPredictor.build(cfg, seed=0)
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
     queries = []
     sources = []

@@ -15,6 +15,11 @@ def val(data):
     return Value(np.asarray(data, dtype=np.float64))
 
 
+def identity(n):
+    """The plan of a sum without fan-out: entry e reads message row e."""
+    return Segments(np.arange(n))
+
+
 def fd_check(build_loss, params, rtol=1e-3):
     report = check_gradients(build_loss, params, h=1e-4, rtol=rtol)
     worst = max(report.values())
@@ -125,30 +130,30 @@ def test_gather_out_of_range():
 
 def test_scatter_add_hand_value():
     messages = val([[1.0, 1.0], [2.0, 2.0]])
-    out = ad.scatter_add(messages, [0, 0], 2)
+    out = ad.scatter_add(messages, [0, 0], 2, identity(2))
     assert out.data.tolist() == [[3.0, 3.0], [0.0, 0.0]]
 
 
 def test_scatter_add_empty():
-    out = ad.scatter_add(Value(np.zeros((0, 3))), [], 4)
+    out = ad.scatter_add(Value(np.zeros((0, 3))), [], 4, identity(0))
     assert out.data.shape == (4, 3)
     assert (out.data == 0).all()
 
 
 def test_scatter_add_index_error():
     with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0]]), [3], 2)
+        ad.scatter_add(val([[1.0]]), [3], 2, identity(1))
     with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0], [1.0]]), Segments([1, -1]), 2)
+        ad.scatter_add(val([[1.0], [1.0]]), Segments([1, -1]), 2, identity(2))
 
 
 def test_scatter_add_shape_error():
     with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), [0], 2)
+        ad.scatter_add(val([[1.0], [1.0]]), [0], 2, identity(2))
     with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), Segments([0, 1, 1]), 2)
+        ad.scatter_add(val([[1.0], [1.0]]), Segments([0, 1, 1]), 2, identity(2))
     with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), [[0], [1]], 2)
+        ad.scatter_add(val([[1.0], [1.0]]), [[0], [1]], 2, identity(2))
 
 
 def _check_segment_sum(index, num_rows, width, seed):
@@ -157,7 +162,7 @@ def _check_segment_sum(index, num_rows, width, seed):
     expected = np.zeros((num_rows, width))
     np.add.at(expected, np.asarray(index, dtype=np.int64), values)
     for dst in (index, Segments(index)):
-        out = ad.scatter_add(Value(values), dst, num_rows)
+        out = ad.scatter_add(Value(values), dst, num_rows, identity(len(index)))
         assert np.allclose(out.data, expected, rtol=1e-6)
         x = Value(np.zeros((num_rows, width)))
         backward(ad.total_sum(ad.mul(ad.gather(x, dst), Value(values))))
@@ -194,7 +199,7 @@ def test_scatter_then_gather_matches_grouping_oracle(rng):
         d = int(rng.integers(1, 4))
         messages = rng.normal(size=(e, d))
         dst = rng.integers(0, n, size=e)
-        out = ad.scatter_add(Value(messages), dst, n)
+        out = ad.scatter_add(Value(messages), dst, n, identity(e))
         expected = np.zeros((n, d))
         for row, target in enumerate(dst):  # grouping oracle
             expected[target] += messages[row]
@@ -205,7 +210,8 @@ def test_scatter_add_gradient(rng):
     messages = Value(rng.normal(size=(6, 3)))
     w = Value(rng.normal(size=(3, 1)))
     for dst in ([0, 1, 1, 2, 0, 2], Segments([0, 1, 1, 2, 0, 2])):
-        fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(messages, dst, 4), w)),
+        fd_check(lambda: ad.total_sum(ad.matmul(
+            ad.scatter_add(messages, dst, 4, identity(6)), w)),
                  {"messages": messages, "w": w})
 
 
@@ -254,7 +260,7 @@ def test_scatter_add_blocks_sum_their_own_rows_without_zeroed_cells(rng, fan):
     # Two blocks of messages into two blocks of 4 rows; entry 1 of block 0
     # and entry 3 of block 1 are left out of both the sum and the gradient.
     dst = [2, 0, 2, 3, 0]
-    rows = Segments([1, 0, 1, 2, 2]) if fan else None
+    rows = Segments([1, 0, 1, 2, 2]) if fan else identity(5)
     per_block = 3 if fan else 5
     messages = Value(rng.normal(size=(2 * per_block, 2)))
     zeroed = (np.array([1, 3]), np.array([0, 1]))
@@ -263,7 +269,7 @@ def test_scatter_add_blocks_sum_their_own_rows_without_zeroed_cells(rng, fan):
     for q in range(2):
         for e, d in enumerate(dst):
             if (e, q) not in {(1, 0), (3, 1)}:
-                read = rows.index[e] if fan else e
+                read = rows.index[e]
                 expected[4 * q + d] += messages.data[q * per_block + read]
     assert np.allclose(out.data, expected, atol=1e-12)
     w = Value(rng.normal(size=(2, 1)))
@@ -316,17 +322,17 @@ def test_block_sums_add_left_to_right_and_a_zeroed_cell_is_a_dropped_entry(data)
     for r, row in enumerate(plan.sum_rows.tolist()):
         for q in range(blocks):
             assert sums[r, q].tobytes() == oracle[row, q].tobytes(), (row, q)
-    if blocks == 1:
-        unzeroed = plan.sums(values)
-        expected = [plan.block_sums(values)[plan.sum_rows.tolist().index(row), 0]
-                    for row in plan.rows.tolist()]
-        assert unzeroed.tobytes() == np.array(expected).tobytes()
+    unzeroed = plan.block_sums(values, blocks)
+    oracle = _left_to_right(values, index.tolist(), blocks, set())
+    for r, row in enumerate(plan.sum_rows.tolist()):
+        for q in range(blocks):
+            assert unzeroed[r, q].tobytes() == oracle[row, q].tobytes(), (row, q)
     for q in range(blocks):  # zeroing (e, q) equals a plan without entry e
         kept = ~cells[:, q]
         fresh = Segments(index[kept])
         got = dict(zip(plan.sum_rows.tolist(), sums[:, q]))
-        for row, total in zip(fresh.rows.tolist(),
-                              fresh.sums(values[q * index.size:(q + 1) * index.size][kept])):
+        for row, total in zip(fresh.sum_rows.tolist(), fresh.block_sums(
+                values[q * index.size:(q + 1) * index.size][kept])[:, 0]):
             assert got.pop(row).tobytes() == total.tobytes(), (row, q)
         assert all((left == 0).all() for left in got.values())  # runs with no entry left
 
@@ -567,7 +573,7 @@ def test_ops_over_constants_record_nothing(rng):
     outs = [ad.add(x, y), ad.add(x, np.ones((1, 4))), ad.mul(x, row), ad.matmul(x, y),
             ad.transpose(x), ad.relu(x), ad.concat([x, y], axis=0), ad.rowwise_softmax(x),
             ad.layer_norm(x, row, row), ad.gather(x, [0, 2, 2]),
-            ad.scatter_add(x, [1, 0, 1, 3], 5),
+            ad.scatter_add(x, [1, 0, 1, 3], 5, identity(4)),
             ad.scatter_add(x, [0, 1, 1], 2, rows=Segments([3, 3, 0])), ad.total_sum(x),
             ad.take_columns(x, cols), ad.sum_columns(x, cols, 4),
             ad.cross_entropy(x, [0, 1, 2, 3])]

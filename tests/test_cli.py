@@ -221,7 +221,7 @@ def test_checkpoint_with_per_head_names_is_data_error(tmp_path, capsys):
     # Checkpoints from before the heads were fused store decoder/layerL/headH/*;
     # the mismatch is found before the (absent) bundle is read.
     cfg = TrainConfig(width=8, encoder_depth=1, head_count=2, decoder_depth=1)
-    fused = LinkPredictor.build(cfg.model_config(), seed=0).store
+    fused = LinkPredictor.build(cfg, seed=0).store
     per_head = ParamStore()
     for name, value in fused.items():
         stem, kind = name.rsplit("/", 1)

@@ -96,7 +96,7 @@ def test_mp_layer_identity_message():
     params.layers[0].type_vectors.data[:] = 1.0
     states = Value(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     messages = ad.mul(ad.gather(states, [0]), ad.gather(params.layers[0].type_vectors, [0]))
-    agg = ad.scatter_add(messages, [1], 2)
+    agg = ad.scatter_add(messages, [1], 2, Segments(np.arange(1)))
     assert agg.data.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
@@ -131,7 +131,7 @@ def per_edge_layer(states, g, layer, edge_states, keep):
     messages = states.data[src[keep]] * gates[gate_row[keep]]
     plan = Segments(dst[keep])
     agg = np.zeros_like(states.data)
-    agg[plan.rows] = plan.sums(messages)
+    agg[plan.sum_rows] = plan.block_sums(messages)[:, 0]
     joint = np.concatenate([states.data, agg], axis=1)
     return np.maximum(joint @ layer.update_w.data + layer.update_b.data, 0)
 

@@ -102,10 +102,14 @@ def test_filter_sets_equal_a_scan_of_the_known_facts():
         kg = Hkg(facts)
         index = completion_index(facts)
         for query in queries_from_facts(facts):
+            # A fact completes the query when it differs from its base at
+            # the masked slot only.
             scan = {kg.entity_index[entity] for fact in facts
                     for role, entity in fact.entity_roles()
                     if role == query.masked and entity != query.answer
-                    and fact.replace_entity(role, query.answer) == query.base}
+                    and fact.relations() == query.base.relations()
+                    and [e for r, e in fact.entity_roles() if r != role]
+                    == query.unmasked_entities()}
             assert filter_set(query, kg, index) == scan, (seed, query)
 
 

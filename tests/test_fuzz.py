@@ -53,7 +53,7 @@ def test_fuzzed_fact_objects(obj):
 
 def _tiny_checkpoint() -> Checkpoint:
     train = TrainConfig(epochs=0, width=4, encoder_depth=1, head_count=1, decoder_depth=1)
-    return Checkpoint(train, LinkPredictor.build(train.model_config(), seed=0).store, 0,
+    return Checkpoint(train, LinkPredictor.build(train, seed=0).store, 0,
                       [0.5], [0.25])
 
 

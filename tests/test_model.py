@@ -3,38 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyrel import (HEAD, TAIL, ContractError, Hkg, HyperFact, QueryFact,
-                   queries_from_facts, validate, value_role)
+                   queries_from_facts, value_role)
 from hyrel.model import RoleKind, key_role
-
-
-def test_empty_kg_validates():
-    assert validate(Hkg([])) == []
-
-
-def test_missing_entity_reported():
-    fact = HyperFact("a", "r", "b")
-    kg = Hkg([fact], entities=["a"], relations=["r"])
-    report = validate(kg)
-    assert any("'b'" in str(v) and "entity" in str(v) for v in report)
-
-
-def test_orphan_vocabulary_reported():
-    kg = Hkg([HyperFact("a", "r", "b")], entities=["a", "b", "ghost"], relations=["r"])
-    report = validate(kg)
-    assert any("orphan" in str(v) and "ghost" in str(v) for v in report)
 
 
 def test_einstein_fact_validates(einstein_fact):
     kg = Hkg([einstein_fact])
-    assert validate(kg) == []
     assert kg.entities == ("AlbertEinstein", "ETH_Zurich", "BSc", "math_education")
     assert kg.relations == ("educated_at", "academic_degree", "academic_major")
-
-
-def test_validate_is_idempotent(small_kg):
-    first = validate(small_kg)
-    second = validate(small_kg)
-    assert first == second == []
 
 
 def test_query_counts():
@@ -112,9 +88,3 @@ def test_role_invariants():
         from hyrel.model import Role
         Role(RoleKind.KEY)  # key role without an index
 
-
-def test_replace_entity_round_trip():
-    fact = HyperFact("a", "r", "b", (("k", "c"),))
-    swapped = fact.replace_entity(value_role(0), "z")
-    assert swapped.qualifiers == (("k", "z"),)
-    assert swapped.replace_entity(value_role(0), "c") == fact

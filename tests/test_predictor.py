@@ -3,7 +3,6 @@ import pytest
 
 from hyrel import (ConfigError, DataError, HyperFact, QueryFact, TAIL,
                    VocabularyError, queries_from_facts)
-from hyrel.foundation import preset
 from hyrel.autodiff import ParamStore
 from hyrel.predictor import (PARALLEL, RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig,
                              ablation_overrides)
@@ -146,12 +145,12 @@ def test_ablation_names_select_model_configs():
 
     def model_for(name):
         return TrainConfig.from_dict(TrainConfig().to_dict()
-                                     | ablation_overrides(name)).model_config()
+                                     | ablation_overrides(name))
 
     assert model_for("ultra-alike").structure == RELATION_DRIVEN
-    assert model_for("ultra-alike").interactions == preset("default")
-    assert model_for("noV").interactions == preset("nov")
-    assert model_for("addAllFI").interactions == preset("addallfi")
+    assert model_for("ultra-alike").interactions == "default"
+    assert model_for("noV").interactions == "noV"
+    assert model_for("addAllFI").interactions == "addAllFI"
     assert model_for("addAllFI").structure != RELATION_DRIVEN
     with pytest.raises(ConfigError):
         ablation_overrides("bogus")

@@ -161,7 +161,7 @@ def test_negative_seed_is_a_config_error():
         TrainConfig(seed=-1)
 
 
-def test_train_config_round_trip():
+def test_train_config_round_trip(tmp_path):
     for cfg in (TrainConfig(),
                 TrainConfig(epochs=3, width=16, encoder_depth=3, head_count=2,
                             decoder_depth=1, interactions="addShareV",
@@ -170,6 +170,21 @@ def test_train_config_round_trip():
     text = TrainConfig().to_dict()
     with pytest.raises(ConfigError, match="structure"):
         TrainConfig.from_dict({k: v for k, v in text.items() if k != "structure"})
+    # The flat keywords the benchmark passes build the model they name.
+    cfg = TrainConfig(epochs=1, seed=1, structure=RELATION_DRIVEN)
+    assert (LinkPredictor.build(cfg, seed=0).store.to_bytes()
+            == LinkPredictor.build(ModelConfig(structure=RELATION_DRIVEN), seed=0)
+            .store.to_bytes())
+    # A sidecar's [train] block keeps the keys older sidecars wrote.
+    path = tmp_path / "model.bin"
+    Checkpoint(cfg, LinkPredictor.build(cfg).store, 0, [], []).save(path)
+    lines = (tmp_path / "model.bin.meta").read_text(encoding="utf-8").splitlines()
+    train = lines[lines.index("[train]") + 1:lines.index("[state]")]
+    assert {line.split(" = ")[0] for line in train} == {
+        "epochs", "batch_size", "step_size", "seed", "interactions", "encoder_depth",
+        "width", "head_count", "decoder_depth", "checkpoint_every", "leakage_guard",
+        "structure", "grad_clip"}
+    assert len(train) == 13
 
 
 def test_epochs_zero_returns_initialized_checkpoint():
@@ -218,7 +233,7 @@ def test_train_step_runs_one_update():
     cfg = TrainConfig(epochs=1, batch_size=4, step_size=1e-3, seed=0, width=8,
                       encoder_depth=1, head_count=1, decoder_depth=1,
                       checkpoint_every=10 ** 6)
-    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    predictor = LinkPredictor.build(cfg, seed=0)
     before = predictor.store.to_bytes()
     optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
     queries = queries_from_facts(kg.facts)[:4]
@@ -232,7 +247,7 @@ def test_source_fact_out_of_range_rejected():
     # Out of range, a fact index would mask no edge and silently leak.
     kg = fixed_kg()
     cfg = TrainConfig(epochs=1, width=8, encoder_depth=1, head_count=1, decoder_depth=1)
-    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    predictor = LinkPredictor.build(cfg, seed=0)
     before = predictor.store.to_bytes()
     for bad in (kg.num_facts, -1):
         with pytest.raises(ContractError):
@@ -247,7 +262,7 @@ def test_train_step_needs_one_source_fact_per_query():
     # leakage guard off.
     kg = fixed_kg()
     cfg = TrainConfig(epochs=1, width=8, encoder_depth=1, head_count=1, decoder_depth=1)
-    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    predictor = LinkPredictor.build(cfg, seed=0)
     before = predictor.store.to_bytes()
     queries = queries_from_facts(kg.facts)[:4]
     optimizer = Adam(predictor.store.values())
@@ -267,7 +282,7 @@ def test_leave_out_scores_equal_a_rebuild_without_the_fact(structure, interactio
     # query of the left-out fact bit for bit as graphs built without it.
     rng = np.random.default_rng(17)
     cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
-                      interactions=preset(interactions), structure=structure)
+                      interactions=interactions, structure=structure)
     predictor = LinkPredictor.build(cfg, seed=4)
     checked = 0
     for _ in range(40):
@@ -404,7 +419,7 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
     with pytest.raises(NumericalError, match="epoch 1, step 1"):
         fit(as_bundle(kg), cfg)
 
-    predictor = LinkPredictor.build(cfg.model_config(), seed=0)
+    predictor = LinkPredictor.build(cfg, seed=0)
     before = predictor.store.to_bytes()
     with pytest.raises(NumericalError):
         train_step(predictor, queries_from_facts(kg.facts)[:4], kg,
