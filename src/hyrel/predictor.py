@@ -138,12 +138,14 @@ class LinkPredictor:
             dtype=dtype)
         if cfg.structure == RELATION_DRIVEN:  # drawn last: earlier draws stay put
             enc.init_relation_projections(store, "ent_encoder", ent_params, rng, dtype=dtype)
+        store.lay_out()
         return cls(cfg, store, rel_params, ent_params, dec_params)
 
     @classmethod
     def from_store(cls, cfg: ModelConfig, store: ParamStore) -> "LinkPredictor":
-        """Rebind loaded parameters; names and shapes must match :meth:`build`'s
-        layout, or the checkpoint is a :class:`DataError`."""
+        """A model holding a copy of ``store``'s values in its own buffer;
+        names and shapes must match :meth:`build`'s layout, or the checkpoint
+        is a :class:`DataError`."""
         fresh = cls.build(cfg, seed=0)
         missing = [name for name in fresh.store.names() if name not in store]
         extra = [name for name in store.names() if name not in fresh.store]
@@ -156,7 +158,8 @@ class LinkPredictor:
             if store[name].shape != value.shape:
                 raise DataError(f"checkpoint parameter {name!r} has shape "
                                 f"{store[name].shape}, expected {value.shape}")
-            value.data = store[name].data
+        np.concatenate([store[name].data.ravel() for name in fresh.store.names()],
+                       out=fresh.store.data)
         return fresh
 
     def build_graphs(self, kg: Hkg) -> GraphPair:

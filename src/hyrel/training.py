@@ -112,8 +112,9 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
                   np.full((1, 1), 1.0 / len(batch), dtype=losses.data.dtype))
     predictor.store.zero_grads()
     ad.backward(loss)
-    norm = clip_global_norm(predictor.store.values(), cfg.grad_clip)
     value = float(loss.data[0, 0])
+    del losses, loss  # the tape is freed before the optimizer makes its temporaries
+    norm = clip_global_norm(predictor.store, cfg.grad_clip)
     if not (np.isfinite(value) and np.isfinite(norm)):
         raise NumericalError(f"non-finite step: loss {value}, gradient norm {norm}")
     optimizer.step()
@@ -240,7 +241,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     """
     stats = stats if stats is not None else TrainStats()
     predictor = LinkPredictor.build(cfg, seed=cfg.seed)
-    optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
+    optimizer = Adam(predictor.store, lr=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
     kg = bundle.train
     queries: list[QueryFact] = []
@@ -261,7 +262,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
         out.mkdir(parents=True, exist_ok=True)
 
     def snapshot(epoch: int) -> Checkpoint:
-        return Checkpoint(cfg, _copy_store(predictor.store), epoch,
+        return Checkpoint(cfg, predictor.store.copy(), epoch,
                           list(stats.epoch_losses), list(stats.valid_mrr))
 
     best: Checkpoint | None = None
@@ -312,10 +313,6 @@ def _write_replacing(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(data)
     os.replace(tmp, path)
-
-
-def _copy_store(store: ParamStore) -> ParamStore:
-    return ParamStore.from_bytes(store.to_bytes())
 
 
 def config_hash(pairs: dict[str, str]) -> str:

@@ -142,9 +142,9 @@ def test_criterion_03_gradient_correctness():
     rng = np.random.default_rng(7)
     kg = random_hkg(rng, max_facts=3, min_facts=3, max_qualifiers=2)
     queries = queries_from_facts(kg.facts)
-    # Model seed chosen so no relu pre-activation sits within the probe step
-    # h of its kink, where central differences are undefined; the bias nudge
-    # moves zero-state rows (exactly on the kink by construction) off it.
+    # Entries whose probes cross a relu kink, where central differences are
+    # undefined, are skipped; the bias nudge moves zero-state rows (exactly
+    # on the kink by construction) off it.
     predictor = LinkPredictor.build(
         ModelConfig(width=8, encoder_depth=2, head_count=1, decoder_depth=2),
         seed=5, dtype=np.float64)
@@ -376,7 +376,7 @@ def _time_fixed_workload(kg, budget=24):
                       encoder_depth=2, head_count=2, decoder_depth=1,
                       checkpoint_every=10 ** 6)
     predictor = LinkPredictor.build(cfg, seed=0)
-    optimizer = Adam(predictor.store.values(), lr=cfg.step_size)
+    optimizer = Adam(predictor.store, lr=cfg.step_size)
     queries = []
     sources = []
     for fi, fact in enumerate(kg.facts):

@@ -484,8 +484,9 @@ def test_blob_that_repeats_a_name_is_data_error():
 
 
 def test_adam_minimizes_quadratic():
-    p = Value(np.array([[5.0, -3.0]], dtype=np.float64))
-    opt = Adam([p], lr=0.1)
+    store = ParamStore()
+    p = store.add("p", np.array([[5.0, -3.0]], dtype=np.float64))
+    opt = Adam(store, lr=0.1)
     for _ in range(400):
         p.grad[...] = 0
         backward(ad.total_sum(ad.mul(p, p)))
@@ -494,11 +495,12 @@ def test_adam_minimizes_quadratic():
 
 
 def test_clip_global_norm():
-    a = val([[3.0]])
-    b = val([[4.0]])
+    store = ParamStore()
+    a = store.add("a", [[3.0]])
+    b = store.add("b", [[4.0]])
     a.grad[...] = 3.0
     b.grad[...] = 4.0
-    norm = clip_global_norm([a, b], 1.0)
+    norm = clip_global_norm(store, 1.0)
     assert abs(norm - 5.0) < 1e-12
     assert abs(a.grad[0, 0] - 0.6) < 1e-12
     assert abs(b.grad[0, 0] - 0.8) < 1e-12
@@ -599,3 +601,104 @@ def test_relu_keeps_nan_and_otherwise_equals_where_bit_for_bit():
         y = ad.relu(Value(x)).data
         assert np.isnan(y[0, 0]) and y.dtype == dtype
         assert y[:, 1:].tobytes() == np.where(x > 0, x, 0)[:, 1:].astype(dtype).tobytes()
+
+
+class _PerTensorOracle:
+    """The per-tensor ``zero_grads``, ``clip_global_norm`` and ``Adam.step``
+    that the flat state replaced, kept as the reference it must equal."""
+
+    def __init__(self, arrays, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = [Value(np.array(a, copy=True)) for a in arrays]
+        self.lr, self.beta1, self.beta2, self.eps, self.t = lr, beta1, beta2, eps, 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grads(self):
+        for v in self.params:
+            v._grad = None
+
+    def clip_global_norm(self, max_norm):
+        total = float(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in self.params))
+        norm = total ** 0.5
+        if norm > max_norm and norm > 0:
+            scale = max_norm / norm
+            for p in self.params:
+                p.grad *= scale
+        return norm
+
+    def step(self):
+        self.t += 1
+        b1t = 1 - self.beta1 ** self.t
+        b2t = 1 - self.beta2 ** self.t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m += (1 - self.beta1) * (g - m)
+            v += (1 - self.beta2) * (g * g - v)
+            p.data -= (self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)).astype(p.data.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_norm", [0.5, 1e9])  # the clip active, then inactive
+def test_flat_update_equals_the_per_tensor_formulas(dtype, max_norm):
+    r = np.random.default_rng(3)
+    shapes = [(3, 4), (1, 4), (7, 1), (5, 5), (1, 1), (2, 9)]
+    arrays = [r.normal(size=s).astype(dtype) for s in shapes]
+    store = ParamStore()
+    for i, a in enumerate(arrays):
+        store.add(f"p{i}", a)
+    opt = Adam(store, lr=0.05)
+    oracle = _PerTensorOracle(arrays, lr=0.05)
+    for _ in range(5):
+        grads = [r.normal(size=s).astype(dtype) for s in shapes]
+        store.zero_grads()
+        oracle.zero_grads()
+        for p, q, g in zip(store.values(), oracle.params, grads):
+            p.grad += g
+            q.grad += g
+        norm = clip_global_norm(store, max_norm)
+        assert norm == oracle.clip_global_norm(max_norm)
+        assert (norm > max_norm) == (max_norm == 0.5)
+        opt.step()
+        oracle.step()
+        for p, q in zip(store.values(), oracle.params):
+            assert p.grad.tobytes() == q.grad.tobytes()
+            assert p.data.dtype == dtype and p.data.tobytes() == q.data.tobytes()
+    assert all(np.shares_memory(p.data, store.data) for p in store.values())
+
+
+def test_param_store_lays_out_one_buffer_per_state():
+    store = ParamStore()
+    a = store.add("a", np.ones((2, 3)))
+    b = store.add("b", np.full((1, 2), 2.0))
+    b.grad[0, 0] = 4.0  # a gradient held before the flat buffer exists moves into it
+    store.lay_out()
+    assert store.data.tolist() == [1.0] * 6 + [2.0, 2.0] and store.data.dtype == np.float64
+    assert a.data.base is store.data and a._grad is None
+    assert store.grad.tolist() == [0.0] * 6 + [4.0, 0.0] and b.grad.base is store.grad
+    store.data[6] = 5.0
+    b.grad[0, 1] = 3.0
+    assert b.data[0, 0] == 5.0 and store.grad[7] == 3.0
+    store.zero_grads()
+    assert not store.grad.any() and b.grad.base is store.grad
+    copied = store.copy()
+    copied["a"].data[0, 0] = -1.0
+    assert a.data[0, 0] == 1.0 and copied.to_bytes() != store.to_bytes()
+    with pytest.raises(ContractError, match="laid out"):
+        store.add("c", np.zeros((1, 1)))
+    mixed = ParamStore()
+    mixed.add("x", np.zeros((1, 1), dtype=np.float32))
+    mixed.add("y", np.zeros((1, 1), dtype=np.float64))
+    with pytest.raises(ContractError, match="dtype"):
+        mixed.lay_out()
+
+
+def test_finite_difference_is_nan_only_where_a_relu_mask_flips():
+    # Entry 0 sits within h of the kink: its +h and -h passes differ in
+    # relu's mask, so no central difference exists there.  The others are
+    # far from it on either side.
+    x = Value(np.array([[5e-5, 0.5, -0.5]]))
+    grad = finite_difference(lambda: ad.total_sum(ad.mul(ad.relu(x), ad.relu(x))), x)
+    assert np.isnan(grad[0, 0])
+    assert np.allclose(grad[0, 1:], [1.0, 0.0], atol=1e-8)
+    report = check_gradients(lambda: ad.total_sum(ad.mul(ad.relu(x), ad.relu(x))), {"x": x})
+    assert report.skipped == 1 and report.entries == 3 and max(report.values()) <= 1e-6

@@ -162,9 +162,46 @@ def test_from_store_rejects_mismatched_checkpoint(small_kg):
     with pytest.raises(DataError):
         LinkPredictor.from_store(ModelConfig(width=16, encoder_depth=1,
                                              head_count=1, decoder_depth=1), a.store)
-    a.store.add("extra/tensor", np.zeros((1, 8), dtype=np.float32))
+    extra = ParamStore()  # a laid-out store is closed: copy it with one tensor more
+    for name, value in a.store.items():
+        extra.add(name, value.data)
+    extra.add("extra/tensor", np.zeros((1, 8), dtype=np.float32))
     with pytest.raises(DataError, match="extra/tensor"):
-        LinkPredictor.from_store(a.cfg, a.store)
+        LinkPredictor.from_store(a.cfg, extra)
+
+
+def test_checkpoint_predictor_owns_its_parameters():
+    # The model copies the checkpoint's values into its own buffer: an
+    # in-place update of either leaves the other as it was.
+    from hyrel.training import Checkpoint, TrainConfig
+    cfg = TrainConfig(width=8, encoder_depth=1, head_count=1, decoder_depth=1)
+    ckpt = Checkpoint(cfg, LinkPredictor.build(cfg, seed=3).store.copy(), 0, [], [])
+    saved = ckpt.store.to_bytes()
+    model = ckpt.predictor()
+    assert model.store.to_bytes() == saved
+    for name, value in model.store.items():
+        assert value.data.base is model.store.data
+        assert not np.shares_memory(value.data, ckpt.store[name].data)
+        value.data += 1.0
+    assert ckpt.store.to_bytes() == saved
+    for value in ckpt.store.values():
+        value.data[...] = 0.0
+    assert all(value.data.all() for value in model.store.values())
+
+
+def test_a_context_prepared_before_a_step_scores_with_the_stepped_parameters(small_kg):
+    from hyrel.autodiff import Adam
+    from hyrel.training import TrainConfig, train_step
+    cfg = TrainConfig(width=8, encoder_depth=1, head_count=1, decoder_depth=1)
+    predictor = LinkPredictor.build(cfg, seed=0)
+    ctx = predictor.prepare(small_kg)  # holds no relation encoding yet
+    queries = queries_from_facts(small_kg.facts)
+    before = predictor.batch_scores(predictor.prepare(small_kg), queries)
+    train_step(predictor, queries[:2], small_kg, Adam(predictor.store, lr=0.05), cfg,
+               predictor.build_graphs(small_kg), [0, 0])
+    after = predictor.batch_scores(predictor.prepare(small_kg), queries)
+    assert not np.array_equal(after, before)
+    assert predictor.batch_scores(ctx, queries).tobytes() == after.tobytes()
 
 
 def test_invalid_model_config_rejected():
