@@ -1,9 +1,9 @@
 """Reverse-mode differentiation over dense 2-D arrays.
 
 Small and closed by design: matrix product, broadcast add/multiply, transpose,
-relu, concatenation, layer normalization, row-wise softmax, gather,
-scatter-add, per-row column picks and sums, per-row cross-entropy and the
-total sum, which is everything the encoders, decoder and training loss
+relu, concatenation, layer normalization, row-wise softmax, gather, gated
+gather, scatter-add, per-row column picks and sums, per-row cross-entropy and
+the total sum, which is everything the encoders, decoder and training loss
 compose from.  Arithmetic is 32-bit by default; gradient checking builds the
 same graphs over 64-bit parameters.
 
@@ -16,7 +16,9 @@ of rows stacked along the rows share one plan, each block summed on its own,
 and zeroed (entry, block) cells leave an entry out of one block only.
 ``scatter_add`` also fans rows out: a second plan names the message row
 ``rows[e]`` that destination entry e reads, so a message shared by many
-edges is computed once and only the sum sees every edge.
+edges is computed once and only the sum sees every edge.  A sum takes its
+entries slab by slab, so the per-entry rows are never held in full past
+:data:`SLAB_BYTES`.
 
 Only what a gradient needs is recorded.  A :class:`Value` made by
 ``Value(data)`` (a parameter, or an input under a gradient check) needs a
@@ -305,7 +307,7 @@ class Segments:
     every run longer than one, and so on.  Level 0 is the accumulator, and
     each later level adds onto the prefix of it that is still running.
     Consecutive levels with the same number of runs form one contiguous
-    block, which is summed in one call (:func:`_steps`).
+    block, which is summed in one call (:func:`_slabs`).
     """
 
     __slots__ = ("index", "order", "rows", "_starts", "_memo")
@@ -332,12 +334,12 @@ class Segments:
             hit = self._memo[key] = tag, make()
         return hit[1]
 
-    def _layout(self) -> tuple[Array, Array, list]:
-        """(``sum_rows``, the entry of each slot, the adds of :func:`_steps`),
-        built on the first sum."""
+    def _layout(self) -> tuple[Array, Array, list[int], list[int]]:
+        """(``sum_rows``, the entry of each slot, the runs of each level and
+        its first slot), built on the first sum."""
         return self._memoized(("layout",), self._lay_out)
 
-    def _lay_out(self) -> tuple[Array, Array, list]:
+    def _lay_out(self) -> tuple[Array, Array, list[int], list[int]]:
         size, starts = self.index.size, self._starts
         lengths = np.diff(starts, append=size)
         by_length = np.argsort(-lengths, kind="stable")
@@ -350,7 +352,7 @@ class Segments:
         position = np.empty(size, dtype=np.int64)  # of each slot, in sorted order
         position[level_start[j] + k] = starts[by_length][k] + j
         entries = position if self.order is None else self.order[position]
-        return self.rows[by_length], entries, _steps(alive.tolist(), level_start.tolist())
+        return self.rows[by_length], entries, alive.tolist(), level_start.tolist()
 
     @property
     def sum_rows(self) -> Array:
@@ -390,53 +392,102 @@ class Segments:
         run's sum equals that of a plan without those entries, bit for bit,
         except that a run left with no entry sums to -0.0.  Each cell is
         summed strictly left to right in entry order, whatever ``blocks``.
+
+        The slots are taken slab by slab (:func:`_slabs`): the first slab,
+        level 0 and whatever follows it within :data:`SLAB_BYTES`, into the
+        front of one buffer, where level 0 is the accumulator, and every
+        later slab into the region of at most :data:`SLAB_BYTES` past it.
+        So a sum holds its output and at most that many bytes more.
         """
-        sum_rows, entries, steps = self._layout()
-        stride = values.shape[0] // blocks
+        sum_rows, entries, alive, level_start = self._layout()
+        stride, d = values.shape[0] // blocks, values.shape[1]
         slots = self._memoized(("slots", blocks, stride), lambda: (
             entries if read is None else read[entries])[:, None]
             + stride * np.arange(blocks), read)
-        x = np.take(values, slots, axis=0)
+        cap = max(1, SLAB_BYTES // (blocks * d * values.itemsize))
+        slabs = self._memoized(("slabs", cap), lambda: _slabs(alive, level_start, cap))
         if zeroed is not None:
-            slot_of = self._memoized(("slot of",), lambda: np.argsort(entries))
-            x.reshape(-1, values.shape[1])[slot_of[zeroed[0]] * blocks + zeroed[1]] = -0.0
-        for front, start, count, end in steps:
-            if front == start:
-                x[:count] += x[start:end]
+            cells = self._memoized(("zeroed", blocks, cap), lambda: _slab_cells(
+                np.argsort(entries)[zeroed[0]] * blocks + zeroed[1], slabs, blocks), zeroed)
+        runs = sum_rows.size
+        x = np.empty((min(entries.size, runs + cap), blocks, d), dtype=values.dtype)
+        for i, (first, end, adds) in enumerate(slabs):
+            region = x[:end] if not first else x[runs:runs + end - first]
+            np.take(values, slots[first:end], axis=0, out=region, mode="clip")
+            if zeroed is not None:
+                region.reshape(-1, d)[cells[i]] = -0.0
+            for lo, hi, count, run in adds:
+                acc = x[run:run + count]
+                if hi - lo == count:
+                    acc += x[lo:hi]
+                    continue
+                # Add the accumulator onto the first level, then sum the
+                # levels over the leading axis, which adds them in order onto
+                # the initial -0.0, unless each row is one number, which
+                # accumulating always adds in order.
+                x[lo:lo + count] += acc
+                block = x[lo:hi].reshape(-1, acc.size)
+                if block.shape[1] > 1:
+                    np.add.reduce(block, axis=0, out=acc.reshape(-1), initial=-0.0)
+                else:
+                    acc.reshape(-1)[:] = np.add.accumulate(block)[-1]
+        return x[:runs]
+
+
+# The most bytes a :meth:`Segments.block_sums` takes at once past its output.
+SLAB_BYTES = 1 << 20
+
+
+def _slabs(alive: list[int], level_start: list[int], cap: int) -> list[tuple[int, int, list]]:
+    """The slabs of a level layout whose level j holds ``alive[j]`` slots
+    from ``level_start[j]`` on, as (first slot, end slot, adds).
+
+    The first slab starts at slot 0, with level 0, and its slot s goes to
+    buffer row s; it ends ``cap`` slots past level 0.  Each later slab holds
+    the next ``cap`` slots (fewer at the end), and its slot s goes to row
+    s - first + ``alive[0]``, just past level 0.  An add (lo, hi, count, run)
+    adds buffer rows lo to hi, levels (or parts of one) of ``count`` slots
+    each, in order onto rows run to run + count of level 0.  A slab cuts a
+    level by its runs; the parts of it still add in order, slab after slab.
+    """
+    if not alive:
+        return []
+    groups = []  # [count, first slot, end slot] of each run of levels of one count
+    for count, start in zip(alive[1:], level_start[1:]):
+        if groups and groups[-1][0] == count:
+            groups[-1][2] += count
+        else:
+            groups.append([count, start, start + count])
+    runs, size = alive[0], level_start[-1] + alive[-1]
+    cuts = [0, *range(runs + cap, size, cap), size]
+    slabs = []
+    for first, end in zip(cuts, cuts[1:]):
+        shift = runs - first if first else 0  # slot s goes to row s + shift
+        adds = []
+        for count, start, stop in groups:
+            lo, hi = max(start, first), min(stop, end)
+            if lo >= hi:
                 continue
-            if front:
-                x[front:start] = x[:count]
-            # The accumulator now leads the block: a sum over the leading
-            # axis adds its rows in order onto the initial -0.0, unless each
-            # row is one number, which accumulating always adds in order.
-            block = x[front:end].reshape(-1, count * x[0].size)
-            x[:count] = (block.sum(axis=0, initial=-0.0) if block.shape[1] > 1
-                         else np.add.accumulate(block)[-1]).reshape(count, *x.shape[1:])
-        return x[:sum_rows.size]
+            run = (lo - start) % count
+            if run:  # the rest of a level the slab before cut
+                cut = min(lo + count - run, hi)
+                adds.append((lo + shift, cut + shift, cut - lo, run))
+                lo = cut
+            whole = (hi - lo) // count * count
+            if whole:
+                adds.append((lo + shift, lo + whole + shift, count, 0))
+                lo += whole
+            if lo < hi:  # the front of a level this slab's end cuts
+                adds.append((lo + shift, hi + shift, hi - lo, 0))
+        slabs.append((first, end, adds))
+    return slabs
 
 
-def _steps(alive: list[int], level_start: list[int]) -> list[tuple[int, int, int, int]]:
-    """The adds of a level layout, as (front, start, count, end): slots
-    start to end hold levels of ``count`` runs each, added onto the first
-    ``count`` slots; when front < start they are added in one call, with the
-    accumulator copied to slots front to start first (unless front is 0).
-
-    A copy may only land on slots already added: of the level before, past
-    the accumulator's own level 0."""
-    steps = []
-    j = 1
-    while j < len(alive):
-        count, start = alive[j], level_start[j]
-        last = j
-        while last + 1 < len(alive) and alive[last + 1] == count:
-            last += 1
-        if last == j or (j == 1 and count < alive[0]):  # one level alone
-            steps.append((start, start, count, start + count))
-            j += 1
-            continue
-        steps.append((start - count, start, count, start + (last - j + 1) * count))
-        j = last + 1
-    return steps
+def _slab_cells(cells: Array, slabs: list[tuple[int, int, list]], blocks: int) -> list[Array]:
+    """Flat (slot, block) ``cells`` split by slab, each as rows of its slab's
+    region of the buffer viewed as one row per cell."""
+    return [cells[(cells >= first * blocks) & (cells < end * blocks)] - first * blocks
+            for first, end, _ in slabs]
 
 
 def _unsorted(idx: Array) -> bool:
@@ -455,6 +506,21 @@ def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) 
         raise IndexError(f"{what} out of range for {rows} rows")
 
 
+def _gather_back(x: Value, plan: Segments, blocks: int, stride: int, g: Array) -> None:
+    """Add the gradient ``g`` of rows gathered from ``x`` (block q reading
+    rows q·``stride`` + ``plan.index``) into x's, summed over ``plan``."""
+    sums = plan.block_sums(g, blocks)
+    if blocks > 1 and not stride:  # every block read the same rows
+        rows, sums = plan.sum_rows, sums.sum(axis=1)
+    else:
+        rows = plan._block_rows(blocks, stride)
+    if x._grad is None:  # the rows are distinct: write them into zeros
+        x._grad = np.zeros_like(x.data)
+        x._grad[rows] = sums
+    else:
+        x._grad[rows] += sums
+
+
 def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
            stride: int | None = None) -> Value:
     """Select rows of ``x`` (with repetition) by index, once per block.
@@ -468,20 +534,44 @@ def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
     if stride is None:
         stride = x.shape[0] // blocks
     _check_rows(plan, x.shape[0], blocks, stride, "row index")
+    return _record(np.take(x.data, plan._block_index(blocks, stride), axis=0), (x,),
+                   lambda g: _gather_back(x, plan, blocks, stride, g))
+
+
+def gated_gather(x: Value, src: Segments, gates: Value, gate: Segments, blocks: int,
+                 stride: int) -> Value:
+    """``mul(gather(x, src, blocks), gather(gates, gate, blocks, stride))``
+    in one op, bit for bit, without a gathered copy of the gates per block.
+
+    Block q reads rows q·N + ``src.index`` of ``x``, N being x's rows over
+    ``blocks``, times rows q·``stride`` + ``gate.index`` of ``gates``.  With
+    stride 0 every block reads the same gate rows, taken once and broadcast
+    over the blocks.  When ``gates`` needs no gradient the product is made in
+    place of the gathered rows of ``x``, so a pass over constants holds one
+    array of the result's size.
+    """
+    if src.index.size != gate.index.size or x.shape[1] != gates.shape[1]:
+        raise ShapeError(f"{src.index.size} rows of {x.shape} cannot be gated by "
+                         f"{gate.index.size} rows of {gates.shape}")
+    per_block = x.shape[0] // blocks
+    _check_rows(src, x.shape[0], blocks, per_block, "row index")
+    _check_rows(gate, gates.shape[0], blocks, stride, "gate row index")
+    pairs, d = src.index.size, x.shape[1]
+    rows = np.take(x.data, src._block_index(blocks, per_block), axis=0).reshape(blocks, pairs, d)
+    shared = not stride  # every block reads the same gate rows
+    gate_rows = np.take(gates.data, gate.index if shared else gate._block_index(blocks, stride),
+                        axis=0).reshape(1 if shared else blocks, pairs, d)
+    in_place = not gates.requires_grad and np.result_type(rows, gate_rows) == rows.dtype
+    out = np.multiply(rows, gate_rows, out=rows if in_place else None)
 
     def bwd(g: Array):
-        sums = plan.block_sums(g, blocks)
-        if blocks > 1 and not stride:  # every block read the same rows
-            rows, sums = plan.sum_rows, sums.sum(axis=1)
-        else:
-            rows = plan._block_rows(blocks, stride)
-        if x._grad is None:  # the rows are distinct: write them into zeros
-            x._grad = np.zeros_like(x.data)
-            x._grad[rows] = sums
-        else:
-            x._grad[rows] += sums
+        g3 = g.reshape(rows.shape)
+        if x.requires_grad:
+            _gather_back(x, src, blocks, per_block, (g3 * gate_rows).reshape(g.shape))
+        if gates.requires_grad:
+            _gather_back(gates, gate, blocks, stride, (g3 * rows).reshape(g.shape))
 
-    return _record(np.take(x.data, plan._block_index(blocks, stride), axis=0), (x,), bwd)
+    return _record(out.reshape(blocks * pairs, d), (x, gates), bwd)
 
 
 def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
@@ -492,9 +582,9 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
     ``dst`` may be a :class:`Segments` plan of the destination index.  The
     plan ``rows``, as long as ``dst``, names the message row of each entry:
     entry e of ``dst`` receives message row ``rows.index[e]``, so one row
-    may fan out to many destinations.  The fanned-out rows are a temporary,
-    and the backward pass sums each row's destinations over the ``rows``
-    plan.
+    may fan out to many destinations.  The fanned-out rows are taken slab
+    by slab inside the sum (:meth:`Segments.block_sums`), and the backward
+    pass sums each row's destinations over the ``rows`` plan.
 
     The messages and the ``num_rows`` result stack ``blocks`` equal blocks
     of rows, and block q of the result sums block q's messages.  The

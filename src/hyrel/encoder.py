@@ -26,10 +26,12 @@ adds what an absent one would.
 
 A message depends only on its source node and gate row, and many edges
 share both (every edge out of one head with one type, say), so a layer
-multiplies each distinct (source, gate row) pair once and fans the products
-out to the edges' destinations in one sum over the edges in destination
-order (:class:`~hyrel.foundation.MessagePlan`).  The per-edge products are
-a temporary of that sum; the tape holds only the per-pair ones.
+multiplies each distinct (source, gate row) pair once, in one gated gather
+that reads shared gate rows once for every block, and fans the products out
+to the edges' destinations in one sum over the edges in destination order
+(:class:`~hyrel.foundation.MessagePlan`).  That sum takes the per-edge
+products slab by slab, so they never exist in full; the tape holds only the
+per-pair ones.
 
 Where the gate comes from depends on the model structure.  In the parallel
 structure it is the layer's learned type vector of t.  In the
@@ -142,10 +144,9 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
     else:
         gates = ad.matmul(edge_states, layer.relation_proj)
     stride = 0 if edge_states is None else gates.shape[0] // plan.blocks
-    messages = ad.mul(ad.gather(states, plan.src, plan.blocks),
-                      ad.gather(gates, plan.gate, plan.blocks, stride))
-    agg = ad.scatter_add(messages, plan.dst, states.shape[0], plan.fan, plan.blocks,
-                         plan.zeroed)
+    agg = ad.scatter_add(
+        ad.gated_gather(states, plan.src, gates, plan.gate, plan.blocks, stride),
+        plan.dst, states.shape[0], plan.fan, plan.blocks, plan.zeroed)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 

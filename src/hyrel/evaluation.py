@@ -24,18 +24,20 @@ from .model import Hkg, HyperFact, QueryFact, RoleKind
 HITS_KS = (1, 3, 10)
 
 
-# Queries scored per model call: the default training batch size.
-CHUNK = 8
+# Queries scored per model call.  A chunk's entity graphs are encoded as one
+# stacked batch, whose memory grows with the chunk: 4 keeps the scoring
+# process's peak within a few MB of encoding one query at a time.
+CHUNK = 4
 
 
 class ScoringModel(Protocol):
     """What :func:`evaluate` needs of a model.
 
     ``prepare`` returns the context of one graph, and ``batch_scores`` the
-    (len(queries), |E|) scores of a chunk of at most :data:`CHUNK` (8)
+    (len(queries), |E|) scores of a chunk of at most :data:`CHUNK` (4)
     queries, one row per query.  :class:`~hyrel.predictor.LinkPredictor`
-    encodes each query of a chunk on its own and decodes the chunk as one
-    sequence.
+    encodes a chunk's entity graphs as one block-stacked batch and decodes
+    the chunk as one sequence.
     """
 
     def prepare(self, kg: Hkg): ...
@@ -174,11 +176,11 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
              ks: Sequence[int] = HITS_KS, index: dict | None = None) -> Metrics:
     """Score every query against all entities of ``kg_inf`` and aggregate.
 
-    The queries are scored in chunks of :data:`CHUNK` (8), each from one
+    The queries are scored in chunks of :data:`CHUNK` (4), each from one
     ``model.batch_scores`` matrix; a matrix of any shape other than
     (chunk size, ``kg_inf.num_entities``) is a :class:`ContractError`.  A
-    :class:`~hyrel.predictor.LinkPredictor` still encodes each query of a
-    chunk on its own; only the decoder sees the chunk at once.
+    :class:`~hyrel.predictor.LinkPredictor` encodes and decodes each chunk
+    as one batch.
     ``known_facts`` feeds the filter; pass the union of the inference, valid
     and test facts for the standard protocol, or their
     :func:`completion_index` as ``index`` when it is already built.  Queries

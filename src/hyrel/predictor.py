@@ -11,9 +11,9 @@ items, so the same weights score any graph.
 Training records a tape through the parameters.  Scoring
 (:meth:`LinkPredictor.batch_scores`) runs the same forward pass through
 constants that share the parameter arrays, so it records nothing.  It
-encodes each query's graphs on its own, one block at a time, reusing a
-relation encoding across queries with the same relation nodes, and decodes
-the whole chunk of queries as one sequence.
+reuses a relation encoding across queries with the same relation nodes, and
+encodes and decodes a chunk of queries as one block-stacked batch, as a
+training step does.
 """
 
 from __future__ import annotations
@@ -96,6 +96,17 @@ def _constants(params):
     return params
 
 
+class _NoDraws:
+    """The rng of a :meth:`LinkPredictor.build` layout whose values are all
+    overwritten next: every draw is zeros of its size."""
+
+    @staticmethod
+    def normal(loc, scale, size):
+        return np.zeros(size, dtype=np.float32)
+
+    uniform = normal
+
+
 @dataclass
 class ScoringContext:
     """What :meth:`LinkPredictor.batch_scores` reads: the graph, its
@@ -122,7 +133,10 @@ class LinkPredictor:
     @classmethod
     def build(cls, cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> "LinkPredictor":
         """Fresh parameters, deterministically initialized from ``seed``."""
-        rng = np.random.default_rng(seed)
+        return cls._build(cfg, np.random.default_rng(seed), dtype)
+
+    @classmethod
+    def _build(cls, cfg: ModelConfig, rng, dtype) -> "LinkPredictor":
         store = ParamStore()
         interactions = preset(cfg.interactions)
         rel_alphabet = tuple(t for t in RelInteraction if t in interactions.relation_set)
@@ -145,8 +159,8 @@ class LinkPredictor:
     def from_store(cls, cfg: ModelConfig, store: ParamStore) -> "LinkPredictor":
         """A model holding a copy of ``store``'s values in its own buffer;
         names and shapes must match :meth:`build`'s layout, or the checkpoint
-        is a :class:`DataError`."""
-        fresh = cls.build(cfg, seed=0)
+        is a :class:`DataError`.  The layout is built without drawing a value."""
+        fresh = cls._build(cfg, _NoDraws, np.float32)
         missing = [name for name in fresh.store.names() if name not in store]
         extra = [name for name in store.names() if name not in fresh.store]
         if missing or extra:
@@ -225,30 +239,25 @@ class LinkPredictor:
         """The (len(queries), |E|) entity distributions of a chunk of queries.
 
         Each query's relation encoding comes from ``ctx.relations`` (encoded
-        on first use) and its entity graph is encoded on its own, as one
-        block; the chunk is then decoded as one sequence.  Encoding the chunk
-        as one block-stacked batch instead would hold every block's per-edge
-        temporaries at once.
+        on first use).  The chunk's entity graphs are encoded as one
+        block-stacked batch and decoded as one sequence, the forward pass of
+        a training step with no fact left out.
         """
         model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
-        n = kg.num_entities
         if not queries:
-            return np.zeros((0, n))
-        ent = np.empty((len(queries) * n, self.cfg.width),
-                       dtype=model.dec_params.mask_token.data.dtype)
-        rel_blocks = []
-        for q, query in enumerate(queries):
-            rel_nodes, ent_nodes = self._query_nodes(kg, query)
+            return np.zeros((0, kg.num_entities))
+        nodes = [self._query_nodes(kg, query) for query in queries]
+        for rel_nodes, _ in nodes:
             key = frozenset(rel_nodes)
             if key not in ctx.relations:
                 ctx.relations[key] = enc.encode(graphs.relation_graph, [rel_nodes],
                                                 model.rel_params)
-            rel_blocks.append(ctx.relations[key])
-            gates = None if self.cfg.structure == PARALLEL else rel_blocks[-1]
-            ent[q * n:(q + 1) * n] = enc.encode(graphs.entity_graph, [ent_nodes],
-                                                model.ent_params, gates).data
-        rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
-        logits = model._decode_logits(kg, queries, rel_states, Value.constant(ent))
+        rel_states = Value.constant(np.concatenate(
+            [ctx.relations[frozenset(rel_nodes)].data for rel_nodes, _ in nodes]))
+        gates = None if self.cfg.structure == PARALLEL else rel_states
+        ent_states = enc.encode(graphs.entity_graph, [ent_nodes for _, ent_nodes in nodes],
+                                model.ent_params, gates)
+        logits = model._decode_logits(kg, queries, rel_states, ent_states)
         return ad.rowwise_softmax(logits).data
 
     def entity_scores(self, ctx: ScoringContext, query: QueryFact) -> np.ndarray:

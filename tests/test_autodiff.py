@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -335,6 +337,89 @@ def test_block_sums_add_left_to_right_and_a_zeroed_cell_is_a_dropped_entry(data)
                 values[q * index.size:(q + 1) * index.size][kept])[:, 0]):
             assert got.pop(row).tobytes() == total.tobytes(), (row, q)
         assert all((left == 0).all() for left in got.values())  # runs with no entry left
+
+
+def test_block_sums_in_slabs_add_left_to_right_and_a_zeroed_cell_is_a_dropped_entry():
+    # The same examples with the slab cap cut to 64 bytes: 1 to 16 slots a
+    # slab, so a sum takes several slabs, cuts levels by their runs and
+    # zeroes cells in later slabs.
+    slabs, most = ad._slabs, []
+
+    def counted(*args):
+        out = slabs(*args)
+        most.append(len(out))
+        return out
+
+    with patch.object(ad, "SLAB_BYTES", 64), patch.object(ad, "_slabs", counted):
+        test_block_sums_add_left_to_right_and_a_zeroed_cell_is_a_dropped_entry()
+    assert max(most) > 2
+
+
+def test_a_sum_in_slabs_holds_its_output_and_at_most_the_cap_more():
+    # 200 runs of 10 to 190 entries over 4 blocks of width 32: a gather of
+    # every entry at once would take 9.8 MB.  Bound fixed before the first
+    # run: the output, one cap, and 64 KB of slack.
+    rng = np.random.default_rng(7)
+    index = np.repeat(np.arange(200), rng.integers(10, 191, size=200))
+    rng.shuffle(index)
+    blocks, width = 4, 32
+    values = rng.normal(size=(blocks * index.size, width)).astype(np.float32)
+    zeroed = np.nonzero(rng.random((index.size, blocks)) < 0.1)
+    plan = Segments(index)
+    assert index.size * blocks * width * 4 > 8 * ad.SLAB_BYTES
+    expected = plan.block_sums(values, blocks, zeroed=zeroed)  # fills the plan's memo
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sums = plan.block_sums(values, blocks, zeroed=zeroed)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sums.tobytes() == expected.tobytes()
+    assert peak <= sums.nbytes + ad.SLAB_BYTES + 64 * 1024, peak
+
+
+def _gather_gather_mul(x, src, gates, gate, blocks, stride):
+    """The oracle of :func:`gated_gather`: the composition it replaced."""
+    return ad.mul(ad.gather(x, src, blocks), ad.gather(gates, gate, blocks, stride))
+
+
+@pytest.mark.parametrize("blocks,shared", [(1, True), (3, True), (3, False)])
+@pytest.mark.parametrize("tracked", ["both", "x", "gates"])
+def test_gated_gather_equals_gather_gather_mul_bit_for_bit(blocks, shared, tracked):
+    rng = np.random.default_rng(blocks)
+    nodes, kinds, pairs, width = 5, 3, 9, 4
+    src = Segments(rng.integers(0, nodes, size=pairs))
+    gate = Segments(rng.integers(0, kinds, size=pairs))
+    stride = 0 if shared else kinds
+    x_data = rng.normal(size=(blocks * nodes, width)).astype(np.float32)
+    gate_data = rng.normal(size=((1 if shared else blocks) * kinds, width)).astype(np.float32)
+    weights = rng.normal(size=(blocks * pairs, width)).astype(np.float32)
+    results = []
+    for op in (ad.gated_gather, _gather_gather_mul):
+        x = Value(x_data.copy()) if tracked != "gates" else Value.constant(x_data.copy())
+        gates = Value(gate_data.copy()) if tracked != "x" else Value.constant(gate_data.copy())
+        out = op(x, src, gates, gate, blocks, stride)
+        backward(ad.total_sum(ad.mul(out, weights)))
+        results.append([out.data.tobytes()] + [v.grad.tobytes() for v in (x, gates)
+                                                if v.requires_grad])
+        assert (x_data == x.data).all() and (gate_data == gates.data).all()
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_gated_gather_gradient_matches_finite_differences(shared, rng):
+    blocks, nodes, kinds, width = 2, 4, 3, 3
+    src = Segments([0, 1, 1, 3, 2, 0])
+    gate = Segments([2, 0, 1, 1, 0, 2])
+    x = val(rng.normal(size=(blocks * nodes, width)))
+    gates = val(rng.normal(size=((1 if shared else blocks) * kinds, width)))
+    w = val(rng.normal(size=(width, 1)))
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.gated_gather(
+        x, src, gates, gate, blocks, 0 if shared else kinds), w)), {"x": x, "gates": gates})
+    with pytest.raises(ShapeError):
+        ad.gated_gather(x, src, gates, Segments([0, 1]), blocks, kinds)
 
 
 def test_take_and_sum_columns_are_adjoint(rng):

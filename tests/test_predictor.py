@@ -243,13 +243,56 @@ def test_relation_encodings_are_shared_within_one_context(structure):
     assert not any(states.requires_grad for states in ctx.relations.values())
 
 
+def _one_block_at_a_time(self, ctx, queries):
+    """The oracle of :meth:`LinkPredictor.batch_scores`: its earlier form,
+    which encoded each query's entity graph alone."""
+    import hyrel.autodiff as ad
+    from hyrel import encoder as enc
+    from hyrel.autodiff import Value
+    model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
+    n = kg.num_entities
+    if not queries:
+        return np.zeros((0, n))
+    ent = np.empty((len(queries) * n, self.cfg.width),
+                   dtype=model.dec_params.mask_token.data.dtype)
+    rel_blocks = []
+    for q, query in enumerate(queries):
+        rel_nodes, ent_nodes = self._query_nodes(kg, query)
+        key = frozenset(rel_nodes)
+        if key not in ctx.relations:
+            ctx.relations[key] = enc.encode(graphs.relation_graph, [rel_nodes],
+                                            model.rel_params)
+        rel_blocks.append(ctx.relations[key])
+        gates = None if self.cfg.structure == PARALLEL else rel_blocks[-1]
+        ent[q * n:(q + 1) * n] = enc.encode(graphs.entity_graph, [ent_nodes],
+                                            model.ent_params, gates).data
+    rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
+    logits = model._decode_logits(kg, queries, rel_states, Value.constant(ent))
+    return ad.rowwise_softmax(logits).data
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_stacked_chunk_scores_as_one_block_at_a_time_bit_for_bit(structure):
+    from hyrel.evaluation import CHUNK
+    kg = random_hkg(np.random.default_rng(8), max_facts=10, min_facts=10)
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1, structure=structure), seed=4)
+    queries = queries_from_facts(kg.facts)
+    ctx, oracle_ctx = predictor.prepare(kg), predictor.prepare(kg)
+    for size in (CHUNK, 1, 3):
+        for start in range(0, len(queries), size):
+            chunk = queries[start:start + size]
+            assert predictor.batch_scores(ctx, chunk).tobytes() == \
+                _one_block_at_a_time(predictor, oracle_ctx, chunk).tobytes()
+
+
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatch):
-    # 11 queries are scored as chunks of 8 and 3.  Each chunk is decoded as
-    # one sequence, which is not block-exact, so a row matches its query's
-    # own entity_scores only up to the batch tolerance.
+    # 11 queries are scored in chunks of CHUNK, the last one shorter.  Each
+    # chunk is decoded as one sequence, which is not block-exact, so a row
+    # matches its query's own entity_scores only up to the batch tolerance.
     from test_training import BATCH_TOLERANCE
-    from hyrel.evaluation import evaluate
+    from hyrel.evaluation import CHUNK, evaluate
     kg = random_hkg(np.random.default_rng(6), max_facts=8, min_facts=8)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1, structure=structure), seed=3)
@@ -266,7 +309,8 @@ def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatc
     monkeypatch.setattr(LinkPredictor, "batch_scores", recorded)
     evaluate(predictor, kg, queries, kg.facts)
     monkeypatch.undo()
-    assert [len(qs) for _, qs, _ in chunks] == [8, 3]
+    assert [len(qs) for _, qs, _ in chunks] == [min(CHUNK, 11 - start)
+                                                for start in range(0, 11, CHUNK)]
     ctx = chunks[0][0]
     assert len(ctx.relations) == len({frozenset(q.base.relations()) for q in queries}) \
         < len(queries)
