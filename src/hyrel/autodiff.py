@@ -96,10 +96,6 @@ class Value:
             self._grad = np.zeros_like(self.data)
         return self._grad
 
-    @grad.setter
-    def grad(self, value: Array) -> None:
-        self._grad = value
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape

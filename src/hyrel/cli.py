@@ -160,9 +160,11 @@ def cmd_split(args) -> int:
 
 def cmd_train(args) -> int:
     effective = _effective(args, _TRAIN_DEFAULTS)
-    _print_header(effective)
     ablation = effective["ablation"].strip()
-    cfg = TrainConfig.from_dict(effective | (ablation_overrides(ablation) if ablation else {}))
+    if ablation:
+        effective |= ablation_overrides(ablation)
+    _print_header(effective)
+    cfg = TrainConfig.from_dict(effective)
     bundle = load_bundle(args.bundle)
     for line in bundle.diagnostics().report_lines():
         print(line)

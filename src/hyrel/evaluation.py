@@ -109,16 +109,15 @@ class Metrics:
         return lines
 
 
-def _aggregate(ranks: Sequence[float], ht_flags: Sequence[bool],
-               ks: Sequence[int]) -> Metrics:
+def _aggregate(ranks: Sequence[float], ht_flags: Sequence[bool]) -> Metrics:
     ranks = np.asarray(ranks, dtype=np.float64)
     ht = np.asarray(ht_flags, dtype=bool)
 
     def summarize(sel: np.ndarray) -> tuple[float, dict[int, float], int]:
         if sel.size == 0:
-            return 0.0, {k: 0.0 for k in ks}, 0
+            return 0.0, {k: 0.0 for k in HITS_KS}, 0
         mrr = float((1.0 / sel).mean())
-        hits = {k: float((sel <= k).mean()) for k in ks}
+        hits = {k: float((sel <= k).mean()) for k in HITS_KS}
         return mrr, hits, int(sel.size)
 
     mrr_ht, hits_ht, n_ht = summarize(ranks[ht])
@@ -173,7 +172,7 @@ def evaluate_bundle(model: ScoringModel, bundle, split: str = "test",
 
 def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
              known_facts: Iterable[HyperFact] = (), filtered: bool = True,
-             ks: Sequence[int] = HITS_KS, index: dict | None = None) -> Metrics:
+             index: dict | None = None) -> Metrics:
     """Score every query against all entities of ``kg_inf`` and aggregate.
 
     The queries are scored in chunks of :data:`CHUNK` (4), each from one
@@ -210,4 +209,4 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
                 raise VocabularyError(f"answer {query.answer!r} not in the graph vocabulary")
             out = filter_set(query, kg_inf, index) if filtered else set()
             ranks.append(rank_of(row, answer_idx, out))
-    return _aggregate(ranks, [q.is_head_or_tail for q in queries], ks)
+    return _aggregate(ranks, [q.is_head_or_tail for q in queries])

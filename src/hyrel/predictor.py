@@ -9,17 +9,16 @@ only to interaction types, layer maps and bias types, never to vocabulary
 items, so the same weights score any graph.
 
 Training records a tape through the parameters.  Scoring
-(:meth:`LinkPredictor.batch_scores`) runs the same forward pass through
-constants that share the parameter arrays, so it records nothing.  It
-reuses a relation encoding across queries with the same relation nodes, and
-encodes and decodes a chunk of queries as one block-stacked batch, as a
-training step does.
+(:meth:`LinkPredictor.batch_scores`) runs the same forward pass, a chunk of
+queries encoded and decoded as one block-stacked batch with no fact left
+out, through constants that share the parameter arrays, so it records
+nothing.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -110,13 +109,11 @@ class _NoDraws:
 @dataclass
 class ScoringContext:
     """What :meth:`LinkPredictor.batch_scores` reads: the graph, its
-    foundation graphs, the model's constant view and the relation encodings
-    computed so far, one per set of relation nodes."""
+    foundation graphs and the model's constant view."""
 
     kg: Hkg
     graphs: GraphPair
     model: "LinkPredictor"
-    relations: dict = field(default_factory=dict)
 
 
 class LinkPredictor:
@@ -212,12 +209,6 @@ class LinkPredictor:
         gates = None if self.cfg.structure == PARALLEL else rel_states
         ent_states = enc.encode(graphs.entity_graph, [ent for _, ent in nodes],
                                 self.ent_params, gates, leave_outs)
-        return self._decode_logits(kg, queries, rel_states, ent_states)
-
-    def _decode_logits(self, kg: Hkg, queries: Sequence[QueryFact], rel_states: Value,
-                       ent_states: Value) -> Value:
-        """Decode the queries as one sequence over their block-stacked states
-        and score each query's mask slot against its own entity block."""
         seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
                                             self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)
@@ -226,39 +217,20 @@ class LinkPredictor:
 
     # Scoring-model protocol used by the evaluator.
     def prepare(self, kg: Hkg) -> ScoringContext:
-        """The graphs of ``kg``, a view of this model whose parameters are
-        constants sharing its arrays (so scoring records no tape, and sees
-        in-place updates of the parameters), and an empty cache of relation
-        encodings: with no fact left out, a query's relation encoding depends
-        only on its relation nodes, so queries that share them share it."""
+        """The graphs of ``kg`` and a view of this model whose parameters are
+        constants sharing its arrays, so scoring records no tape and sees
+        in-place updates of the parameters."""
         view = LinkPredictor(self.cfg, self.store, _constants(self.rel_params),
                              _constants(self.ent_params), _constants(self.dec_params))
         return ScoringContext(kg, self.build_graphs(kg), view)
 
     def batch_scores(self, ctx: ScoringContext, queries: Sequence[QueryFact]) -> np.ndarray:
-        """The (len(queries), |E|) entity distributions of a chunk of queries.
-
-        Each query's relation encoding comes from ``ctx.relations`` (encoded
-        on first use).  The chunk's entity graphs are encoded as one
-        block-stacked batch and decoded as one sequence, the forward pass of
-        a training step with no fact left out.
-        """
-        model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
+        """The (len(queries), |E|) entity distributions of a chunk of queries:
+        the softmax of :meth:`query_logits` over the constant view, the
+        forward pass of a training step with no fact left out."""
         if not queries:
-            return np.zeros((0, kg.num_entities))
-        nodes = [self._query_nodes(kg, query) for query in queries]
-        for rel_nodes, _ in nodes:
-            key = frozenset(rel_nodes)
-            if key not in ctx.relations:
-                ctx.relations[key] = enc.encode(graphs.relation_graph, [rel_nodes],
-                                                model.rel_params)
-        rel_states = Value.constant(np.concatenate(
-            [ctx.relations[frozenset(rel_nodes)].data for rel_nodes, _ in nodes]))
-        gates = None if self.cfg.structure == PARALLEL else rel_states
-        ent_states = enc.encode(graphs.entity_graph, [ent_nodes for _, ent_nodes in nodes],
-                                model.ent_params, gates)
-        logits = model._decode_logits(kg, queries, rel_states, ent_states)
-        return ad.rowwise_softmax(logits).data
+            return np.zeros((0, ctx.kg.num_entities))
+        return ad.rowwise_softmax(ctx.model.query_logits(ctx.kg, queries, ctx.graphs)).data
 
     def entity_scores(self, ctx: ScoringContext, query: QueryFact) -> np.ndarray:
         """The entity distribution of one query: a chunk of one."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,9 +52,13 @@ class TrainConfig(ModelConfig, TextConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("batch_size", "step_size", "checkpoint_every", "grad_clip"):
+        for name in ("batch_size", "checkpoint_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("step_size", "grad_clip"):  # the text form takes no nan or inf
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -215,8 +219,8 @@ class Checkpoint:
 
 class _Prepared:
     """A scoring model that prepares ``kg`` once: each pass reuses its graphs
-    with an empty relation cache, since the parameters have moved.  It keeps
-    the filter ``index`` of the run's known facts, which never change."""
+    and its constant view, which sees the parameters move.  It keeps the
+    filter ``index`` of the run's known facts, which never change."""
 
     def __init__(self, predictor: LinkPredictor, kg: Hkg, known: list[HyperFact]):
         self.ctx = predictor.prepare(kg)
@@ -224,7 +228,7 @@ class _Prepared:
         self.index = completion_index(known)
 
     def prepare(self, kg: Hkg) -> ScoringContext:
-        return replace(self.ctx, relations={})
+        return self.ctx
 
 
 def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = None,

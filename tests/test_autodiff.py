@@ -708,7 +708,7 @@ class _PerTensorOracle:
         if norm > max_norm and norm > 0:
             scale = max_norm / norm
             for p in self.params:
-                p.grad *= scale
+                p.grad[...] *= scale
         return norm
 
     def step(self):
@@ -738,8 +738,8 @@ def test_flat_update_equals_the_per_tensor_formulas(dtype, max_norm):
         store.zero_grads()
         oracle.zero_grads()
         for p, q, g in zip(store.values(), oracle.params, grads):
-            p.grad += g
-            q.grad += g
+            p.grad[...] += g
+            q.grad[...] += g
         norm = clip_global_norm(store, max_norm)
         assert norm == oracle.clip_global_norm(max_norm)
         assert (norm > max_norm) == (max_norm == 0.5)

@@ -261,8 +261,17 @@ def test_ablation_flag_selects_preset(tmp_path, capsys):
                      "--ablation", "noV"]) == 0
     out = capsys.readouterr().out
     assert "# ablation = noV" in out
+    assert "# interactions = noV" in out  # the header shows the run's configuration
     meta = (run_dir / "ckpt_best.bin.meta").read_text(encoding="utf-8")
     assert "interactions = noV" in meta
+    run_dir = tmp_path / "run3"
+    assert dispatch(["train", "--bundle", str(bundle_dir), "--out", str(run_dir),
+                     "--epochs", "0", "--width", "8", "--encoder-depth", "1",
+                     "--head-count", "1", "--decoder-depth", "1",
+                     "--ablation", "ultra-alike"]) == 0
+    assert "# structure = relation-driven" in capsys.readouterr().out
+    meta = (run_dir / "ckpt_final.bin.meta").read_text(encoding="utf-8")
+    assert "structure = relation-driven" in meta
 
 
 def test_train_is_reproducible_across_invocations(tmp_path, capsys):

@@ -222,31 +222,32 @@ def test_invalid_model_config_rejected():
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
-def test_relation_encodings_are_shared_within_one_context(structure):
-    # With no fact left out, queries with the same relation nodes share one
-    # relation encoding; their scores equal an uncached scoring through the
-    # tracked parameters bit for bit.
+def test_batch_scores_are_the_softmax_of_query_logits_bit_for_bit(structure):
+    # Scoring is the forward pass of a training step with no fact left out:
+    # over chunks of 1 to CHUNK queries, the scores through the constant view
+    # equal the softmax of the logits through the tracked parameters.
     import hyrel.autodiff as ad
+    from hyrel.evaluation import CHUNK
     kg = random_hkg(np.random.default_rng(4), max_facts=8, min_facts=8)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1, structure=structure), seed=1)
     ctx = predictor.prepare(kg)
     queries = queries_from_facts(kg.facts)
-    for query in queries:
-        cached = predictor.entity_scores(ctx, query)
-        tracked = predictor.query_logits(kg, [query], ctx.graphs)
-        assert tracked.requires_grad
-        fresh = ad.rowwise_softmax(tracked).data[0]
-        assert cached.tobytes() == fresh.tobytes()
-    assert len(ctx.relations) == len({frozenset(q.base.relations()) for q in queries}) \
-        < len(queries)
-    assert not any(states.requires_grad for states in ctx.relations.values())
+    for size in range(1, CHUNK + 1):
+        for start in range(0, len(queries), size):
+            chunk = queries[start:start + size]
+            tracked = predictor.query_logits(kg, chunk, ctx.graphs)
+            assert tracked.requires_grad
+            assert predictor.batch_scores(ctx, chunk).tobytes() == \
+                ad.rowwise_softmax(tracked).data.tobytes()
 
 
 def _one_block_at_a_time(self, ctx, queries):
-    """The oracle of :meth:`LinkPredictor.batch_scores`: its earlier form,
-    which encoded each query's entity graph alone."""
+    """The oracle of :meth:`LinkPredictor.batch_scores`: an earlier form,
+    which encoded each query's entity graph alone and each set of relation
+    nodes once."""
     import hyrel.autodiff as ad
+    from hyrel import decoder as dec
     from hyrel import encoder as enc
     from hyrel.autodiff import Value
     model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
@@ -255,19 +256,22 @@ def _one_block_at_a_time(self, ctx, queries):
         return np.zeros((0, n))
     ent = np.empty((len(queries) * n, self.cfg.width),
                    dtype=model.dec_params.mask_token.data.dtype)
-    rel_blocks = []
+    relations, rel_blocks = {}, []
     for q, query in enumerate(queries):
         rel_nodes, ent_nodes = self._query_nodes(kg, query)
         key = frozenset(rel_nodes)
-        if key not in ctx.relations:
-            ctx.relations[key] = enc.encode(graphs.relation_graph, [rel_nodes],
-                                            model.rel_params)
-        rel_blocks.append(ctx.relations[key])
+        if key not in relations:
+            relations[key] = enc.encode(graphs.relation_graph, [rel_nodes], model.rel_params)
+        rel_blocks.append(relations[key])
         gates = None if self.cfg.structure == PARALLEL else rel_blocks[-1]
         ent[q * n:(q + 1) * n] = enc.encode(graphs.entity_graph, [ent_nodes],
                                             model.ent_params, gates).data
     rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
-    logits = model._decode_logits(kg, queries, rel_states, Value.constant(ent))
+    ent_states = Value.constant(ent)
+    seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
+                                        model.dec_params)
+    x_m = dec.mask_vector(dec.decode(seq, layout, model.dec_params), layout)
+    logits = dec.entity_logits(x_m, ent_states, model.dec_params.out_bias)
     return ad.rowwise_softmax(logits).data
 
 
@@ -311,9 +315,6 @@ def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatc
     monkeypatch.undo()
     assert [len(qs) for _, qs, _ in chunks] == [min(CHUNK, 11 - start)
                                                 for start in range(0, 11, CHUNK)]
-    ctx = chunks[0][0]
-    assert len(ctx.relations) == len({frozenset(q.base.relations()) for q in queries}) \
-        < len(queries)
     fresh = predictor.prepare(kg)
     assert predictor.batch_scores(fresh, []).shape == (0, kg.num_entities)
     for _, qs, scores in chunks:
