@@ -46,6 +46,7 @@ additively; that is the documented contract, not a bug.
 
 from __future__ import annotations
 
+import ctypes
 import struct
 from contextvars import ContextVar
 from typing import Callable, Mapping, Sequence
@@ -403,8 +404,9 @@ class Segments:
         cap = max(1, SLAB_BYTES // (blocks * d * values.itemsize))
         slabs = self._memoized(("slabs", cap), lambda: _slabs(alive, level_start, cap))
         if zeroed is not None:
+            slot_of = self._memoized(("slot of",), lambda: np.argsort(entries))
             cells = self._memoized(("zeroed", blocks, cap), lambda: _slab_cells(
-                np.argsort(entries)[zeroed[0]] * blocks + zeroed[1], slabs, blocks), zeroed)
+                slot_of[zeroed[0]] * blocks + zeroed[1], slabs, blocks), zeroed)
         runs = sum_rows.size
         x = np.empty((min(entries.size, runs + cap), blocks, d), dtype=values.dtype)
         for i, (first, end, adds) in enumerate(slabs):
@@ -718,6 +720,35 @@ def backward(root: Value) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node.grad)
+
+
+# glibc's mallopt parameter numbers, and the cap its dynamic mmap threshold
+# rises to on a 64-bit build (the dynamic trim threshold follows at twice it).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_heap_mapped() -> None:
+    """Fix glibc's heap thresholds where the dynamic rule would end up, so
+    that memory a tape or scoring pass frees stays mapped for the next one.
+
+    A training step frees its whole tape when it ends.  Under the default
+    dynamic thresholds glibc returns much of that memory to the kernel, and
+    the next step faults the same pages in again (about 30K minor faults per
+    benchmark training epoch).  With the mmap threshold at 32 MiB and the
+    trim threshold at 64 MiB, every temporary below 32 MiB comes from the
+    heap, and up to 64 MiB of freed memory stays mapped in the process.  Both
+    are set, because setting either one turns the dynamic rule off for
+    both.  Nothing is computed differently.  A C library without ``mallopt``
+    is left as it is; calling this again changes nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 class ParamStore:

@@ -18,6 +18,7 @@ from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
+from .autodiff import _keep_heap_mapped
 from .errors import ContractError, NumericalError, VocabularyError
 from .model import Hkg, HyperFact, QueryFact, RoleKind
 
@@ -183,8 +184,10 @@ def evaluate(model: ScoringModel, kg_inf: Hkg, queries: Sequence[QueryFact],
     ``known_facts`` feeds the filter; pass the union of the inference, valid
     and test facts for the standard protocol, or their
     :func:`completion_index` as ``index`` when it is already built.  Queries
-    must carry answers.
+    must carry answers.  It first fixes glibc's heap thresholds for the whole
+    process, so that each chunk's freed memory stays mapped for the next.
     """
+    _keep_heap_mapped()
     queries = list(queries)
     for q in queries:
         if q.answer is None:

@@ -75,10 +75,11 @@ def _open_text(path: Path) -> _io.TextIOBase:
     """The file as text; bytes that are not UTF-8 decode to lone surrogates,
     which :func:`read_facts` reports by line."""
     raw = open(path, "rb")
-    magic = raw.read(2)
-    raw.seek(0)
-    if magic == GZIP_MAGIC:
-        raw = gzip.GzipFile(fileobj=raw)
+    if raw.read(2) == GZIP_MAGIC:
+        raw.close()  # a GzipFile given a file object would never close it
+        raw = gzip.open(path, "rb")
+    else:
+        raw.seek(0)
     return _io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
 
 

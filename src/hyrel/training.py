@@ -241,8 +241,11 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     seed, so two runs with identical inputs produce bit-identical parameter
     trajectories.  ``stop_when(epoch, loss, valid_mrr)`` may end training
     early; the returned checkpoint is the best-valid one when validation
-    queries exist, otherwise the final state.
+    queries exist, otherwise the final state.  Like :func:`evaluate`, it
+    first fixes glibc's heap thresholds for the whole process, so that each
+    step's freed tape stays mapped for the next.
     """
+    ad._keep_heap_mapped()
     stats = stats if stats is not None else TrainStats()
     predictor = LinkPredictor.build(cfg, seed=cfg.seed)
     optimizer = Adam(predictor.store, lr=cfg.step_size)

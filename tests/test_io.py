@@ -1,5 +1,7 @@
+import gc
 import gzip
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,17 @@ def test_gzip_detected_by_magic_bytes(tmp_path, einstein_fact):
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write(format_fact_line(einstein_fact) + "\n")
     assert load_kg(path) == kg
+
+
+def test_reading_a_gzip_file_closes_it(tmp_path, einstein_fact):
+    path = tmp_path / "kg.txt.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write(format_fact_line(einstein_fact) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read_facts(path) == [einstein_fact]
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_jsonl_reader_matches_tsv(tmp_path, einstein_fact):

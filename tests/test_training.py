@@ -1,4 +1,8 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +505,52 @@ def test_gradient_check_fails_when_relu_drops_its_mask(monkeypatch):
     monkeypatch.setattr(ad, "relu", relu_without_mask)
     report = gradient_report(STRUCTURES[0], part=0, parts=8)
     assert max(report.values()) > 1e-3
+
+
+# One warm-up epoch, then the minor page faults of a second epoch and of one
+# scoring pass, on the benchmark's train-guard bundle.  It runs in a fresh
+# process, so that its heap holds nothing an earlier test left behind.
+STEADY_STATE_FAULTS = """
+import resource, sys, tempfile
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import gen
+from hyrel.evaluation import evaluate_bundle
+from hyrel.io import load_bundle
+from hyrel.training import TrainConfig, fit
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+workload = gen.WORKLOADS["train-guard"]
+with tempfile.TemporaryDirectory() as d:
+    gen.generate(workload, 1, Path(d))
+    bundle = load_bundle(d)
+cfg = TrainConfig(epochs=1, seed=1, structure=workload.structure)
+fit(bundle, cfg)
+before = faults()
+model = fit(bundle, cfg).predictor()
+epoch = faults() - before
+before = faults()
+evaluate_bundle(model, bundle)
+print(epoch, faults() - before)
+"""
+
+
+def test_steady_state_epoch_and_scoring_pass_do_not_page_fault():
+    # Freed tape memory stays mapped for the next step; with glibc's dynamic
+    # thresholds a train-guard epoch faulted about 29K pages back in.
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        pytest.skip("the C library has no mallopt")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", STEADY_STATE_FAULTS, str(root)],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    epoch, scoring = map(int, proc.stdout.split())
+    assert epoch < 1000, epoch
+    assert scoring < 1000, scoring
