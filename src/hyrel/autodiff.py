@@ -7,13 +7,14 @@ the total sum, which is everything the encoders, decoder and training loss
 compose from.  Arithmetic is 32-bit by default; gradient checking builds the
 same graphs over 64-bit parameters.
 
-Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
+Aggregation by index (``scatter_add`` and the backward pass of every gather)
 is always a segment sum over a :class:`Segments` plan, built once per index
-array and reused by every layer that sums over it.  Every run is added
-strictly left to right, so a zero cell adds nothing and leaving entries out
-of a sum is the same as zeroing them.  Both ops take a block count: blocks
-of rows stacked along the rows share one plan, each block summed on its own,
-and zeroed (entry, block) cells leave an entry out of one block only.
+array and reused by every layer that sums over it, which returns the sums in
+their rows (:meth:`Segments.sums`).  Every run is added strictly left to
+right, so a zero cell adds nothing and leaving entries out of a sum is the
+same as zeroing them.  The ops take a block count: blocks of rows stacked
+along the rows share one plan, each block summed on its own, and zeroed
+(entry, block) cells leave an entry out of one block only.
 ``scatter_add`` also fans rows out: a second plan names the message row
 ``rows[e]`` that destination entry e reads, so a message shared by many
 edges is computed once and only the sum sees every edge.  A sum takes its
@@ -295,8 +296,9 @@ class Segments:
     ``index`` is kept as given, not copied, when it is already a 1-D int64
     array.  ``order`` is a stable permutation that brings equal entries
     together (None when ``index`` is already sorted), and ``rows`` the index
-    value of each run, ascending and distinct.  :meth:`block_sums` returns
-    the runs in the order of ``sum_rows`` instead, longest first.
+    value of each run, ascending and distinct.  :meth:`sums` returns each
+    run's sum in its row; :meth:`block_sums`, which it places, returns them
+    in the order of ``sum_rows``, longest first.
 
     The sums work from a layout built once, on the first sum.  Slot s of a
     gathered array holds entry ``entries[s]``, level by level: first the
@@ -364,19 +366,6 @@ class Segments:
         return self._memoized(("index", blocks, stride), lambda: (
             self.index + stride * np.arange(blocks)[:, None]).ravel())
 
-    def _block_rows(self, blocks: int, stride: int) -> Array:
-        """The (runs, blocks) rows q·``stride`` + ``sum_rows``, where the cells
-        of :meth:`block_sums` belong."""
-        return self._memoized(("rows", blocks, stride), lambda: (
-            self.sum_rows[:, None] + stride * np.arange(blocks)))
-
-    def _permutation(self, blocks: int) -> Array:
-        """Where :meth:`block_sums` puts each cell, as a row order: row q·n +
-        r of its flattened (runs, blocks) cells reordered is block q's run of
-        index value r, when the n runs are of 0 to n - 1."""
-        return self._memoized(("permutation", blocks), lambda: (
-            np.argsort(self.sum_rows) * blocks + np.arange(blocks)[:, None]).ravel())
-
     def block_sums(self, values: Array, blocks: int = 1, read: Array | None = None,
                    zeroed: tuple[Array, Array] | None = None) -> Array:
         """The (runs, blocks, d) sums of ``values``, one run per entry of
@@ -430,6 +419,31 @@ class Segments:
                 else:
                     acc.reshape(-1)[:] = np.add.accumulate(block)[-1]
         return x[:runs]
+
+    def sums(self, values: Array, num_rows: int, blocks: int = 1, stride: int | None = None,
+             read: Array | None = None, zeroed: tuple[Array, Array] | None = None) -> Array:
+        """The (``num_rows``, d) sums of :meth:`block_sums`, each in its row.
+
+        Block q's run of index value r goes in row q·``stride`` + r, the
+        stride defaulting to ``num_rows`` over ``blocks``; with stride 0 the
+        blocks' sums of a run are added, in block order, into row r.  Rows
+        that no run reaches are zero.  When the runs reach every row, the
+        sums are placed by one take through a row order kept with the plan.
+        """
+        if stride is None:
+            stride = num_rows // blocks
+        cells = self.block_sums(values, blocks, read, zeroed)
+        if blocks > 1 and not stride:  # every block sums into the same rows
+            cells = cells.sum(axis=1, keepdims=True)
+        runs, width, d = cells.shape
+        if runs * width == num_rows:  # the n runs are of 0 to n - 1 in each block
+            order = self._memoized(("permutation", width), lambda: (
+                np.argsort(self.sum_rows) * width + np.arange(width)[:, None]).ravel())
+            return np.take(cells.reshape(-1, d), order, axis=0)
+        out = np.zeros((num_rows, d), dtype=values.dtype)
+        out[self._memoized(("rows", width, stride), lambda: (
+            self.sum_rows[:, None] + stride * np.arange(width)))] = cells
+        return out
 
 
 # The most bytes a :meth:`Segments.block_sums` takes at once past its output.
@@ -504,21 +518,6 @@ def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) 
         raise IndexError(f"{what} out of range for {rows} rows")
 
 
-def _gather_back(x: Value, plan: Segments, blocks: int, stride: int, g: Array) -> None:
-    """Add the gradient ``g`` of rows gathered from ``x`` (block q reading
-    rows q·``stride`` + ``plan.index``) into x's, summed over ``plan``."""
-    sums = plan.block_sums(g, blocks)
-    if blocks > 1 and not stride:  # every block read the same rows
-        rows, sums = plan.sum_rows, sums.sum(axis=1)
-    else:
-        rows = plan._block_rows(blocks, stride)
-    if x._grad is None:  # the rows are distinct: write them into zeros
-        x._grad = np.zeros_like(x.data)
-        x._grad[rows] = sums
-    else:
-        x._grad[rows] += sums
-
-
 def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
            stride: int | None = None) -> Value:
     """Select rows of ``x`` (with repetition) by index, once per block.
@@ -533,7 +532,7 @@ def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
         stride = x.shape[0] // blocks
     _check_rows(plan, x.shape[0], blocks, stride, "row index")
     return _record(np.take(x.data, plan._block_index(blocks, stride), axis=0), (x,),
-                   lambda g: _gather_back(x, plan, blocks, stride, g))
+                   lambda g: _accumulate(x, plan.sums(g, x.shape[0], blocks, stride)))
 
 
 def gated_gather(x: Value, src: Segments, gates: Value, gate: Segments, blocks: int,
@@ -565,9 +564,10 @@ def gated_gather(x: Value, src: Segments, gates: Value, gate: Segments, blocks: 
     def bwd(g: Array):
         g3 = g.reshape(rows.shape)
         if x.requires_grad:
-            _gather_back(x, src, blocks, per_block, (g3 * gate_rows).reshape(g.shape))
+            _accumulate(x, src.sums((g3 * gate_rows).reshape(g.shape), x.shape[0], blocks))
         if gates.requires_grad:
-            _gather_back(gates, gate, blocks, stride, (g3 * rows).reshape(g.shape))
+            _accumulate(gates, gate.sums((g3 * rows).reshape(g.shape), gates.shape[0],
+                                         blocks, stride))
 
     return _record(out.reshape(blocks * pairs, d), (x, gates), bwd)
 
@@ -581,8 +581,8 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
     plan ``rows``, as long as ``dst``, names the message row of each entry:
     entry e of ``dst`` receives message row ``rows.index[e]``, so one row
     may fan out to many destinations.  The fanned-out rows are taken slab
-    by slab inside the sum (:meth:`Segments.block_sums`), and the backward
-    pass sums each row's destinations over the ``rows`` plan.
+    by slab inside the sum (:meth:`Segments.sums`), and the backward pass
+    sums each row's destinations over the ``rows`` plan.
 
     The messages and the ``num_rows`` result stack ``blocks`` equal blocks
     of rows, and block q of the result sums block q's messages.  The
@@ -596,23 +596,15 @@ def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
         raise ShapeError(f"need one destination per message entry of {blocks} block(s), got "
                          f"{plan.index.shape} for {rows.index.size} entries, "
                          f"{messages.shape[0]} message rows and {num_rows} destination rows")
-    width = num_rows // blocks
-    _check_rows(plan, num_rows, blocks, width, "destination index")
+    _check_rows(plan, num_rows, blocks, num_rows // blocks, "destination index")
     _check_rows(rows, messages.shape[0], blocks, per_block, "message row index")
-    acc = np.zeros((num_rows, messages.shape[1]), dtype=messages.data.dtype)
-    acc[plan._block_rows(blocks, width)] = plan.block_sums(
-        messages.data, blocks, rows.index, zeroed)
-    idx = plan.index
 
     def bwd(g: Array):
-        sums = rows.block_sums(g, blocks, idx, zeroed)
-        if rows.rows.size == per_block:  # every message row is read: permute the sums
-            _accumulate(messages, np.take(sums.reshape(-1, sums.shape[2]),
-                                          rows._permutation(blocks), axis=0))
-        else:
-            messages.grad[rows._block_rows(blocks, per_block)] += sums
+        _accumulate(messages, rows.sums(g, messages.shape[0], blocks, read=plan.index,
+                                        zeroed=zeroed))
 
-    return _record(acc, (messages,), bwd)
+    return _record(plan.sums(messages.data, num_rows, blocks, read=rows.index, zeroed=zeroed),
+                   (messages,), bwd)
 
 
 def total_sum(a: Value) -> Value:

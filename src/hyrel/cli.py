@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DataError, HyrelError
+from .errors import ConfigError, ContractError, DataError, HyrelError, ShapeError
 from .evaluation import evaluate_bundle, require_finite
 from .foundation import (InteractionConfig, build_entity_graph, build_relation_graph,
                          export_edge_list, graph_stats, preset)
@@ -60,8 +60,10 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _effective(args, defaults: dict[str, str]) -> dict[str, str]:
-    """Defaults, overridden by the config file, overridden by the flags given."""
+    """Defaults, overridden by the config file's keys among them (one file
+    may serve ``split`` and ``train``), overridden by the flags given."""
     file_cfg = _read_config_file(args.config) if args.config else {}
+    file_cfg = {k: v for k, v in file_cfg.items() if k in defaults}
     flag_cfg = {k: format_value(v) for k, v in vars(args).items()
                 if k in defaults and v is not None}
     return defaults | file_cfg | flag_cfg
@@ -282,12 +284,15 @@ def dispatch(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, HyrelError, OSError) as e:
+    except (ShapeError, ContractError) as e:  # they guard the program's own calls
+        failure = e
+    except (HyrelError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # anything else is a broken internal invariant
-        print(f"internal invariant failure: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        failure = e
+    print(f"internal invariant failure: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

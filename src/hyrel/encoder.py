@@ -161,6 +161,11 @@ def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: Enc
     fact ``leave_outs[q]`` is left out (None, or no ``leave_outs``: every
     edge).  ``edge_states``, when given, stacks one block of gate rows per
     query in the same order.
+
+    Precondition: ``g`` carries per-edge relation annotations exactly when
+    ``edge_states`` are given.  An annotated graph holds one edge per
+    relation that induces it, so typed messages over it would count twice
+    the edges that differ only in their relation.
     """
     if params.alphabet != g.alphabet:
         raise ConfigError(f"encoder alphabet {[t.value for t in params.alphabet]} does not "

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
-from .errors import ConfigError, DataError, VocabularyError
+from .errors import ConfigError, ContractError, DataError, VocabularyError
 from .foundation import (EntInteraction, FoundationGraph, RelInteraction,
                          build_entity_graph, build_relation_graph, preset)
 from .model import Hkg, QueryFact
@@ -201,8 +201,11 @@ class LinkPredictor:
         """Unnormalized scores, one row per query over every entity of ``kg``.
 
         Query q is encoded without fact ``leave_outs[q]`` (None, or no
-        ``leave_outs``: the whole graph).
+        ``leave_outs``: the whole graph).  ``graphs`` come from :meth:`build_graphs`.
         """
+        if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
+            raise ContractError("a parallel model cannot score over an entity graph with "
+                                "relation annotations: it would count some edges twice")
         nodes = [self._query_nodes(kg, query) for query in queries]
         rel_states = enc.encode(graphs.relation_graph, [rel for rel, _ in nodes],
                                 self.rel_params, leave_outs=leave_outs)

@@ -9,7 +9,7 @@ small inputs only.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,15 +20,12 @@ from .model import Hkg, HyperFact, Role
 Edge = tuple[int, object, int]
 
 
-def brute_force_relation_edges(kg: Hkg, cfg: InteractionConfig,
-                               exclude: Iterable[int] = ()) -> frozenset[Edge]:
+def brute_force_relation_edges(kg: Hkg, cfg: InteractionConfig) -> frozenset[Edge]:
     """Every relation-graph edge, found by scanning all ordered fact pairs."""
-    excl = set(exclude)
     active = cfg.relation_set
-    facts = [(i, f) for i, f in enumerate(kg.facts) if i not in excl]
     r = kg.relation_index
     edges: set[Edge] = set()
-    for (ia, fa), (ib, fb) in product(facts, facts):
+    for (ia, fa), (ib, fb) in product(enumerate(kg.facts), repeat=2):
         if ia == ib:
             continue
         if fa.head == fb.head:
@@ -52,7 +49,7 @@ def brute_force_relation_edges(kg: Hkg, cfg: InteractionConfig,
             for kb, vb in fb.qualifiers:
                 if va == vb:
                     edges.add((r[ka], RelInteraction.V2V, r[kb]))
-    for _, f in facts:
+    for f in kg.facts:
         for k, _v in f.qualifiers:
             edges.add((r[f.relation], RelInteraction.R2K, r[k]))
             edges.add((r[k], RelInteraction.K2R, r[f.relation]))
@@ -64,7 +61,6 @@ def brute_force_relation_edges(kg: Hkg, cfg: InteractionConfig,
 
 
 def brute_force_entity_edges(kg: Hkg, cfg: InteractionConfig,
-                             exclude: Iterable[int] = (),
                              with_fact_relations: bool = False) -> frozenset[tuple]:
     """Every entity-graph edge, enumerated per fact straight from the rules.
 
@@ -72,13 +68,10 @@ def brute_force_entity_edges(kg: Hkg, cfg: InteractionConfig,
     the fact's primary relation for head/tail edges, the source position's
     qualifier key for value edges.
     """
-    excl = set(exclude)
     active = cfg.entity_set
     e, r = kg.entity_index, kg.relation_index
     edges: set[tuple] = set()
-    for fi, f in enumerate(kg.facts):
-        if fi in excl:
-            continue
+    for f in kg.facts:
         p = r[f.relation]
         edges.add((e[f.head], EntInteraction.H2T, e[f.tail], p))
         edges.add((e[f.tail], EntInteraction.T2H, e[f.head], p))

@@ -355,6 +355,51 @@ def test_block_sums_in_slabs_add_left_to_right_and_a_zeroed_cell_is_a_dropped_en
     assert max(most) > 2
 
 
+def _placed(plan, values, num_rows, blocks, stride, read, zeroed):
+    """The oracle of :meth:`Segments.sums`: zeros, then the block sums
+    written at the ``sum_rows`` rows of each block, or, with stride 0, their
+    sums over the blocks written at the ``sum_rows`` rows."""
+    sums = plan.block_sums(values, blocks, read, zeroed)
+    out = np.zeros((num_rows, values.shape[1]), dtype=values.dtype)
+    if blocks > 1 and not stride:
+        out[plan.sum_rows] = sums.sum(axis=1)
+    else:
+        for q in range(blocks):
+            out[q * stride + plan.sum_rows] = sums[:, q]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sums_land_in_their_rows_as_the_block_sums_placed_by_hand(data):
+    # Plans whose runs reach every row of a block and plans that skip rows,
+    # rows past the last block, 1-3 blocks, stride 0 and nonzero, zeroed
+    # cells and a read index.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    per_block = data.draw(st.integers(1, 12))
+    reached = (np.arange(per_block) if data.draw(st.booleans())
+               else np.flatnonzero(rng.random(per_block) < 0.5))
+    index = np.repeat(reached, rng.integers(1, 5, size=reached.size))
+    rng.shuffle(index)
+    blocks = data.draw(st.integers(1, 3))
+    stride = data.draw(st.sampled_from([0, per_block]))
+    num_rows = per_block if not stride else blocks * per_block + data.draw(st.integers(0, 2))
+    read = None
+    if data.draw(st.booleans()):
+        read = rng.integers(0, 6, size=index.size)
+    value_rows = index.size if read is None else 6
+    width = data.draw(st.integers(1, 3))
+    values = rng.normal(size=(blocks * value_rows, width)).astype(np.float32)
+    values[rng.random(values.shape) < 0.05] = -0.0
+    zeroed = None
+    if data.draw(st.booleans()):
+        zeroed = np.nonzero(rng.random((index.size, blocks)) < 0.3)
+    plan = Segments(index)
+    got = plan.sums(values, num_rows, blocks, stride, read, zeroed)
+    assert got.shape == (num_rows, width)
+    assert got.tobytes() == _placed(plan, values, num_rows, blocks, stride, read,
+                                    zeroed).tobytes()
+
 def test_a_sum_in_slabs_holds_its_output_and_at_most_the_cap_more():
     # 200 runs of 10 to 190 entries over 4 blocks of width 32: a gather of
     # every entry at once would take 9.8 MB.  Bound fixed before the first

@@ -4,7 +4,7 @@ import pytest
 from hyrel import Hkg, HyperFact, write_kg
 from hyrel.autodiff import ParamStore
 from hyrel.cli import dispatch, _parse_query
-from hyrel.errors import DataError
+from hyrel.errors import ContractError, DataError, ShapeError
 from hyrel.io import format_fact_line
 from hyrel.model import HEAD, value_role
 from hyrel.predictor import LinkPredictor
@@ -119,6 +119,20 @@ def test_unknown_config_key_rejected(tmp_path):
                      "--checkpoint", "y"]) == 1
 
 
+def test_split_keys_of_a_shared_config_file_stay_out_of_the_train_header(tmp_path, capsys):
+    # The header is printed before the (absent) bundle is read, which exits 2.
+    cfg_file = tmp_path / "shared.cfg"
+    headers = []
+    for split_keys in ("", "method = louvain\nhops = 7\n"):
+        cfg_file.write_text("epochs = 3\n" + split_keys, encoding="utf-8")
+        assert dispatch(["train", "--config", str(cfg_file), "--bundle",
+                         str(tmp_path / "absent"), "--out", str(tmp_path / "run")]) == 2
+        headers.append([line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("#")])
+    assert headers[0] == headers[1]
+    assert "# epochs = 3" in headers[0]
+
+
 def test_bad_config_values_are_usage_errors(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     for command, line, key in (("train", "leakage_guard = true", "leakage_guard"),
@@ -207,6 +221,16 @@ def test_non_finite_scores_are_data_errors_in_predict_and_eval(tmp_path, capsys)
     assert dispatch(["eval", "--bundle", str(bundle_dir), "--checkpoint", str(path)]) == 2
     captured = capsys.readouterr()
     assert "mrr" not in captured.out and "NaN or infinite" in captured.err
+
+
+@pytest.mark.parametrize("error", (ContractError, ShapeError))
+def test_a_broken_internal_precondition_exits_3(tmp_path, capsys, monkeypatch, error):
+    def broken(path):
+        raise error("a precondition of the program's own call")
+
+    monkeypatch.setattr("hyrel.cli.load_kg", broken)
+    assert dispatch(["graph-stats", "--kg", str(tmp_path / "raw.txt")]) == 3
+    assert "internal invariant failure" in capsys.readouterr().err
 
 
 def test_head_count_not_dividing_width_is_usage_error(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyrel import (ConfigError, DataError, HyperFact, QueryFact, TAIL,
+from hyrel import (ConfigError, ContractError, DataError, Hkg, HyperFact, QueryFact, TAIL,
                    VocabularyError, queries_from_facts)
 from hyrel.autodiff import ParamStore
 from hyrel.predictor import (PARALLEL, RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig,
@@ -107,6 +107,22 @@ def test_relation_driven_logits_stay_on_the_parallel_scale():
         largest[structure] = max(
             float(np.abs(predictor.query_logits(kg, [q], graphs).data).max()) for q in queries)
     assert largest[RELATION_DRIVEN] <= 10 * largest[PARALLEL], largest
+
+
+def test_a_model_refuses_the_graphs_of_the_other_structure():
+    # The annotated entity graph holds a->b once under r and once under s, so
+    # a parallel model's typed messages over it would count that edge twice.
+    kg = Hkg([HyperFact("a", "r", "b"), HyperFact("a", "s", "b"), HyperFact("b", "r", "c")])
+    queries = queries_from_facts(kg.facts)[:2]
+    models = {s: LinkPredictor.build(ModelConfig(width=8, encoder_depth=1, head_count=1,
+                                                 decoder_depth=1, structure=s), seed=0)
+              for s in STRUCTURES}
+    graphs = {s: model.build_graphs(kg) for s, model in models.items()}
+    assert graphs[RELATION_DRIVEN].entity_graph.num_edges > graphs[PARALLEL].entity_graph.num_edges
+    for own, other in ((PARALLEL, RELATION_DRIVEN), (RELATION_DRIVEN, PARALLEL)):
+        models[own].query_logits(kg, queries, graphs[own])
+        with pytest.raises(ContractError):
+            models[own].query_logits(kg, queries, graphs[other])
 
 
 def test_relation_projections_are_drawn_last_and_required():
