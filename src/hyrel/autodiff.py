@@ -41,8 +41,13 @@ view of the store's one flat gradient buffer, so contributions add into
 that, and the optimizer, clipping and zeroing work on the whole flat buffer
 at once.
 
-Calling :func:`backward` twice without zeroing accumulates gradients
-additively; that is the documented contract, not a bug.
+A tape is swept once.  :func:`backward` releases each interior node as soon
+as its own backward step has run (its gradient buffer, its backward step and
+its parents), so the sweep's memory falls as it goes and a node's forward
+data dies with the last step that kept it.  Leaves keep their gradients: a
+new tape over the same leaves, swept without zeroing, adds into them.  A
+sweep that would reach a swept node, and a read of a swept node's gradient,
+is a :class:`ContractError`.
 """
 
 from __future__ import annotations
@@ -67,9 +72,12 @@ class Value:
     until the backward sweep reaches it: its first contribution becomes the
     buffer (copied only when it is a view of another node's gradient), so
     no buffer is zero-filled just to be added to.  Reading :attr:`grad`
-    before then gives a zeroed buffer.  A laid-out :class:`ParamStore`
-    parameter's ``data`` is a view of the store's flat buffer, and so is its
-    gradient once the store's flat gradient buffer exists.
+    before then gives a zeroed buffer.  Once its own backward step has run,
+    a node made by an op is swept: its buffer, backward step and parents are
+    released, and reading its :attr:`grad` is a :class:`ContractError`.  A
+    laid-out :class:`ParamStore` parameter's ``data`` is a view of the
+    store's flat buffer, and so is its gradient once the store's flat
+    gradient buffer exists.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_parents", "_backward")
@@ -95,6 +103,8 @@ class Value:
     @property
     def grad(self) -> Array:
         if self._grad is None:
+            if self._backward is _swept:
+                raise ContractError("the gradient of a swept node was released")
             self._grad = np.zeros_like(self.data)
         return self._grad
 
@@ -554,19 +564,29 @@ def gated_gather(x: Value, src: Segments, gates: Value, gate: Segments, blocks: 
     _check_rows(src, x.shape[0], blocks, per_block, "row index")
     _check_rows(gate, gates.shape[0], blocks, stride, "gate row index")
     pairs, d = src.index.size, x.shape[1]
-    rows = np.take(x.data, src._block_index(blocks, per_block), axis=0).reshape(blocks, pairs, d)
     shared = not stride  # every block reads the same gate rows
-    gate_rows = np.take(gates.data, gate.index if shared else gate._block_index(blocks, stride),
-                        axis=0).reshape(1 if shared else blocks, pairs, d)
+
+    # The backward pass takes both again from the operands, which the tape
+    # keeps anyway, rather than keep a copy of each gathered array.
+    def take_rows() -> Array:
+        return np.take(x.data, src._block_index(blocks, per_block), axis=0
+                       ).reshape(blocks, pairs, d)
+
+    def take_gate_rows() -> Array:
+        return np.take(gates.data, gate.index if shared else gate._block_index(blocks, stride),
+                       axis=0).reshape(1 if shared else blocks, pairs, d)
+
+    rows, gate_rows = take_rows(), take_gate_rows()
     in_place = not gates.requires_grad and np.result_type(rows, gate_rows) == rows.dtype
     out = np.multiply(rows, gate_rows, out=rows if in_place else None)
 
     def bwd(g: Array):
-        g3 = g.reshape(rows.shape)
+        g3 = g.reshape(blocks, pairs, d)
         if x.requires_grad:
-            _accumulate(x, src.sums((g3 * gate_rows).reshape(g.shape), x.shape[0], blocks))
+            _accumulate(x, src.sums((g3 * take_gate_rows()).reshape(g.shape), x.shape[0],
+                                    blocks))
         if gates.requires_grad:
-            _accumulate(gates, gate.sums((g3 * rows).reshape(g.shape), gates.shape[0],
+            _accumulate(gates, gate.sums((g3 * take_rows()).reshape(g.shape), gates.shape[0],
                                          blocks, stride))
 
     return _record(out.reshape(blocks * pairs, d), (x, gates), bwd)
@@ -687,8 +707,21 @@ def cross_entropy(logits: Value, targets: Sequence[int] | Array | int) -> Value:
     return _record(loss, (logits,), bwd)
 
 
+def _swept(g: Array) -> None:
+    """The backward step of a node the sweep has released."""
+    raise ContractError("this node's backward step has run and was released")
+
+
 def backward(root: Value) -> None:
-    """Reverse sweep from a scalar root; gradients accumulate into ``.grad``."""
+    """Reverse sweep from a scalar root; gradients accumulate into the
+    leaves' ``.grad``.
+
+    The sweep releases every interior node once its own step has run: its
+    gradient buffer, backward step and parents are dropped.  A swept node
+    stays swept, so a sweep that would reach one (the same root again, or a
+    new root built on it) is a :class:`ContractError`, raised before any
+    gradient changes, and so is reading a swept node's :attr:`Value.grad`.
+    """
     if root.shape != (1, 1):
         raise ContractError(f"backward requires a scalar root, got shape {root.shape}")
     if not root.requires_grad:
@@ -703,15 +736,24 @@ def backward(root: Value) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _swept:
+            raise ContractError("backward over a swept node: a tape is swept once, "
+                                "build a new one")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
     _accumulate(root, np.ones_like(root.data))
-    for node in reversed(order):
+    # Every consumer of a node is swept before it, so once the node's own
+    # step has run nothing reads its gradient, step or parents again.  Each
+    # node is popped off ``order`` so that the sweep keeps no reference to
+    # it: its data dies with the last backward step that kept it.
+    while order:
+        node = order.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node._grad, node._backward, node._parents = None, _swept, ()
 
 
 # glibc's mallopt parameter numbers, and the cap its dynamic mmap threshold

@@ -177,11 +177,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    effective = _read_config_file(args.config) if args.config else {}
+    if args.config:  # eval reads none of its keys, but a bad file is still an error
+        _read_config_file(args.config)
     checkpoint = Checkpoint.load(args.checkpoint)
     predictor = checkpoint.predictor()
-    effective["seed"] = str(checkpoint.train_config.seed)
-    _print_header(effective)
+    _print_header(checkpoint.train_config.to_dict())
     bundle = load_bundle(args.bundle)
     metrics = evaluate_bundle(predictor, bundle, split=args.split, filtered=not args.raw)
     print(metrics.table())

@@ -117,7 +117,6 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: H
     predictor.store.zero_grads()
     ad.backward(loss)
     value = float(loss.data[0, 0])
-    del losses, loss  # the tape is freed before the optimizer makes its temporaries
     norm = clip_global_norm(predictor.store, cfg.grad_clip)
     if not (np.isfinite(value) and np.isfinite(norm)):
         raise NumericalError(f"non-finite step: loss {value}, gradient norm {norm}")

@@ -183,6 +183,30 @@ def test_mismatched_checkpoint_pair_is_data_error(tmp_path, capsys):
     assert "bin_sha256" in captured.err and "mrr" not in captured.out
 
 
+def test_eval_header_is_the_checkpoint_configuration(tmp_path, capsys):
+    # eval reads no key of its config file, so none may enter its header or
+    # hash.  The header is printed before the (absent) bundle is read.
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    ckpt = tmp_path / "ckpt.bin"
+    seeded_checkpoint(bundle_dir, ckpt, seed=4)
+    cfg_file = tmp_path / "eval.cfg"
+    cfg_file.write_text("epochs = 3\n", encoding="utf-8")
+    capsys.readouterr()
+    headers = []
+    for config in ([], ["--config", str(cfg_file)]):
+        assert dispatch(["eval", "--bundle", str(tmp_path / "absent"),
+                         "--checkpoint", str(ckpt)] + config) == 2
+        headers.append([line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("#")])
+    assert headers[0] == headers[1]
+    assert "# epochs = 0" in headers[0] and "# width = 8" in headers[0]
+    assert " seed=4 " in headers[0][0]
+
+
 def test_predict_topk_below_one_is_usage_error(tmp_path, capsys):
     kg_path = tmp_path / "raw.txt"
     make_raw_kg(kg_path)

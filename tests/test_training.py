@@ -441,7 +441,9 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_gradient_buffers_are_not_shared(structure):
     # Each tape node owns its gradient buffer, and every parameter's is its
-    # view of the store's flat gradient buffer.
+    # view of the store's flat gradient buffer.  The sweep releases an
+    # interior node's buffer once its step has run, so each step records
+    # the buffer it is handed, which also keeps it from being reused.
     kg = fixed_kg()
     cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
                       structure=structure)
@@ -450,7 +452,6 @@ def test_gradient_buffers_are_not_shared(structure):
     losses = query_losses(predictor, kg, queries, predictor.build_graphs(kg), [0, 1, 1])
     root = ad.total_sum(losses)
     predictor.store.zero_grads()
-    ad.backward(root)
     nodes, stack, seen = [], [root], set()
     while stack:
         node = stack.pop()
@@ -458,8 +459,18 @@ def test_gradient_buffers_are_not_shared(structure):
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-    grads = [node._grad for node in nodes]
-    assert all(g is not None for g in grads) and len(grads) > len(predictor.store)
+    received = []
+    leaves = [node for node in nodes if node._backward is None]
+    for node in nodes:
+        if node._backward is not None:
+            def record(g, step=node._backward):
+                received.append(g)
+                step(g)
+            node._backward = record
+    ad.backward(root)
+    grads = received + [node._grad for node in leaves]
+    assert len(grads) == len(nodes) and len(grads) > len(predictor.store)
+    assert all(g is not None for g in grads)
     for i, a in enumerate(grads):
         for b in grads[i + 1:]:
             assert not np.shares_memory(a, b)
