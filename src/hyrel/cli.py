@@ -252,7 +252,7 @@ def cmd_predict(args) -> int:
     query = _parse_query(args.query)
     scores = predictor.entity_scores(predictor.prepare(kg), query)
     require_finite(scores)  # NaN sorts anywhere: never print it as a ranking
-    _print_header({"seed": str(checkpoint.train_config.seed), "topk": str(args.topk)})
+    _print_header(checkpoint.train_config.to_dict() | {"topk": str(args.topk)})
     order = np.argsort(-scores)[:args.topk]
     print("rank\tentity\tprobability")
     for rank, idx in enumerate(order, start=1):

@@ -23,16 +23,16 @@ Edges are deduplicated; multiplicity is deliberately not modeled.
 
 A built graph is its sorted int64 edge arrays (see :class:`FoundationGraph`)
 plus a record per edge of the facts whose removal alone deletes it.  The
-builders key each edge by its int type row, so no interaction type is
-hashed per edge.
+builders read the facts as int64 position arrays and pack each edge into one
+int64 key, (src, type row, dst[, relation]), so deduplication, the fact
+records and the final order are array sorts with no Python loop per edge.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import permutations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -190,10 +190,10 @@ class FoundationGraph:
     and closed under reciprocity; :attr:`edges` is their derived tuple view.
     ``relation``, when present, annotates each edge with the dense id of the
     relation that induced it (the gates of the relation-driven structure).
-    ``edge_facts`` holds per edge the (at most two, -1 padded) facts whose
-    removal alone deletes it, so leaving a fact out is a mask (:meth:`kept`):
-    every query of a batch shares the one cached :meth:`message_plan`, and
-    zeroes the cells of its own masked edges.
+    ``edge_facts`` holds per edge the (at most two) facts whose removal
+    alone deletes it, ascending with -1 padding last, so leaving a fact out
+    is a mask (:meth:`kept`): every query of a batch shares the one cached
+    :meth:`message_plan`, and zeroes the cells of its own masked edges.
     """
 
     num_nodes: int
@@ -256,67 +256,115 @@ class FoundationGraph:
         return replace(plan, blocks=len(leave_outs), zeroed=zeroed)
 
 
-def _finish(num_nodes: int, alphabet: tuple[Enum, ...],
-            records: dict[tuple, tuple[int, int]], annotated: bool) -> FoundationGraph:
-    """Sort the edges, the keys of ``records``: (src, type row, dst[, relation]);
-    ``alphabet`` lists the types by row, in declaration order."""
-    ordered = sorted(records)
-    cols = np.array(ordered, dtype=np.int64).reshape(-1, 3 + annotated).T.copy()
-    facts = np.array([records[e] for e in ordered], dtype=np.int64).reshape(-1, 2)
+def _positions(kg: Hkg) -> tuple[np.ndarray, ...]:
+    """Head, relation and tail id per fact, then fact, key and value id per
+    qualifier in fact order, as int64 arrays."""
+    e, r, facts = kg.entity_index, kg.relation_index, kg.facts
+    quals = [kv for f in facts for kv in f.qualifiers]
+    prim = np.array([[e[f.head] for f in facts], [r[f.relation] for f in facts],
+                     [e[f.tail] for f in facts]], dtype=np.int64).reshape(3, -1)
+    qual = np.array([[r[k] for k, _ in quals], [e[v] for _, v in quals]],
+                    dtype=np.int64).reshape(2, -1)
+    fact = np.repeat(np.arange(len(facts)), [len(f.qualifiers) for f in facts])
+    return (*prim, fact, *qual)
+
+
+def _firsts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    first = np.ones(a.size, dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
+def _matches(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair (i, j) with a[i] == b[j] of two ascending arrays."""
+    lo = np.searchsorted(b, a, "left")
+    n = np.searchsorted(b, a, "right") - lo
+    i = np.repeat(np.arange(a.size), n)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+def _groups(anchor: np.ndarray, node: np.ndarray, fact: np.ndarray,
+            num_nodes: int) -> tuple[np.ndarray, ...]:
+    """Per distinct (anchor, node) of one side, ascending: the anchor, the
+    node, its count of distinct facts and its two smallest facts (-1: none).
+    ``fact`` ascends."""
+    key = anchor * num_nodes + node
+    order = np.argsort(key, kind="stable")
+    key, fact = key[order], fact[order]
+    distinct = _firsts(key) | _firsts(fact)
+    key, fact = key[distinct], fact[distinct]
+    start = np.flatnonzero(_firsts(key))
+    count = np.diff(start, append=key.size)
+    second = np.where(count > 1, fact[np.minimum(start + 1, key.size - 1)], -1)
+    return (*np.divmod(key[start], num_nodes), count, fact[start], second)
+
+
+def _cross_records(a: Sequence[np.ndarray], b: Sequence[np.ndarray]):
+    """Per pair of groups at one anchor, given each side's (count, smallest,
+    second smallest fact): whether some pair of distinct facts, one from each
+    side, realises the edge, and the (at most two, -1 padded) facts that
+    every such pair holds.  With U the union of both sides' facts, |U| = 1
+    realises nothing, |U| = 2 holds U, and |U| >= 3 holds the fact of a
+    one-fact side, or none.  A third fact on a side always yields a pair
+    avoiding any candidate, so counts past three decide the same way."""
+    (ca, a1, a2), (cb, b1, b2) = a, b
+    common = (a1 == b1).astype(np.int64) + (a1 == b2) + (a2 == b1) + ((a2 == b2) & (a2 >= 0))
+    size = np.where((ca < 3) & (cb < 3), ca + cb - common, 3)
+    two = size == 2
+    first = np.where(two, np.where(ca == 2, a1, np.where(cb == 2, b1, np.minimum(a1, b1))),
+                     np.where(ca == 1, a1, np.where(cb == 1, b1, -1)))
+    second = np.where(two & (ca < 2) & (cb < 2), np.maximum(a1, b1),
+                      np.where(two, np.where(ca == 2, a2, b2), -1))
+    return size > 1, first, second
+
+
+def _reduce(keys: np.ndarray, num_facts: int,
+            *records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct edge ``keys``, ascending, each with the facts that all of
+    its entries' records hold.  ``records`` give an entry's facts, one array
+    per slot (-1: none); an intra-fact entry holds just its own fact.  A
+    fact held by as many records as the edge has entries is common to all of
+    them; each row lists the common facts ascending, -1 padded."""
+    edges, inv, n = np.unique(keys, return_inverse=True, return_counts=True)
+    edge, fact = np.tile(inv, len(records)), np.concatenate(records)
+    held = fact >= 0
+    # The unused inverse makes np.unique sort by argsort, as the message plans
+    # do; its plain path's np.sort adds 256 KB of int64 kernel code on first use.
+    cell, _, count = np.unique(edge[held] * num_facts + fact[held],
+                               return_inverse=True, return_counts=True)
+    edge, fact = np.divmod(cell[count == n[cell // num_facts]], num_facts)
+    facts = np.full((edges.size, 2), -1, dtype=np.int64)
+    facts[edge, 1 - _firsts(edge)] = fact
+    return edges, facts
+
+
+def _finish(num_nodes: int, alphabet: tuple[Enum, ...], reciprocal: Mapping,
+            parts: list[tuple[np.ndarray, np.ndarray]], dims: tuple[int, ...]) -> FoundationGraph:
+    """The graph of the reduced ``parts``, edges packed by ``dims`` as
+    (src, type row, dst[, relation]), plus the reciprocal of every edge whose
+    type is not its own reciprocal (the builders never make those types).
+    Freed memory stays with the process, so each step frees what it no
+    longer needs (``parts`` is emptied) before the graph's arrays are made."""
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [k for k, _ in parts])
+    facts = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [f for _, f in parts])
+    parts.clear()
+    src, row, dst, *rel = np.unravel_index(keys, dims)
+    back_row = np.array([alphabet.index(reciprocal[t]) for t in alphabet], dtype=np.int64)
+    back = np.flatnonzero(back_row[row] != row)
+    mirror = np.ravel_multi_index((dst[back], back_row[row[back]], src[back],
+                                   *(r[back] for r in rel)), dims)
+    del src, row, dst, rel
+    keys = np.concatenate([keys, mirror])
+    facts = np.concatenate([facts, facts[back]])
+    del mirror, back
+    order = np.argsort(keys)
+    keys = keys[order]
+    facts = facts[order]
+    del order
+    cols = np.unravel_index(keys, dims)
     return FoundationGraph(num_nodes, alphabet, *cols[:3], facts,
-                           cols[3] if annotated else None)
-
-
-def _distinct_facts(entries: Sequence[tuple[int, int]]) -> dict[int, tuple[int, ...]]:
-    """Node -> its first three distinct facts (the third means "or more")."""
-    out: dict[int, tuple[int, ...]] = {}
-    for f, n in entries:
-        facts = out.get(n, ())
-        if len(facts) < 3 and f not in facts:
-            out[n] = facts + (f,)
-    return out
-
-
-def _cross_fact_pairs(a_entries: Sequence[tuple[int, int]],
-                      b_entries: Sequence[tuple[int, int]],
-                      type_row: int, records: dict) -> None:
-    """Record (node_a, type_row, node_b) for entry pairs drawn from distinct facts.
-
-    Entries are (fact_index, node_index) at one anchor.  The edge exists iff
-    some pair (A, B) with A != B realises it.  Its record meets (intersects)
-    the facts common to every such pair: the lone fact of a one-fact side,
-    plus the other side's lone other fact; or both facts when both sides
-    hold the same two.  A third fact on a side always yields a pair avoiding
-    any candidate, so three facts per node decide every case.
-    """
-    a_facts = _distinct_facts(a_entries)
-    b_facts = a_facts if b_entries is a_entries else _distinct_facts(b_entries)
-    for na, fa in a_facts.items():
-        for nb, fb in b_facts.items():
-            if len(fa) == 1 or len(fb) == 1:
-                one, other = (fa, fb) if len(fa) == 1 else (fb, fa)
-                rest = [f for f in other if f != one[0]]
-                if not rest:
-                    continue  # both sides are the same single fact
-                common = one + tuple(rest) if len(rest) == 1 else one
-            else:
-                common = fa if fa == fb and len(fa) == 2 else ()
-            key = (na, type_row, nb)
-            prev = records.get(key)
-            if prev is None:
-                records[key] = common
-            elif prev:
-                records[key] = tuple(f for f in prev if f in common)
-
-
-_SHARED = (-1, -1)
-
-
-def _induce(records: dict, key: tuple, own: tuple[int, int]) -> None:
-    """Record that the fact whose record is ``own`` induces the intra-fact
-    edge ``key``; an edge that a second fact induces keeps no record."""
-    if records.setdefault(key, own) is not own:
-        records[key] = _SHARED
+                           cols[3] if len(cols) > 3 else None)
 
 
 def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> FoundationGraph:
@@ -327,41 +375,31 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
     """
     cfg = cfg or InteractionConfig()
     row = {t: i for i, t in enumerate(x for x in RelInteraction if x in cfg.relation_set)}
-
-    rel_of = [kg.relation_index[f.relation] for f in kg.facts]
-    heads: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    tails: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    values: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for fi, f in enumerate(kg.facts):
-        heads[kg.entity_index[f.head]].append((fi, rel_of[fi]))
-        tails[kg.entity_index[f.tail]].append((fi, rel_of[fi]))
-        for k, v in f.qualifiers:
-            values[kg.entity_index[v]].append((fi, kg.relation_index[k]))
-
-    cross: dict[tuple, tuple[int, ...]] = {}
-    for e in set(heads) | set(tails) | set(values):
-        h, t, v = heads.get(e, ()), tails.get(e, ()), values.get(e, ())
-        for itype, a, b in ((RelInteraction.H2H, h, h), (RelInteraction.T2T, t, t),
-                            (RelInteraction.H2T, h, t), (RelInteraction.H2V, h, v),
-                            (RelInteraction.T2V, t, v), (RelInteraction.V2V, v, v)):
-            if a and b and itype in row:
-                _cross_fact_pairs(a, b, row[itype], cross)
-
-    records = {e: (common + _SHARED)[:2] for e, common in cross.items()}
-    r2k, k2k = row.get(RelInteraction.R2K), row.get(RelInteraction.K2K)
-    for fi, f in enumerate(kg.facts):
-        own, r = (fi, -1), rel_of[fi]
-        keys = [kg.relation_index[k] for k, _ in f.qualifiers]
-        if r2k is not None:
-            for k in keys:
-                _induce(records, (r, r2k, k), own)
-        if k2k is not None:
-            for ki, kj in permutations(keys, 2):
-                _induce(records, (ki, k2k, kj), own)
-    reciprocal = [row[REL_RECIPROCAL[t]] for t in row]
-    for (s, t, d), rec in list(records.items()):
-        records.setdefault((d, reciprocal[t], s), rec)
-    return _finish(kg.num_relations, tuple(row), records, annotated=False)
+    n, nf = kg.num_relations, kg.num_facts
+    dims = (n, len(row), n)
+    head, rel, tail, qf, qk, qv = _positions(kg)
+    i, j = _matches(qf, qf)
+    i, j = i[i != j], j[i != j]  # ordered pairs of two qualifiers of one fact
+    entries = {  # intra-fact types: (src, dst, fact) per entry
+        RelInteraction.R2K: (rel[qf], qk, qf),
+        RelInteraction.K2K: (qk[i], qk[j], qf[i]),
+    }
+    parts = [_reduce(np.ravel_multi_index((src, row[t], dst), dims), nf, fact)
+             for t, (src, dst, fact) in entries.items() if t in row]
+    facts = np.arange(nf)
+    groups = {"h": _groups(head, rel, facts, n), "t": _groups(tail, rel, facts, n),
+              "v": _groups(qv, qk, qf, n)}
+    for itype, a, b in ((RelInteraction.H2H, "h", "h"), (RelInteraction.T2T, "t", "t"),
+                        (RelInteraction.H2T, "h", "t"), (RelInteraction.H2V, "h", "v"),
+                        (RelInteraction.T2V, "t", "v"), (RelInteraction.V2V, "v", "v")):
+        if itype in row:  # cross-fact types, one at a time
+            (ea, na, *ga), (eb, nb, *gb) = groups[a], groups[b]
+            i, j = _matches(ea, eb)
+            real, first, second = _cross_records([x[i] for x in ga], [x[j] for x in gb])
+            i, j = i[real], j[real]
+            parts.append(_reduce(np.ravel_multi_index((na[i], row[itype], nb[j]), dims),
+                                 nf, first[real], second[real]))
+    return _finish(n, tuple(row), REL_RECIPROCAL, parts, dims)
 
 
 def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
@@ -378,31 +416,21 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
     """
     cfg = cfg or InteractionConfig()
     row = {t: i for i, t in enumerate(x for x in EntInteraction if x in cfg.entity_set)}
-    h2t, t2h, h2v, v2h, t2v, v2t, v2v = map(row.get, EntInteraction)  # None: inactive
-    records: dict[tuple, tuple[int, int]] = {}
-
-    def put(src: int, type_row: int | None, dst: int, rel: int) -> None:
-        if type_row is not None:
-            _induce(records, (src, type_row, dst, rel) if with_fact_relations
-                    else (src, type_row, dst), own)
-
-    for fi, f in enumerate(kg.facts):
-        own = (fi, -1)
-        h = kg.entity_index[f.head]
-        t = kg.entity_index[f.tail]
-        r = kg.relation_index[f.relation]
-        vals = [(kg.relation_index[k], kg.entity_index[v]) for k, v in f.qualifiers]
-        put(h, h2t, t, r)
-        put(t, t2h, h, r)
-        for k, v in vals:
-            put(h, h2v, v, k)
-            put(v, v2h, h, k)
-            put(t, t2v, v, k)
-            put(v, v2t, t, k)
-        for (ki, vi), (_, vj) in permutations(vals, 2):
-            put(vi, v2v, vj, ki)
-
-    return _finish(kg.num_entities, tuple(row), records, annotated=with_fact_relations)
+    n = kg.num_entities
+    dims = (n, len(row), n) + ((kg.num_relations,) if with_fact_relations else ())
+    head, rel, tail, qf, qk, qv = _positions(kg)
+    i, j = _matches(qf, qf)
+    i, j = i[i != j], j[i != j]  # ordered pairs of two qualifiers of one fact
+    entries = {  # (src, dst, relation, fact) per entry
+        EntInteraction.H2T: (head, tail, rel, np.arange(kg.num_facts)),
+        EntInteraction.H2V: (head[qf], qv, qk, qf),
+        EntInteraction.T2V: (tail[qf], qv, qk, qf),
+        EntInteraction.V2V: (qv[i], qv[j], qk[i], qf[i]),
+    }
+    parts = [_reduce(np.ravel_multi_index((src, row[t], dst, r)[:len(dims)], dims),
+                     kg.num_facts, fact)
+             for t, (src, dst, r, fact) in entries.items() if t in row]
+    return _finish(n, tuple(row), ENT_RECIPROCAL, parts, dims)
 
 
 @dataclass

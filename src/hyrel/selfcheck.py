@@ -67,9 +67,13 @@ def _gradient_suite(log: Callable[[str], None], quick: bool, structure: str) -> 
 def _foundation_suite(log: Callable[[str], None], quick: bool) -> bool:
     rng = np.random.default_rng(11)
     cases = 20 if quick else 100
+    # Graphs over three entities and relations put three or more facts at
+    # one anchor, the case that decides most cross-fact records.
+    dense = 3 if quick else 10
+    graphs = [random_hkg(rng) for _ in range(cases)] + [
+        random_hkg(rng, max_facts=24, num_entities=3, num_relations=3) for _ in range(dense)]
     failures = 0
-    for _ in range(cases):
-        kg = random_hkg(rng)
+    for kg in graphs:
         for cfg in PRESETS.values():
             built = build_relation_graph(kg, cfg).edge_set()
             if built != brute_force_relation_edges(kg, cfg):
@@ -83,7 +87,7 @@ def _foundation_suite(log: Callable[[str], None], quick: bool) -> bool:
                 failures += 1
     ok = failures == 0
     log(f"{'ok' if ok else 'FAIL'} - foundation graphs vs brute-force rules "
-        f"({cases} graphs x {len(PRESETS)} presets, {failures} mismatches)")
+        f"({cases} + {dense} dense graphs x {len(PRESETS)} presets, {failures} mismatches)")
     return ok
 
 

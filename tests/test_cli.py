@@ -207,6 +207,31 @@ def test_eval_header_is_the_checkpoint_configuration(tmp_path, capsys):
     assert " seed=4 " in headers[0][0]
 
 
+def test_predict_header_is_the_checkpoint_configuration(tmp_path, capsys):
+    # Checkpoints that differ only in structure must not share a header.
+    from hyrel.io import load_bundle
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    headers = []
+    for structure in ("parallel", "relation-driven"):
+        ckpt = tmp_path / f"{structure}.bin"
+        cfg = TrainConfig(epochs=0, seed=4, width=8, encoder_depth=1, head_count=1,
+                          decoder_depth=1, structure=structure)
+        fit(load_bundle(bundle_dir), cfg).save(ckpt)
+        capsys.readouterr()
+        assert dispatch(["predict", "--checkpoint", str(ckpt), "--kg", str(kg_path),
+                         "--query", "x0 xr [MASK]", "--topk", "2"]) == 0
+        headers.append([line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("#")])
+    assert headers[0][0] != headers[1][0]
+    assert " seed=4 " in headers[0][0]
+    assert "# structure = parallel" in headers[0] and "# topk = 2" in headers[0]
+    assert "# structure = relation-driven" in headers[1]
+
+
 def test_predict_topk_below_one_is_usage_error(tmp_path, capsys):
     kg_path = tmp_path / "raw.txt"
     make_raw_kg(kg_path)

@@ -1,3 +1,5 @@
+import hashlib
+from collections import defaultdict
 from itertools import product
 
 import numpy as np
@@ -224,6 +226,52 @@ def test_annotated_entity_graph_matches_oracle(rng):
                     g, brute_force_entity_edges(without(kg, f), cfg, with_fact_relations=True))
 
 
+def dense_hkg(rng, min_facts=1):
+    """A random KG over three entities and three relations: most (anchor,
+    role, relation) groups hold three or more distinct facts."""
+    return random_hkg(rng, max_facts=24, num_entities=3, num_relations=3,
+                      min_facts=min_facts)
+
+
+def has_dense_hub(kg):
+    """Whether some (anchor, role, relation) holds three distinct facts."""
+    facts = defaultdict(set)
+    for i, f in enumerate(kg.facts):
+        facts["head", f.head, f.relation].add(i)
+        facts["tail", f.tail, f.relation].add(i)
+        for k, v in f.qualifiers:
+            facts["value", v, k].add(i)
+    return max(map(len, facts.values()), default=0) >= 3
+
+
+def test_dense_hub_oracle_equivalence(rng):
+    graphs = [dense_hkg(rng) for _ in range(60)]
+    assert sum(map(has_dense_hub, graphs)) >= 50
+    for kg, cfg in product(graphs, PRESETS.values()):
+        assert build_relation_graph(kg, cfg).edge_set() == brute_force_relation_edges(kg, cfg)
+        assert build_entity_graph(kg, cfg).edge_set() == brute_force_entity_edges(kg, cfg)
+        g = build_entity_graph(kg, cfg, with_fact_relations=True)
+        assert {e + (r,) for e, r in zip(g.edges, g.relation.tolist())} == \
+            brute_force_entity_edges(kg, cfg, with_fact_relations=True)
+
+
+def test_dense_hub_exclusion_soundness(rng):
+    # Three or more facts at one anchor decide every cross-fact record; the
+    # masks must still equal the oracle built without each fact.
+    graphs = [dense_hkg(rng, min_facts=12) for _ in range(4)]
+    assert all(map(has_dense_hub, graphs))
+    for kg, cfg in product(graphs, PRESETS.values()):
+        for build, oracle in ((build_relation_graph, brute_force_relation_edges),
+                              (build_entity_graph, brute_force_entity_edges)):
+            g = build(kg, cfg)
+            for f in range(kg.num_facts):
+                assert masked_edges(g, f) == sorted_oracle(g, oracle(without(kg, f), cfg))
+        g = build_entity_graph(kg, cfg, with_fact_relations=True)
+        for f in range(kg.num_facts):
+            assert masked_edges(g, f, annotated=True) == sorted_oracle(
+                g, brute_force_entity_edges(without(kg, f), cfg, with_fact_relations=True))
+
+
 def test_construction_permutation_equivariance(rng):
     for _ in range(30):
         kg = random_hkg(rng)
@@ -263,6 +311,9 @@ def test_edges_sorted_and_deterministic(rng):
             assert len(arrays) == (4 if name == "entity-annotated" else 3)
             assert all(a.dtype == np.int64 and a.shape == (g.num_edges,) for a in arrays)
             assert g.edge_facts.shape == (g.num_edges, 2)
+            first, second = g.edge_facts.T  # a row ascends, with -1 padding last
+            assert ((second == -1) | (first < second)).all() and (first >= -1).all()
+            assert ((first >= 0) | (second == -1)).all()
             for a, b in zip(arrays + [g.edge_facts], edge_arrays(again) + [again.edge_facts]):
                 assert a.tobytes() == b.tobytes()
             rows = list(zip(*(a.tolist() for a in arrays)))
@@ -319,3 +370,59 @@ def test_message_plans_are_cached_over_the_edge_arrays():
         for p, idx in ((plan.src, src), (plan.dst, dst)):
             assert p.rows.tolist() == sorted(set(idx.tolist()))
     assert g.message_plan(False) is not g.message_plan(True)
+
+
+def zipf_hkg(seed=23, num_facts=400, num_entities=150, num_primaries=12, num_keys=8):
+    """A seeded KG whose entities, relations and keys are drawn with Zipf
+    weights, so a few hub entities are shared by many facts; facts hold 0-2
+    qualifiers and may repeat."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, size):
+        w = 1.0 / np.arange(1, n + 1)
+        return rng.choice(n, size=size, p=w / w.sum()).tolist()
+
+    facts = []
+    for q in rng.integers(0, 3, num_facts).tolist():
+        (h, t), (r,) = draw(num_entities, 2), draw(num_primaries, 1)
+        quals = tuple((f"k{k}", f"e{v}") for k, v in zip(draw(num_keys, q),
+                                                        draw(num_entities, q)))
+        facts.append(HyperFact(f"e{h}", f"r{r}", f"e{t}", quals))
+    return Hkg(facts)
+
+
+def graph_digests(g):
+    """SHA-256 of the edge arrays and of the ``edge_facts`` rows, each row
+    sorted ascending with -1 last."""
+    edges = hashlib.sha256(b"".join(a.tobytes() for a in edge_arrays(g)))
+    big = np.iinfo(np.int64).max
+    rows = np.sort(np.where(g.edge_facts < 0, big, g.edge_facts), axis=1)
+    facts = hashlib.sha256(np.where(rows == big, -1, rows).astype("<i8").tobytes())
+    return edges.hexdigest(), facts.hexdigest()
+
+
+GOLDEN = {
+    "relation-default": (
+        "3b805168b227e9c5fb1c66ae1d204091fe9c85f0ce199acd7c4e2945bef2743e",
+        "f753d8795c699bc1de76000445e542dae98b549816baebdbf8ae6890d3677bac"),
+    "relation-addallfi": (
+        "54ceaccd4a08330137aa0895fbab1836b65cae3a000a5589cbfb8d1da4d7e82e",
+        "27d486153f9ad66ed3fd7c70b3c251651c7b45cd0af22fdae2d100ddfeea2868"),
+    "entity": (
+        "fd50e6bce269f878391554fbee431ec78b0e34ea534ac4a9462d367df5f8edd0",
+        "fdff9bf190426ec20611db331c4d05ee459c133e267d15b46da4191f3d682b56"),
+    "entity-annotated": (
+        "e04e24d599491b0bd8cd326033581444e1f14c43f682390e9962ca85826a16af",
+        "ba93be0de755d7016c385ec7c1fea5ee95e81e6cbba1330f28a557dc85fd1359"),
+}
+
+
+def test_golden_graph_hashes():
+    kg = zipf_hkg()
+    graphs = {
+        "relation-default": build_relation_graph(kg, preset("default")),
+        "relation-addallfi": build_relation_graph(kg, preset("addAllFI")),
+        "entity": build_entity_graph(kg),
+        "entity-annotated": build_entity_graph(kg, with_fact_relations=True),
+    }
+    assert {name: graph_digests(g) for name, g in graphs.items()} == GOLDEN
