@@ -1,25 +1,24 @@
 """Reverse-mode differentiation over dense 2-D arrays.
 
 Small and closed by design: matrix product, broadcast add/multiply, transpose,
-relu, concatenation, layer normalization, row-wise softmax, gather, gated
-gather, scatter-add, per-row column picks and sums, per-row cross-entropy and
-the total sum, which is everything the encoders, decoder and training loss
-compose from.  Arithmetic is 32-bit by default; gradient checking builds the
-same graphs over 64-bit parameters.
+relu, concatenation, layer normalization, row-wise softmax, gather,
+scatter-add (gated message passing), per-row column picks and sums, per-row
+cross-entropy and the total sum, which is everything the encoders, decoder
+and training loss compose from.  Arithmetic is 32-bit by default; gradient
+checking builds the same graphs over 64-bit parameters.
 
-Aggregation by index (``scatter_add`` and the backward pass of every gather)
+Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
 is always a segment sum over a :class:`Segments` plan, built once per index
 array and reused by every layer that sums over it, which returns the sums in
 their rows (:meth:`Segments.sums`).  Every run is added strictly left to
 right, so a zero cell adds nothing and leaving entries out of a sum is the
-same as zeroing them.  The ops take a block count: blocks of rows stacked
-along the rows share one plan, each block summed on its own, and zeroed
-(entry, block) cells leave an entry out of one block only.
-``scatter_add`` also fans rows out: a second plan names the message row
-``rows[e]`` that destination entry e reads, so a message shared by many
-edges is computed once and only the sum sees every edge.  A sum takes its
-entries slab by slab, so the per-entry rows are never held in full past
-:data:`SLAB_BYTES`.
+same as zeroing them.  ``scatter_add`` passes messages along a
+:class:`MessagePlan`: blocks of rows stacked along the rows share one plan,
+each block summed on its own, and zeroed (edge, block) cells leave an edge
+out of one block only.  A message shared by many edges is computed once and
+fanned out inside the sum, which takes its entries slab by slab, so the
+per-edge rows are never held in full past :data:`SLAB_BYTES`; the messages
+themselves are a temporary of the op, never kept on the tape.
 
 Only what a gradient needs is recorded.  A :class:`Value` made by
 ``Value(data)`` (a parameter, or an input under a gradient check) needs a
@@ -55,6 +54,7 @@ from __future__ import annotations
 import ctypes
 import struct
 from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -516,6 +516,34 @@ def _unsorted(idx: Array) -> bool:
     return idx.size > 1 and bool((idx[1:] < idx[:-1]).any())
 
 
+@dataclass(frozen=True)
+class MessagePlan:
+    """How one message pass (:func:`scatter_add`) reads a graph's edges, for
+    a batch of ``blocks`` queries stacked along the rows.
+
+    A message depends only on its edge's source node and gate row, so each
+    distinct (source, gate row) pair is one message: ``src`` and ``gate``
+    plan the pairs' source nodes and gate rows.  The edges come in stable
+    destination order: ``fan`` plans the pair each edge reads, and ``dst``
+    the edges' destinations, already ascending.
+
+    Every block shares these plans of the whole graph.  Block q owns node
+    rows q·N to (q+1)·N - 1 of a graph of N nodes, and reads the gate rows
+    of a shared gate table, or of its own block of one when the gates are
+    per query.  ``zeroed`` pairs the edges (positions in destination order)
+    left out of a block with that block, by block then edge; their (edge,
+    block) cells are zeroed in the sum at the destinations and in the one
+    back to the pairs.
+    """
+
+    src: Segments
+    gate: Segments
+    fan: Segments
+    dst: Segments
+    blocks: int = 1
+    zeroed: tuple[Array, Array] | None = None
+
+
 def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) -> None:
     """Block q reads rows q·``stride`` + ``plan.index`` of ``rows`` rows; with
     several blocks and a nonzero stride no block may read past its own."""
@@ -528,103 +556,74 @@ def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) 
         raise IndexError(f"{what} out of range for {rows} rows")
 
 
-def gather(x: Value, rows: Sequence[int] | Array | Segments, blocks: int = 1,
-           stride: int | None = None) -> Value:
-    """Select rows of ``x`` (with repetition) by index, once per block.
+def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
+    """Select rows of ``x`` (with repetition) by index.
 
-    Block q of the result reads rows q·``stride`` + index of ``x``; the
-    stride defaults to x's rows over ``blocks``, and 0 makes every block read
-    the same rows.  ``rows`` may be a :class:`Segments` plan of the index; a
-    plain index is planned here.  The backward pass sums over the plan.
+    ``rows`` may be a :class:`Segments` plan of the index; a plain index is
+    planned here.  The backward pass sums over the plan.
     """
     plan = rows if isinstance(rows, Segments) else Segments(rows)
-    if stride is None:
-        stride = x.shape[0] // blocks
-    _check_rows(plan, x.shape[0], blocks, stride, "row index")
-    return _record(np.take(x.data, plan._block_index(blocks, stride), axis=0), (x,),
-                   lambda g: _accumulate(x, plan.sums(g, x.shape[0], blocks, stride)))
+    _check_rows(plan, x.shape[0], 1, 0, "row index")
+    return _record(np.take(x.data, plan.index, axis=0), (x,),
+                   lambda g: _accumulate(x, plan.sums(g, x.shape[0])))
 
 
-def gated_gather(x: Value, src: Segments, gates: Value, gate: Segments, blocks: int,
-                 stride: int) -> Value:
-    """``mul(gather(x, src, blocks), gather(gates, gate, blocks, stride))``
-    in one op, bit for bit, without a gathered copy of the gates per block.
+def scatter_add(x: Value, gates: Value, plan: MessagePlan, stride: int = 0) -> Value:
+    """One message pass: each node's row of the result sums the messages of
+    the edges into it, in edge order; rows no edge reaches are zero.
 
-    Block q reads rows q·N + ``src.index`` of ``x``, N being x's rows over
-    ``blocks``, times rows q·``stride`` + ``gate.index`` of ``gates``.  With
-    stride 0 every block reads the same gate rows, taken once and broadcast
-    over the blocks.  When ``gates`` needs no gradient the product is made in
-    place of the gathered rows of ``x``, so a pass over constants holds one
-    array of the result's size.
+    ``x`` and the result stack ``plan.blocks`` equal blocks of N node rows.
+    In block q, pair p's message is row q·N + ``plan.src.index[p]`` of
+    ``x`` times row q·``stride`` + ``plan.gate.index[p]`` of ``gates``;
+    with stride 0 every block reads the same gate rows, taken once and
+    broadcast over the blocks.  Each message is formed once, as a temporary,
+    and fanned out to its edges inside the sum at the destinations
+    (:meth:`Segments.sums`), which leaves the ``plan.zeroed`` cells out.
+    The backward pass sums the gradient back to the pairs over ``plan.fan``
+    with the same cells left out, and takes the rows of both operands again,
+    so the tape holds one node per pass and no per-pair array.
     """
-    if src.index.size != gate.index.size or x.shape[1] != gates.shape[1]:
-        raise ShapeError(f"{src.index.size} rows of {x.shape} cannot be gated by "
-                         f"{gate.index.size} rows of {gates.shape}")
-    per_block = x.shape[0] // blocks
-    _check_rows(src, x.shape[0], blocks, per_block, "row index")
-    _check_rows(gate, gates.shape[0], blocks, stride, "gate row index")
-    pairs, d = src.index.size, x.shape[1]
+    blocks, (rows, d) = plan.blocks, x.shape
+    nodes, pairs = rows // blocks, plan.src.index.size
+    if rows != blocks * nodes or gates.shape[1] != d or plan.gate.index.size != pairs \
+            or plan.fan.index.size != plan.dst.index.size:
+        raise ShapeError(f"a plan of {blocks} block(s), {pairs} source(s), "
+                         f"{plan.gate.index.size} gate(s), {plan.fan.index.size} pair read(s) "
+                         f"and {plan.dst.index.size} destination(s) cannot pass messages "
+                         f"over {x.shape} gated by {gates.shape}")
+    _check_rows(plan.src, rows, blocks, nodes, "source index")
+    _check_rows(plan.gate, gates.shape[0], blocks, stride, "gate row index")
+    _check_rows(plan.fan, blocks * pairs, blocks, pairs, "pair index")
+    _check_rows(plan.dst, rows, blocks, nodes, "destination index")
     shared = not stride  # every block reads the same gate rows
 
     # The backward pass takes both again from the operands, which the tape
     # keeps anyway, rather than keep a copy of each gathered array.
     def take_rows() -> Array:
-        return np.take(x.data, src._block_index(blocks, per_block), axis=0
+        return np.take(x.data, plan.src._block_index(blocks, nodes), axis=0
                        ).reshape(blocks, pairs, d)
 
     def take_gate_rows() -> Array:
-        return np.take(gates.data, gate.index if shared else gate._block_index(blocks, stride),
-                       axis=0).reshape(1 if shared else blocks, pairs, d)
+        index = plan.gate.index if shared else plan.gate._block_index(blocks, stride)
+        return np.take(gates.data, index, axis=0).reshape(1 if shared else blocks, pairs, d)
 
-    rows, gate_rows = take_rows(), take_gate_rows()
-    in_place = not gates.requires_grad and np.result_type(rows, gate_rows) == rows.dtype
-    out = np.multiply(rows, gate_rows, out=rows if in_place else None)
+    messages = take_rows()  # the gate rows die with the multiply, before the sum
+    in_place = np.result_type(x.data, gates.data) == messages.dtype
+    messages = np.multiply(messages, take_gate_rows(), out=messages if in_place else None)
 
     def bwd(g: Array):
-        g3 = g.reshape(blocks, pairs, d)
+        per_pair = plan.fan.sums(g, blocks * pairs, blocks, read=plan.dst.index,
+                                 zeroed=plan.zeroed).reshape(blocks, pairs, d)
         if x.requires_grad:
-            _accumulate(x, src.sums((g3 * take_gate_rows()).reshape(g.shape), x.shape[0],
-                                    blocks))
-        if gates.requires_grad:
-            _accumulate(gates, gate.sums((g3 * take_rows()).reshape(g.shape), gates.shape[0],
-                                         blocks, stride))
+            _accumulate(x, plan.src.sums((per_pair * take_gate_rows()).reshape(-1, d), rows,
+                                         blocks))
+        if gates.requires_grad:  # the last use of per_pair
+            _accumulate(gates, plan.gate.sums(
+                np.multiply(per_pair, take_rows(), out=per_pair).reshape(-1, d),
+                gates.shape[0], blocks, stride))
 
-    return _record(out.reshape(blocks * pairs, d), (x, gates), bwd)
-
-
-def scatter_add(messages: Value, dst: Sequence[int] | Array | Segments,
-                num_rows: int, rows: Segments, blocks: int = 1,
-                zeroed: tuple[Array, Array] | None = None) -> Value:
-    """Sum message rows into their destination rows; absent rows stay zero.
-
-    ``dst`` may be a :class:`Segments` plan of the destination index.  The
-    plan ``rows``, as long as ``dst``, names the message row of each entry:
-    entry e of ``dst`` receives message row ``rows.index[e]``, so one row
-    may fan out to many destinations.  The fanned-out rows are taken slab
-    by slab inside the sum (:meth:`Segments.sums`), and the backward pass
-    sums each row's destinations over the ``rows`` plan.
-
-    The messages and the ``num_rows`` result stack ``blocks`` equal blocks
-    of rows, and block q of the result sums block q's messages.  The
-    ``zeroed`` cells, a pair of arrays of entries and their blocks, are left
-    out of both sums (:meth:`Segments.block_sums`).
-    """
-    plan = dst if isinstance(dst, Segments) else Segments(dst)
-    per_block = messages.shape[0] // blocks
-    if plan.index.size != rows.index.size or messages.shape[0] != blocks * per_block \
-            or num_rows % blocks:
-        raise ShapeError(f"need one destination per message entry of {blocks} block(s), got "
-                         f"{plan.index.shape} for {rows.index.size} entries, "
-                         f"{messages.shape[0]} message rows and {num_rows} destination rows")
-    _check_rows(plan, num_rows, blocks, num_rows // blocks, "destination index")
-    _check_rows(rows, messages.shape[0], blocks, per_block, "message row index")
-
-    def bwd(g: Array):
-        _accumulate(messages, rows.sums(g, messages.shape[0], blocks, read=plan.index,
-                                        zeroed=zeroed))
-
-    return _record(plan.sums(messages.data, num_rows, blocks, read=rows.index, zeroed=zeroed),
-                   (messages,), bwd)
+    return _record(plan.dst.sums(messages.reshape(-1, d), rows, blocks, read=plan.fan.index,
+                                 zeroed=plan.zeroed), (x, gates), bwd)
 
 
 def total_sum(a: Value) -> Value:

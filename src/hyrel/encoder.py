@@ -26,12 +26,13 @@ adds what an absent one would.
 
 A message depends only on its source node and gate row, and many edges
 share both (every edge out of one head with one type, say), so a layer
-multiplies each distinct (source, gate row) pair once, in one gated gather
-that reads shared gate rows once for every block, and fans the products out
-to the edges' destinations in one sum over the edges in destination order
-(:class:`~hyrel.foundation.MessagePlan`).  That sum takes the per-edge
-products slab by slab, so they never exist in full; the tape holds only the
-per-pair ones.
+multiplies each distinct (source, gate row) pair once, reading shared gate
+rows once for every block, and fans the products out to the edges'
+destinations in one sum over the edges in destination order
+(:func:`~hyrel.autodiff.scatter_add` over a
+:class:`~hyrel.autodiff.MessagePlan`).  That sum takes the per-edge products
+slab by slab, so they never exist in full, and the per-pair products are a
+temporary of the op: the tape holds one node per layer's message pass.
 
 Where the gate comes from depends on the model structure.  In the parallel
 structure it is the layer's learned type vector of t.  In the
@@ -51,9 +52,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Value
+from .autodiff import MessagePlan, ParamStore, Value
 from .errors import ConfigError, ContractError, ShapeError
-from .foundation import FoundationGraph, MessagePlan
+from .foundation import FoundationGraph
 
 
 @dataclass
@@ -144,9 +145,7 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
     else:
         gates = ad.matmul(edge_states, layer.relation_proj)
     stride = 0 if edge_states is None else gates.shape[0] // plan.blocks
-    agg = ad.scatter_add(
-        ad.gated_gather(states, plan.src, gates, plan.gate, plan.blocks, stride),
-        plan.dst, states.shape[0], plan.fan, plan.blocks, plan.zeroed)
+    agg = ad.scatter_add(states, gates, plan, stride)
     return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
                           layer.update_b))
 

@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import Segments
+from .autodiff import MessagePlan, Segments
 from .errors import ConfigError, ContractError
 from .model import Hkg
 
@@ -151,34 +151,6 @@ def preset(name: str) -> InteractionConfig:
     except KeyError:
         raise ConfigError(f"unknown interaction preset {name!r}; "
                           f"expected one of {', '.join(PRESETS)}")
-
-
-@dataclass(frozen=True)
-class MessagePlan:
-    """How one layer of message passing reads a graph's edges, for a batch
-    of ``blocks`` queries stacked along the rows.
-
-    A message depends only on its edge's source node and gate row, so each
-    distinct (source, gate row) pair is one message: ``src`` and ``gate``
-    plan the pairs' source nodes and gate rows.  The edges come in stable
-    destination order: ``fan`` plans the pair each edge reads, and ``dst``
-    the edges' destinations, already ascending.
-
-    Every block shares these plans of the whole graph.  Block q owns node
-    rows q·N to (q+1)·N - 1 and pair rows q·P to (q+1)·P - 1 of a graph of N
-    nodes and P pairs, and reads the gate rows of a shared gate table, or of
-    its own block of one when the gates are per query.  ``zeroed`` pairs the
-    edges (positions in destination order) left out of a block with that
-    block, by block then edge; their (edge, block) cells are zeroed in the
-    sum at the destinations and in the one back to the pairs.
-    """
-
-    src: Segments
-    gate: Segments
-    fan: Segments
-    dst: Segments
-    blocks: int = 1
-    zeroed: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True, eq=False)

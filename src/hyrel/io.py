@@ -100,8 +100,8 @@ def read_facts(path: str | Path) -> list[HyperFact]:
     problems: list[str] = []
     with _open_text(path) as fh:
         for no, line in enumerate(fh, start=1):
-            if line.strip() == "":
-                continue
+            if line.strip() == "" and (jsonl or "\t" not in line):
+                continue  # a blank line; a TSV line with a TAB is a record
             try:
                 _check_utf8(line, no)
                 if jsonl:

@@ -9,17 +9,12 @@ from hypothesis import strategies as st
 
 import hyrel.autodiff as ad
 from hyrel import ContractError, DataError, ShapeError
-from hyrel.autodiff import (Adam, ParamStore, Segments, Value, backward, check_gradients,
-                            clip_global_norm, finite_difference)
+from hyrel.autodiff import (Adam, MessagePlan, ParamStore, Segments, Value, backward,
+                            check_gradients, clip_global_norm, finite_difference)
 
 
 def val(data):
     return Value(np.asarray(data, dtype=np.float64))
-
-
-def identity(n):
-    """The plan of a sum without fan-out: entry e reads message row e."""
-    return Segments(np.arange(n))
 
 
 def fd_check(build_loss, params, rtol=1e-3):
@@ -130,42 +125,82 @@ def test_gather_out_of_range():
         ad.gather(val([[1.0]] * 3), [[0, 1], [1, 2], [2, 0]])
 
 
+def plan_of(src, gate, fan, dst, blocks=1, zeroed=None):
+    """A :class:`MessagePlan` of plain index lists: pair p multiplies node
+    ``src[p]`` by gate row ``gate[p]``, and edge e adds pair ``fan[e]`` into
+    node ``dst[e]``."""
+    return MessagePlan(*(Segments(np.asarray(i, dtype=np.int64)) for i in (src, gate, fan, dst)),
+                       blocks, zeroed)
+
+
+def summed(values, dst, num_rows):
+    """``scatter_add`` as a plain segment sum of the rows of ``values`` at
+    ``dst``: pair e gates a row of ones by row e of ``values`` (the gate
+    table, so its gradient is the sums' backward) and is read by edge e."""
+    e = len(dst)
+    ones = Value.constant(np.ones((num_rows, values.shape[1]), dtype=values.dtype))
+    return ad.scatter_add(ones, Value(values), plan_of(np.zeros(e), np.arange(e), np.arange(e),
+                                                       dst))
+
+
 def test_scatter_add_hand_value():
-    messages = val([[1.0, 1.0], [2.0, 2.0]])
-    out = ad.scatter_add(messages, [0, 0], 2, identity(2))
+    x = val([[1.0, 1.0], [2.0, 2.0]])
+    out = ad.scatter_add(x, val([[1.0, 1.0]]), plan_of([0, 1], [0, 0], [0, 1], [0, 0]))
     assert out.data.tolist() == [[3.0, 3.0], [0.0, 0.0]]
 
 
 def test_scatter_add_empty():
-    out = ad.scatter_add(Value(np.zeros((0, 3))), [], 4, identity(0))
+    x, gates = Value(np.ones((4, 3))), Value(np.ones((2, 3)))
+    out = ad.scatter_add(x, gates, plan_of([], [], [], []))
     assert out.data.shape == (4, 3)
     assert (out.data == 0).all()
+    backward(ad.total_sum(out))
+    assert (x.grad == 0).all() and (gates.grad == 0).all()
 
 
 def test_scatter_add_index_error():
-    with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0]]), [3], 2, identity(1))
-    with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0], [1.0]]), Segments([1, -1]), 2, identity(2))
+    x, gates = val([[1.0], [1.0]]), val([[1.0], [1.0]])
+    for src, gate, fan, dst in (([0], [0], [0], [3]),          # destination past the nodes
+                                ([0, 1], [0, 0], [0, 1], [1, -1]),
+                                ([2], [0], [0], [0]),          # source past the nodes
+                                ([0], [-1], [0], [0]),         # gate row before the table
+                                ([0], [2], [0], [0])):         # and past it
+        with pytest.raises(IndexError):
+            ad.scatter_add(x, gates, plan_of(src, gate, fan, dst))
 
 
 def test_scatter_add_shape_error():
-    with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), [0], 2, identity(2))
-    with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), Segments([0, 1, 1]), 2, identity(2))
-    with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), [[0], [1]], 2, identity(2))
+    x, gates = val([[1.0], [1.0]]), val([[1.0], [1.0]])
+    with pytest.raises(ShapeError):  # one gate row per source
+        ad.scatter_add(x, gates, plan_of([0, 1], [0], [0], [0]))
+    with pytest.raises(ShapeError):  # one pair read per destination
+        ad.scatter_add(x, gates, plan_of([0], [0], [0, 0], [0]))
+    with pytest.raises(ShapeError):  # gates as wide as the states
+        ad.scatter_add(x, val([[1.0, 1.0]]), plan_of([0], [0], [0], [0]))
+    with pytest.raises(ShapeError):  # states that do not split into the blocks
+        ad.scatter_add(val([[1.0]] * 3), gates, plan_of([0], [0], [0], [0], blocks=2))
+    with pytest.raises(ShapeError):  # a source past its block's nodes
+        ad.scatter_add(val([[1.0]] * 4), gates, plan_of([2], [0], [0], [0], blocks=2))
+    with pytest.raises(ShapeError):  # a destination past its block's nodes
+        ad.scatter_add(val([[1.0]] * 4), gates, plan_of([0], [0], [0], [2], blocks=2))
+    with pytest.raises(ShapeError):  # a gate row past its block's gates
+        ad.scatter_add(val([[1.0]] * 4), val([[1.0]] * 4),
+                       plan_of([0], [2], [0], [0], blocks=2), stride=2)
 
 
 def _check_segment_sum(index, num_rows, width, seed):
-    """Plan-based sums (scatter_add forward, gather backward) against np.add.at."""
+    """Plan-based sums (scatter_add forward and backward, gather backward)
+    against np.add.at."""
     values = np.random.default_rng(seed).normal(size=(len(index), width))
     expected = np.zeros((num_rows, width))
     np.add.at(expected, np.asarray(index, dtype=np.int64), values)
+    out = summed(values, index, num_rows)
+    assert np.allclose(out.data, expected, rtol=1e-6)
+    weights = np.random.default_rng(seed + 1).normal(size=(num_rows, width))
+    (gates,) = out._parents
+    backward(ad.total_sum(ad.mul(out, weights)))
+    assert np.allclose(gates.grad, weights[np.asarray(index, dtype=np.int64)], rtol=1e-6)
     for dst in (index, Segments(index)):
-        out = ad.scatter_add(Value(values), dst, num_rows, identity(len(index)))
-        assert np.allclose(out.data, expected, rtol=1e-6)
         x = Value(np.zeros((num_rows, width)))
         backward(ad.total_sum(ad.mul(ad.gather(x, dst), Value(values))))
         assert np.allclose(x.grad, expected, rtol=1e-6)
@@ -201,7 +236,7 @@ def test_scatter_then_gather_matches_grouping_oracle(rng):
         d = int(rng.integers(1, 4))
         messages = rng.normal(size=(e, d))
         dst = rng.integers(0, n, size=e)
-        out = ad.scatter_add(Value(messages), dst, n, identity(e))
+        out = summed(messages, dst, n)
         expected = np.zeros((n, d))
         for row, target in enumerate(dst):  # grouping oracle
             expected[target] += messages[row]
@@ -209,77 +244,88 @@ def test_scatter_then_gather_matches_grouping_oracle(rng):
 
 
 def test_scatter_add_gradient(rng):
-    messages = Value(rng.normal(size=(6, 3)))
+    x = Value(rng.normal(size=(4, 3)))
+    gates = Value(rng.normal(size=(2, 3)))
     w = Value(rng.normal(size=(3, 1)))
-    for dst in ([0, 1, 1, 2, 0, 2], Segments([0, 1, 1, 2, 0, 2])):
-        fd_check(lambda: ad.total_sum(ad.matmul(
-            ad.scatter_add(messages, dst, 4, identity(6)), w)),
-                 {"messages": messages, "w": w})
+    plan = plan_of([0, 1, 1, 3, 2, 0], [0, 0, 1, 1, 0, 1], np.arange(6), [0, 1, 1, 2, 0, 2])
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(x, gates, plan), w)),
+             {"x": x, "gates": gates, "w": w})
 
 
 def test_scatter_add_fan_hand_value():
-    # Message 0 fans out to rows 0 and 2, message 1 to row 0 twice.
-    messages = val([[1.0, 2.0], [10.0, 20.0]])
-    out = ad.scatter_add(messages, [0, 0, 0, 2], 3, rows=Segments([0, 1, 1, 0]))
+    # Pair 0 (message [1, 2]) fans out to rows 0 and 2, pair 1 ([10, 20])
+    # to row 0 twice.
+    x = val([[1.0, 2.0], [5.0, 10.0], [0.0, 0.0]])
+    gates = val([[1.0, 1.0], [2.0, 2.0]])
+    out = ad.scatter_add(x, gates, plan_of([0, 1], [0, 1], [0, 1, 1, 0], [0, 0, 0, 2]))
     assert out.data.tolist() == [[21.0, 42.0], [0.0, 0.0], [1.0, 2.0]]
     backward(ad.total_sum(ad.mul(out, val([[1.0, 1.0], [5.0, 5.0], [3.0, 3.0]]))))
-    assert messages.grad.tolist() == [[4.0, 4.0], [2.0, 2.0]]
+    # Pair 0's gradient is 1 + 3 = 4, pair 1's 1 + 1 = 2.
+    assert x.grad.tolist() == [[4.0, 4.0], [4.0, 4.0], [0.0, 0.0]]
+    assert gates.grad.tolist() == [[4.0, 8.0], [10.0, 20.0]]
 
 
 def test_scatter_add_empty_fan():
-    messages = Value(np.ones((3, 2)))
-    out = ad.scatter_add(messages, Segments([]), 4, rows=Segments([]))
-    assert out.data.shape == (4, 2) and (out.data == 0).all()
+    # Pairs that no edge reads add nothing and get no gradient.
+    x, gates = Value(np.ones((3, 2))), Value(np.ones((2, 2)))
+    out = ad.scatter_add(x, gates, plan_of([0, 2, 1], [1, 0, 0], [], []))
+    assert out.data.shape == (3, 2) and (out.data == 0).all()
     backward(ad.total_sum(out))
-    assert (messages.grad == 0).all()
+    assert (x.grad == 0).all() and (gates.grad == 0).all()
 
 
 def test_scatter_add_fan_errors():
+    x, gates = val([[1.0], [1.0]]), val([[1.0]])
+    with pytest.raises(IndexError):  # a pair past the plan's pairs
+        ad.scatter_add(x, gates, plan_of([0, 1], [0, 0], [0, 2], [0, 1]))
     with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0], [1.0]]), [0, 1], 2, rows=Segments([0, 2]))
-    with pytest.raises(IndexError):
-        ad.scatter_add(val([[1.0], [1.0]]), [0, 1], 2, rows=Segments([-1, 0]))
+        ad.scatter_add(x, gates, plan_of([0, 1], [0, 0], [-1, 0], [0, 1]))
     with pytest.raises(ShapeError):
-        ad.scatter_add(val([[1.0], [1.0]]), [0, 1, 1], 2, rows=Segments([0, 1]))
+        ad.scatter_add(x, gates, plan_of([0, 1], [0, 0], [0, 1], [0, 1, 1]))
+    with pytest.raises(ShapeError):  # a pair past its block's pairs
+        ad.scatter_add(val([[1.0]] * 4), gates, plan_of([0, 1], [0, 0], [2], [0], blocks=2))
 
 
 def test_scatter_add_fan_gradient(rng):
-    messages = Value(rng.normal(size=(4, 3)))
+    x = Value(rng.normal(size=(5, 3)))
+    gates = Value(rng.normal(size=(2, 3)))
     w = Value(rng.normal(size=(3, 1)))
-    dst, rows = [0, 0, 1, 2, 2, 2, 4], [3, 0, 0, 1, 3, 3, 2]
-    for plan in (dst, Segments(dst)):
-        fd_check(lambda: ad.total_sum(ad.matmul(
-            ad.scatter_add(messages, plan, 5, rows=Segments(rows)), w)),
-            {"messages": messages, "w": w})
-    out = ad.scatter_add(messages, dst, 5, rows=Segments(rows))
+    src, gate = [4, 0, 0, 2], [1, 0, 1, 1]
+    dst, fan = [0, 0, 1, 2, 2, 2, 4], [3, 0, 0, 1, 3, 3, 2]
+    plan = plan_of(src, gate, fan, dst)
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(x, gates, plan), w)),
+             {"x": x, "gates": gates, "w": w})
+    out = ad.scatter_add(x, gates, plan)
     expected = np.zeros((5, 3))
-    np.add.at(expected, dst, messages.data[rows])
+    messages = x.data[src] * gates.data[gate]
+    np.add.at(expected, dst, messages[fan])
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("fan", [False, True])
 def test_scatter_add_blocks_sum_their_own_rows_without_zeroed_cells(rng, fan):
-    # Two blocks of messages into two blocks of 4 rows; entry 1 of block 0
-    # and entry 3 of block 1 are left out of both the sum and the gradient.
+    # Two blocks of 4 nodes; edge 1 of block 0 and edge 3 of block 1 are
+    # left out of both the sum and the gradient.
     dst = [2, 0, 2, 3, 0]
-    rows = Segments([1, 0, 1, 2, 2]) if fan else identity(5)
-    per_block = 3 if fan else 5
-    messages = Value(rng.normal(size=(2 * per_block, 2)))
+    src, gate = ([1, 3, 0], [0, 1, 1]) if fan else ([1, 3, 0, 0, 2], [0, 1, 1, 0, 1])
+    reads = [1, 0, 1, 2, 2] if fan else list(range(5))
+    x = Value(rng.normal(size=(8, 2)))
+    gates = Value(rng.normal(size=(2, 2)))
     zeroed = (np.array([1, 3]), np.array([0, 1]))
-    out = ad.scatter_add(messages, dst, 8, rows, blocks=2, zeroed=zeroed)
+    plan = plan_of(src, gate, reads, dst, blocks=2, zeroed=zeroed)
+    out = ad.scatter_add(x, gates, plan)
     expected = np.zeros((8, 2))
     for q in range(2):
         for e, d in enumerate(dst):
             if (e, q) not in {(1, 0), (3, 1)}:
-                read = rows.index[e]
-                expected[4 * q + d] += messages.data[q * per_block + read]
+                p = reads[e]
+                expected[4 * q + d] += x.data[4 * q + src[p]] * gates.data[gate[p]]
     assert np.allclose(out.data, expected, atol=1e-12)
     w = Value(rng.normal(size=(2, 1)))
-    fd_check(lambda: ad.total_sum(ad.matmul(
-        ad.scatter_add(messages, dst, 8, rows, blocks=2, zeroed=zeroed), w)),
-        {"messages": messages})
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(x, gates, plan), w)),
+             {"x": x, "gates": gates})
     with pytest.raises(ShapeError):
-        ad.scatter_add(messages, dst, 7, rows, blocks=2)
+        ad.scatter_add(val(np.ones((7, 2))), gates, plan)
 
 
 def _left_to_right(values, index, blocks, zeroed):
@@ -425,46 +471,101 @@ def test_a_sum_in_slabs_holds_its_output_and_at_most_the_cap_more():
     assert peak <= sums.nbytes + ad.SLAB_BYTES + 64 * 1024, peak
 
 
-def _gather_gather_mul(x, src, gates, gate, blocks, stride):
-    """The oracle of :func:`gated_gather`: the composition it replaced."""
-    return ad.mul(ad.gather(x, src, blocks), ad.gather(gates, gate, blocks, stride))
+def _passed_by_add_at(x, gates, plan, stride, g):
+    """The oracle of :func:`scatter_add`: its result and the gradients of
+    ``x`` and ``gates`` for the result's gradient ``g``, each sum made by
+    ``np.add.at`` in entry order onto -0.0, the identity of float addition,
+    in the rows it reaches (+0.0 elsewhere), with the zeroed cells left out.
+    Shared gates over several blocks sum their gradient block by block,
+    then add the blocks' sums onto +0.0 in block order."""
+    blocks, d = plan.blocks, x.shape[1]
+    n, pairs = x.shape[0] // blocks, plan.src.index.size
+    src, gate, fan, dst = (p.index for p in (plan.src, plan.gate, plan.fan, plan.dst))
+    q = np.arange(blocks)[:, None]
+    kept = np.ones((blocks, dst.size), dtype=bool)
+    if plan.zeroed is not None:
+        kept[plan.zeroed[1], plan.zeroed[0]] = False
+
+    def add_at(num_rows, reached, rows, values):
+        out = np.zeros((num_rows, d), dtype=values.dtype)
+        out[reached] = -0.0
+        np.add.at(out, rows, values)  # in the order of ``rows``
+        return out
+
+    x_rows = x[q * n + src]                          # (blocks, pairs, d)
+    gate_rows = gates[q * stride + gate]             # at stride 0 the same rows in every block
+    into = q * n + dst                               # (blocks, edges), block by block
+    out = add_at(x.shape[0], into, into[kept], (x_rows * gate_rows)[q, fan][kept])
+    reads = q * pairs + fan
+    per_pair = add_at(blocks * pairs, reads, reads[kept], g[into][kept]
+                      ).reshape(blocks, pairs, d)
+    grad_x = add_at(x.shape[0], q * n + src, (q * n + src).ravel(),
+                    (per_pair * gate_rows).reshape(-1, d))
+    if stride or blocks == 1:
+        rows = q * stride + gate
+        grad_gates = add_at(gates.shape[0], rows, rows.ravel(),
+                            (per_pair * x_rows).reshape(-1, d))
+    else:  # +0.0, then each block's sums in block order
+        grad_gates = np.zeros_like(gates)
+        for b in range(blocks):
+            grad_gates += add_at(gates.shape[0], gate, gate, per_pair[b] * x_rows[b])
+    return out, grad_x, grad_gates
 
 
 @pytest.mark.parametrize("blocks,shared", [(1, True), (3, True), (3, False)])
 @pytest.mark.parametrize("tracked", ["both", "x", "gates"])
-def test_gated_gather_equals_gather_gather_mul_bit_for_bit(blocks, shared, tracked):
-    rng = np.random.default_rng(blocks)
-    nodes, kinds, pairs, width = 5, 3, 9, 4
-    src = Segments(rng.integers(0, nodes, size=pairs))
-    gate = Segments(rng.integers(0, kinds, size=pairs))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scatter_add_matches_the_add_at_oracle_bit_for_bit(blocks, shared, tracked, data):
+    # Random plans of fanned-out pairs, sorted or shuffled destinations,
+    # zeroed cells, signed zeros and magnitudes over eight decades.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nodes, kinds, width = (data.draw(st.integers(1, k)) for k in (6, 4, 3))
+    pairs = data.draw(st.integers(0, 10))
+    edges = data.draw(st.integers(0, 24)) if pairs else 0
+    dst = rng.integers(0, nodes, size=edges)
+    if data.draw(st.booleans()):
+        dst.sort()
+    zeroed = None
+    if data.draw(st.booleans()):
+        zeroed = np.nonzero(rng.random((edges, blocks)) < 0.3)
+    plan = plan_of(rng.integers(0, nodes, size=pairs), rng.integers(0, kinds, size=pairs),
+                   rng.integers(0, pairs, size=edges), dst, blocks, zeroed)
     stride = 0 if shared else kinds
-    x_data = rng.normal(size=(blocks * nodes, width)).astype(np.float32)
-    gate_data = rng.normal(size=((1 if shared else blocks) * kinds, width)).astype(np.float32)
-    weights = rng.normal(size=(blocks * pairs, width)).astype(np.float32)
-    results = []
-    for op in (ad.gated_gather, _gather_gather_mul):
-        x = Value(x_data.copy()) if tracked != "gates" else Value.constant(x_data.copy())
-        gates = Value(gate_data.copy()) if tracked != "x" else Value.constant(gate_data.copy())
-        out = op(x, src, gates, gate, blocks, stride)
-        backward(ad.total_sum(ad.mul(out, weights)))
-        results.append([out.data.tobytes()] + [v.grad.tobytes() for v in (x, gates)
-                                                if v.requires_grad])
-        assert (x_data == x.data).all() and (gate_data == gates.data).all()
-    assert results[0] == results[1]
+
+    def draw(rows):
+        a = (rng.normal(size=(rows, width))
+             * 10.0 ** rng.integers(-4, 5, size=(rows, width))).astype(np.float32)
+        a[rng.random(a.shape) < 0.05] = -0.0
+        return a
+
+    x_data = draw(blocks * nodes)
+    gate_data = draw((1 if shared else blocks) * kinds)
+    g = draw(blocks * nodes)
+    x = Value(x_data.copy()) if tracked != "gates" else Value.constant(x_data.copy())
+    gates = Value(gate_data.copy()) if tracked != "x" else Value.constant(gate_data.copy())
+    out = ad.scatter_add(x, gates, plan, stride)
+    expected, grad_x, grad_gates = _passed_by_add_at(x_data, gate_data, plan, stride, g)
+    assert out.data.tobytes() == expected.tobytes()
+    backward(ad.total_sum(ad.mul(out, g)))
+    for v, grad in ((x, grad_x), (gates, grad_gates)):
+        if v.requires_grad:
+            assert v.grad.tobytes() == grad.tobytes()
+        else:
+            assert v._grad is None
+    assert (x_data == x.data).all() and (gate_data == gates.data).all()
 
 
 @pytest.mark.parametrize("shared", [True, False])
-def test_gated_gather_gradient_matches_finite_differences(shared, rng):
+def test_scatter_add_gradient_matches_finite_differences(shared, rng):
     blocks, nodes, kinds, width = 2, 4, 3, 3
-    src = Segments([0, 1, 1, 3, 2, 0])
-    gate = Segments([2, 0, 1, 1, 0, 2])
     x = val(rng.normal(size=(blocks * nodes, width)))
     gates = val(rng.normal(size=((1 if shared else blocks) * kinds, width)))
     w = val(rng.normal(size=(width, 1)))
-    fd_check(lambda: ad.total_sum(ad.matmul(ad.gated_gather(
-        x, src, gates, gate, blocks, 0 if shared else kinds), w)), {"x": x, "gates": gates})
-    with pytest.raises(ShapeError):
-        ad.gated_gather(x, src, gates, Segments([0, 1]), blocks, kinds)
+    plan = plan_of([0, 1, 1, 3, 2, 0], [2, 0, 1, 1, 0, 2], [4, 0, 0, 5, 1, 3, 3, 2],
+                   [0, 0, 1, 1, 2, 2, 3, 3], blocks, (np.array([2, 6]), np.array([1, 0])))
+    fd_check(lambda: ad.total_sum(ad.matmul(ad.scatter_add(
+        x, gates, plan, 0 if shared else kinds), w)), {"x": x, "gates": gates})
 
 
 def test_take_and_sum_columns_are_adjoint(rng):
@@ -755,8 +856,8 @@ def test_ops_over_constants_record_nothing(rng):
     outs = [ad.add(x, y), ad.add(x, np.ones((1, 4))), ad.mul(x, row), ad.matmul(x, y),
             ad.transpose(x), ad.relu(x), ad.concat([x, y], axis=0), ad.rowwise_softmax(x),
             ad.layer_norm(x, row, row), ad.gather(x, [0, 2, 2]),
-            ad.scatter_add(x, [1, 0, 1, 3], 5, identity(4)),
-            ad.scatter_add(x, [0, 1, 1], 2, rows=Segments([3, 3, 0])), ad.total_sum(x),
+            ad.scatter_add(x, y, plan_of([0, 3], [1, 1], [1, 0, 1], [2, 0, 3])),
+            ad.total_sum(x),
             ad.take_columns(x, cols), ad.sum_columns(x, cols, 4),
             ad.cross_entropy(x, [0, 1, 2, 3])]
     for out in outs:

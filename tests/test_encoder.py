@@ -95,8 +95,7 @@ def test_mp_layer_identity_message():
     store, params = fresh_params((T, TR), width=3)
     params.layers[0].type_vectors.data[:] = 1.0
     states = Value(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
-    messages = ad.mul(ad.gather(states, [0]), ad.gather(params.layers[0].type_vectors, [0]))
-    agg = ad.scatter_add(messages, [1], 2, Segments(np.arange(1)))
+    agg = ad.scatter_add(states, params.layers[0].type_vectors, g.message_plan(False))
     assert agg.data.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 

@@ -125,6 +125,17 @@ def test_jsonl_reader_matches_tsv(tmp_path, einstein_fact):
     assert load_kg(path) == Hkg([einstein_fact])
 
 
+def test_a_tsv_line_of_tabs_is_a_record_and_a_blank_line_is_skipped(tmp_path):
+    # "\t\t" is three empty tokens, not a blank line; " " and "" are blank.
+    path = tmp_path / "facts.txt"
+    path.write_text("a\tr\tb\n\t\t\n \n\nc\tr\td\n", encoding="utf-8")
+    with pytest.raises(BundleParseError) as e:
+        read_facts(path)
+    assert e.value.problems == ["facts.txt:line 2: empty token"]
+    path.write_text("a\tr\tb\n \n\r\n\nc\tr\td\n", encoding="utf-8")
+    assert [f.head for f in read_facts(path)] == ["a", "c"]
+
+
 def test_jsonl_malformed_records_aggregate(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"triple": ["a","r"]}\nnot json\n', encoding="utf-8")

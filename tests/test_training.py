@@ -439,6 +439,35 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
+def test_the_tape_holds_no_per_pair_messages(structure):
+    # A message pass forms its (block, pair) messages as a temporary: before
+    # the sweep, no node of a guarded batch's tape has a row per message of
+    # either graph's plan.
+    kg = fixed_kg()
+    cfg = ModelConfig(width=8, encoder_depth=2, head_count=2, decoder_depth=1,
+                      structure=structure)
+    predictor = LinkPredictor.build(cfg, seed=1)
+    queries = queries_from_facts(kg.facts)[:3]
+    graphs = predictor.build_graphs(kg)
+    root = query_losses(predictor, kg, queries, graphs, [0, 1, 1])
+    messages = set()
+    for g, by_relation in ((graphs.relation_graph, False),
+                           (graphs.entity_graph, structure == RELATION_DRIVEN)):
+        pairs = g.message_plan(by_relation).src.index.size
+        assert pairs != g.num_nodes
+        messages.add(len(queries) * pairs)
+    rows, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            rows.append(node.shape[0])
+            stack.extend(node._parents)
+    assert len(rows) > len(predictor.store)
+    assert messages.isdisjoint(rows)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
 def test_gradient_buffers_are_not_shared(structure):
     # Each tape node owns its gradient buffer, and every parameter's is its
     # view of the store's flat gradient buffer.  The sweep releases an
