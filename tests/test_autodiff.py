@@ -568,6 +568,67 @@ def test_scatter_add_gradient_matches_finite_differences(shared, rng):
         x, gates, plan, 0 if shared else kinds), w)), {"x": x, "gates": gates})
 
 
+def gated_gather(x, src, gates, gate, blocks, stride):
+    """The gated rows of a batch: row q·P + p is row q·N + ``src[p]`` of
+    ``x`` times row q·``stride`` + ``gate[p]`` of ``gates``, for P pairs in
+    blocks of N ≥ P node rows.  This is :func:`scatter_add` with one edge
+    per pair, pair p into node p."""
+    pairs = np.arange(len(src))
+    return ad.scatter_add(x, gates, plan_of(src, gate, pairs, pairs, blocks), stride)
+
+
+def _gather_gather_mul(x, src, gates, gate, blocks, stride):
+    """The oracle of :func:`gated_gather`: the rows of both operands taken by
+    :func:`ad.gather` and multiplied.  Shared gates are first tiled into one
+    block of rows per block, so their gradient sums each block's rows, then
+    adds the blocks in block order, as the message pass does."""
+    q = np.arange(blocks)[:, None]
+    nodes = x.shape[0] // blocks
+    if not stride and blocks > 1:
+        stride = gates.shape[0]
+        gates = ad.gather(gates, np.tile(np.arange(stride), blocks))
+    return ad.mul(ad.gather(x, (q * nodes + src).ravel()),
+                  ad.gather(gates, (q * stride + gate).ravel()))
+
+
+@pytest.mark.parametrize("blocks,shared", [(1, True), (3, True), (3, False)])
+@pytest.mark.parametrize("tracked", ["both", "x", "gates"])
+def test_gated_gather_equals_gather_gather_mul_bit_for_bit(blocks, shared, tracked):
+    rng = np.random.default_rng(blocks)
+    nodes, kinds, pairs, width = 5, 3, 9, 4
+    src = rng.integers(0, nodes, size=pairs)
+    gate = rng.integers(0, kinds, size=pairs)
+    stride = 0 if shared else kinds
+    # A block of ``pairs`` node rows, so that each pair has a row of its own.
+    x_data = rng.normal(size=(blocks * pairs, width)).astype(np.float32)
+    gate_data = rng.normal(size=((1 if shared else blocks) * kinds, width)).astype(np.float32)
+    weights = rng.normal(size=(blocks * pairs, width)).astype(np.float32)
+    results = []
+    for op in (gated_gather, _gather_gather_mul):
+        x = Value(x_data.copy()) if tracked != "gates" else Value.constant(x_data.copy())
+        gates = Value(gate_data.copy()) if tracked != "x" else Value.constant(gate_data.copy())
+        out = op(x, src, gates, gate, blocks, stride)
+        backward(ad.total_sum(ad.mul(out, weights)))
+        results.append([out.data.tobytes()] + [v.grad.tobytes() for v in (x, gates)
+                                                if v.requires_grad])
+        assert (x_data == x.data).all() and (gate_data == gates.data).all()
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_gated_gather_gradient_matches_finite_differences(shared, rng):
+    blocks, nodes, kinds, width = 2, 6, 3, 3
+    src = [0, 1, 1, 3, 2, 0]
+    gate = [2, 0, 1, 1, 0, 2]
+    x = val(rng.normal(size=(blocks * nodes, width)))
+    gates = val(rng.normal(size=((1 if shared else blocks) * kinds, width)))
+    w = val(rng.normal(size=(width, 1)))
+    fd_check(lambda: ad.total_sum(ad.matmul(gated_gather(
+        x, src, gates, gate, blocks, 0 if shared else kinds), w)), {"x": x, "gates": gates})
+    with pytest.raises(ShapeError):
+        gated_gather(x, src, gates, [0, 1], blocks, kinds)
+
+
 def test_take_and_sum_columns_are_adjoint(rng):
     x = Value(rng.normal(size=(3, 4)))
     cols = np.array([[0, 3, 3, 4, 1], [2, 2, 2, 2, 2], [4, 4, 0, 1, 3]])
