@@ -1028,8 +1028,7 @@ class GradientReport(dict):
 
 
 def check_gradients(loss_fn: Callable[[], Value], params: Mapping[str, Value],
-                    h: float = 1e-4, rtol: float = 1e-3,
-                    floor: float = 1e-6) -> GradientReport:
+                    h: float = 1e-4, floor: float = 1e-6) -> GradientReport:
     """Max relative error between analytic and finite-difference gradients.
 
     Analytic gradients come from one backward pass of ``loss_fn``, after each

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Value
-from .errors import ConfigError, ShapeError, VocabularyError
-from .model import Hkg, QueryFact, Role, RoleKind, HEAD, PRIMARY_RELATION, TAIL, key_role, value_role
+from .errors import ConfigError, ShapeError
+from .model import QueryFact, Role, RoleKind, HEAD, PRIMARY_RELATION, TAIL, key_role, value_role
 
 
 class BiasType(Enum):
@@ -206,39 +206,30 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
     return params
 
 
-def assemble_sequence(queries: Sequence[QueryFact], kg: Hkg, rel_states: Value,
-                      ent_states: Value, params: DecoderParams) -> tuple[Value, BatchLayout]:
+def assemble_sequence(layout: BatchLayout, slot_ids: Sequence[Sequence[int]],
+                      rel_states: Value, ent_states: Value, params: DecoderParams) -> Value:
     """Stack the per-slot vectors of a batch of queries, mask slots included.
 
-    The states hold one block of rows per query, in batch order.  One
-    gather reads every slot from the table [entity states; relation states;
-    mask token].
+    ``slot_ids[q]`` holds query q's dense ids in its layout's slot order: an
+    entity id at entity roles and a relation id at the others; the id at the
+    mask slot is not read.  The states hold one block of rows per query, in
+    batch order.  One gather reads every slot from the table [entity states;
+    relation states; mask token].
     """
-    blocks = len(queries)
-    ne, nr = kg.num_entities, kg.num_relations
+    blocks = len(layout.layouts)
+    ne, nr = (states.shape[0] // max(blocks, 1) for states in (ent_states, rel_states))
     if ent_states.shape[0] != blocks * ne or rel_states.shape[0] != blocks * nr:
-        raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} are not "
-                         f"{blocks} block(s) of the graph's {ne} entities and "
-                         f"{nr} relations")
-    layout = BatchLayout(layout_for(query) for query in queries)
+        raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} do not split "
+                         f"into {blocks} block(s)")
     rows: list[int] = []
-    for q, (query, part) in enumerate(zip(queries, layout.layouts)):
-        for slot, role in enumerate(part.roles):
-            if slot == part.mask_slot:
-                rows.append(blocks * (ne + nr))
-            elif role.is_entity:
-                name = query.base.entity_at(role)
-                if name not in kg.entity_index:
-                    raise VocabularyError(f"entity {name!r} not in the graph vocabulary")
-                rows.append(q * ne + kg.entity_index[name])
-            else:
-                name = (query.base.relation if role.kind is RoleKind.PRIMARY_RELATION
-                        else query.base.qualifiers[role.index][0])
-                if name not in kg.relation_index:
-                    raise VocabularyError(f"relation {name!r} not in the graph vocabulary")
-                rows.append(blocks * ne + q * nr + kg.relation_index[name])
+    for q, (part, ids) in enumerate(zip(layout.layouts, slot_ids)):
+        for slot, (role, i) in enumerate(zip(part.roles, ids)):
+            size, first = (ne, q * ne) if role.is_entity else (nr, blocks * ne + q * nr)
+            if slot != part.mask_slot and not 0 <= i < size:
+                raise ShapeError(f"slot {slot} of query {q} reads id {i} of {size} states")
+            rows.append(blocks * (ne + nr) if slot == part.mask_slot else first + i)
     table = ad.concat([ent_states, rel_states, params.mask_token], axis=0)
-    return ad.gather(table, rows), layout
+    return ad.gather(table, rows)
 
 
 def attention_layer(seq: Value, layout: BatchLayout,

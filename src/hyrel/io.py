@@ -25,6 +25,7 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 SPLIT_NAMES = ("train", "inference", "valid", "test")
 _SUFFIXES = (".txt", ".txt.gz", ".jsonl", ".jsonl.gz")
+_BREAKS = frozenset("\t\r\n")  # characters no TSV token may hold
 
 
 def parse_fact_line(line: str, line_no: int | None = None) -> HyperFact:
@@ -52,22 +53,35 @@ def parse_fact_obj(obj: dict, line_no: int | None = None) -> HyperFact:
         raise ParseError("'triple' must be an array of exactly three ids", line_no)
     if not isinstance(quals, list):
         raise ParseError("'qualifiers' must be an array of [key, value] pairs", line_no)
-    pairs = []
-    for q in quals:
-        if not isinstance(q, list) or len(q) != 2:
-            raise ParseError("each qualifier must be a [key, value] pair", line_no)
-        pairs.append((str(q[0]), str(q[1])))
-    items = [str(x) for x in triple] + [x for p in pairs for x in p]
-    if any(x == "" for x in items):
+    if any(not isinstance(q, list) or len(q) != 2 for q in quals):
+        raise ParseError("each qualifier must be a [key, value] pair", line_no)
+    head, relation, tail = (_json_id(x, line_no) for x in triple)
+    return HyperFact(head, relation, tail,
+                     tuple((_json_id(k, line_no), _json_id(v, line_no)) for k, v in quals))
+
+
+def _json_id(x, line_no: int | None) -> str:
+    """A JSON id as text: a string, or an integer read as its decimal text."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise ParseError(f"an id must be a string or an integer, not "
+                         f"{json.dumps(x, default=repr)[:40]}", line_no)
+    x = str(x)
+    if x == "":
         raise ParseError("empty token", line_no)
-    return HyperFact(str(triple[0]), str(triple[1]), str(triple[2]), tuple(pairs))
+    if _BREAKS.intersection(x):
+        raise ParseError(f"id {x!r} holds a TAB, CR or LF", line_no)
+    return x
 
 
 def format_fact_line(fact: HyperFact) -> str:
+    """The fact's TSV line, without its LF; no token may hold a TAB, CR or LF."""
     parts = [fact.head, fact.relation, fact.tail]
     for k, v in fact.qualifiers:
         parts.append(k)
         parts.append(v)
+    for token in parts:
+        if _BREAKS.intersection(token):
+            raise DataError(f"token {token!r} holds a TAB, CR or LF")
     return "\t".join(parts)
 
 
@@ -107,8 +121,8 @@ def read_facts(path: str | Path) -> list[HyperFact]:
                 if jsonl:
                     try:
                         obj = json.loads(line)
-                    except json.JSONDecodeError as e:
-                        raise ParseError(f"invalid JSON: {e.msg}", no)
+                    except ValueError as e:  # also an integer too long to convert
+                        raise ParseError(f"invalid JSON: {getattr(e, 'msg', e)}", no)
                     facts.append(parse_fact_obj(obj, no))
                 else:
                     facts.append(parse_fact_line(line, no))

@@ -111,7 +111,8 @@ class Hkg:
 
     Vocabularies default to first-seen order over the fact list, which makes
     construction deterministic and file round-trips stable.  Explicit
-    vocabularies may be supplied instead.
+    vocabularies may be supplied instead: each must name every id the facts
+    use, each once, or construction raises :class:`ContractError`.
     """
 
     __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index")
@@ -120,14 +121,12 @@ class Hkg:
                  entities: Sequence[str] | None = None,
                  relations: Sequence[str] | None = None):
         self.facts: tuple[HyperFact, ...] = tuple(facts)
-        if entities is None or relations is None:
-            seen_e, seen_r = _first_seen_vocab(self.facts)
-            entities = seen_e if entities is None else entities
-            relations = seen_r if relations is None else relations
-        self.entities: tuple[str, ...] = tuple(entities)
-        self.relations: tuple[str, ...] = tuple(relations)
-        self.entity_index: dict[str, int] = {e: i for i, e in enumerate(self.entities)}
-        self.relation_index: dict[str, int] = {r: i for i, r in enumerate(self.relations)}
+        seen_e, seen_r = _first_seen_vocab(self.facts)
+        self.entities: tuple[str, ...] = tuple(seen_e if entities is None else entities)
+        self.relations: tuple[str, ...] = tuple(seen_r if relations is None else relations)
+        self.entity_index = _index("entity", self.entities, () if entities is None else seen_e)
+        self.relation_index = _index("relation", self.relations,
+                                     () if relations is None else seen_r)
 
     @property
     def num_entities(self) -> int:
@@ -153,6 +152,20 @@ class Hkg:
     def __repr__(self):
         return (f"Hkg({self.num_facts} facts, {self.num_entities} entities, "
                 f"{self.num_relations} relations)")
+
+
+def _index(kind: str, names: tuple[str, ...], used: Iterable[str]) -> dict[str, int]:
+    """Each name's dense id.  A repeated name would leave an id no name maps
+    to, and a ``used`` name the vocabulary lacks would fail later, inside the
+    graph builders."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) < len(names):
+        name = next(name for i, name in enumerate(names) if index[name] != i)
+        raise ContractError(f"{kind} {name!r} appears twice in the vocabulary")
+    for name in used:
+        if name not in index:
+            raise ContractError(f"{kind} {name!r} of a fact is missing from the vocabulary")
+    return index
 
 
 def _first_seen_vocab(facts: Sequence[HyperFact]) -> tuple[list[str], list[str]]:

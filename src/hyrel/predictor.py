@@ -95,6 +95,23 @@ def _constants(params):
     return params
 
 
+def _slot_ids(kg: Hkg, query: QueryFact, mask_slot: int) -> list[int]:
+    """The dense id of each slot of ``query``'s sequence [head, relation, tail,
+    key0, value0, …]: entity ids at the even slots, relation ids at the odd
+    ones, and -1 at ``mask_slot``, whose name is never read.  Relations
+    resolve first, so an unknown relation is named before an unknown entity."""
+    base = query.base
+    names = (base.head, base.relation, base.tail, *(x for pair in base.qualifiers for x in pair))
+    ids = [-1] * len(names)
+    for first, kind, index in ((1, "relation", kg.relation_index), (0, "entity", kg.entity_index)):
+        for slot in range(first, len(names), 2):
+            if slot != mask_slot:
+                ids[slot] = index.get(names[slot], -1)
+                if ids[slot] < 0:
+                    raise VocabularyError(f"{kind} {names[slot]!r} not in the graph vocabulary")
+    return ids
+
+
 class _NoDraws:
     """The rng of a :meth:`LinkPredictor.build` layout whose values are all
     overwritten next: every draw is zeros of its size."""
@@ -181,21 +198,6 @@ class LinkPredictor:
             entity_graph=build_entity_graph(kg, interactions, with_fact_relations=annotated),
         )
 
-    def _query_nodes(self, kg: Hkg, query: QueryFact) -> tuple[set[int], set[int]]:
-        rel_nodes: set[int] = set()
-        for r in query.base.relations():
-            idx = kg.relation_index.get(r)
-            if idx is None:
-                raise VocabularyError(f"relation {r!r} not in the graph vocabulary")
-            rel_nodes.add(idx)
-        ent_nodes: set[int] = set()
-        for e in query.unmasked_entities():
-            idx = kg.entity_index.get(e)
-            if idx is None:
-                raise VocabularyError(f"entity {e!r} not in the graph vocabulary")
-            ent_nodes.add(idx)
-        return rel_nodes, ent_nodes
-
     def query_logits(self, kg: Hkg, queries: Sequence[QueryFact], graphs: GraphPair,
                      leave_outs: Sequence[int | None] | None = None) -> Value:
         """Unnormalized scores, one row per query over every entity of ``kg``.
@@ -206,14 +208,15 @@ class LinkPredictor:
         if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
             raise ContractError("a parallel model cannot score over an entity graph with "
                                 "relation annotations: it would count some edges twice")
-        nodes = [self._query_nodes(kg, query) for query in queries]
-        rel_states = enc.encode(graphs.relation_graph, [rel for rel, _ in nodes],
+        layout = dec.BatchLayout(dec.layout_for(query) for query in queries)
+        ids = [_slot_ids(kg, query, part.mask_slot)
+               for query, part in zip(queries, layout.layouts)]
+        rel_states = enc.encode(graphs.relation_graph, [set(row[1::2]) for row in ids],
                                 self.rel_params, leave_outs=leave_outs)
         gates = None if self.cfg.structure == PARALLEL else rel_states
-        ent_states = enc.encode(graphs.entity_graph, [ent for _, ent in nodes],
+        ent_states = enc.encode(graphs.entity_graph, [set(row[::2]) - {-1} for row in ids],
                                 self.ent_params, gates, leave_outs)
-        seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
-                                            self.dec_params)
+        seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)
         x_m = dec.mask_vector(decoded, layout)
         return dec.entity_logits(x_m, ent_states, self.dec_params.out_bias)

@@ -51,7 +51,7 @@ def gradient_report(structure: str, seed: int = 0, part: int = 0,
 
     params = dict(predictor.store.items())
     params = {name: params[name] for name in sorted(params)[part::parts]}
-    return ad.check_gradients(loss, params, h=1e-4, rtol=1e-3)
+    return ad.check_gradients(loss, params, h=1e-4)
 
 
 def _gradient_suite(log: Callable[[str], None], quick: bool, structure: str) -> bool:

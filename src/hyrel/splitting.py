@@ -268,25 +268,20 @@ def _kl_refine(adj: Mapping[int, Mapping[int, float]],
 
 @dataclass
 class SplitReport:
+    """How a split was made; the bundle's own counts and overlaps are in
+    :meth:`~hyrel.io.DatasetBundle.diagnostics`."""
+
     method: str
     community_count: int | None
     modularity: float | None
-    train_counts: tuple[int, int, int]
-    ind_counts: tuple[int, int, int]
     dropped_facts: int
-    entity_disjoint: bool
-    relation_disjoint: bool
 
     def lines(self) -> list[str]:
         out = [f"method: {self.method}"]
         if self.community_count is not None:
             out.append(f"communities: {self.community_count}")
             out.append(f"modularity: {self.modularity:.6f}")
-        out.append("train: %d facts, %d entities, %d relations" % self.train_counts)
-        out.append("inductive: %d facts, %d entities, %d relations" % self.ind_counts)
         out.append(f"straddling facts dropped: {self.dropped_facts}")
-        out.append(f"entity vocabularies disjoint: {self.entity_disjoint}")
-        out.append(f"relation vocabularies disjoint: {self.relation_disjoint}")
         return out
 
 
@@ -328,17 +323,8 @@ def cluster_split(raw: Hkg, cfg: SplitConfig) -> tuple[Hkg, Hkg, SplitReport]:
     non_empty.sort(reverse=True)
     train = Hkg(pieces[non_empty[0][2]])
     ind = Hkg(pieces[non_empty[1][2]])
-    report = SplitReport(
-        method=LOUVAIN,
-        community_count=len(set(assign_dense.values())),
-        modularity=modularity(adj, assign_dense),
-        train_counts=(train.num_facts, train.num_entities, train.num_relations),
-        ind_counts=(ind.num_facts, ind.num_entities, ind.num_relations),
-        dropped_facts=dropped,
-        entity_disjoint=not set(train.entities) & set(ind.entities),
-        relation_disjoint=not set(train.relations) & set(ind.relations),
-    )
-    return train, ind, report
+    return train, ind, SplitReport(LOUVAIN, len(set(assign_dense.values())),
+                                   modularity(adj, assign_dense), dropped)
 
 
 def khop_split(raw: Hkg, cfg: SplitConfig) -> tuple[Hkg, Hkg, SplitReport]:
@@ -379,17 +365,7 @@ def khop_split(raw: Hkg, cfg: SplitConfig) -> tuple[Hkg, Hkg, SplitReport]:
         raise SplitError("no fact lies entirely outside the training entity set")
     ind = Hkg(ind_facts)
     dropped = raw.num_facts - train.num_facts - ind.num_facts
-    report = SplitReport(
-        method=KHOP,
-        community_count=None,
-        modularity=None,
-        train_counts=(train.num_facts, train.num_entities, train.num_relations),
-        ind_counts=(ind.num_facts, ind.num_entities, ind.num_relations),
-        dropped_facts=dropped,
-        entity_disjoint=not set(train.entities) & set(ind.entities),
-        relation_disjoint=not set(train.relations) & set(ind.relations),
-    )
-    return train, ind, report
+    return train, ind, SplitReport(KHOP, None, None, dropped)
 
 
 def relation_disjoint_filter(train: Hkg, ind: Hkg) -> Hkg:
@@ -446,8 +422,6 @@ def make_bundle(raw: Hkg, cfg: SplitConfig) -> tuple[DatasetBundle, SplitReport]
         train, ind, report = khop_split(raw, cfg)
     if cfg.relation_disjoint:
         ind = relation_disjoint_filter(train, ind)
-        report.ind_counts = (ind.num_facts, ind.num_entities, ind.num_relations)
-        report.relation_disjoint = not set(train.relations) & set(ind.relations)
     inference, valid, test = split_inductive(ind, cfg.ratios, cfg.seed)
     return DatasetBundle(train=train, inference=inference, valid=valid, test=test), report
 

@@ -18,7 +18,7 @@ def val(data):
 
 
 def fd_check(build_loss, params, rtol=1e-3):
-    report = check_gradients(build_loss, params, h=1e-4, rtol=rtol)
+    report = check_gradients(build_loss, params, h=1e-4)
     worst = max(report.values())
     assert worst <= rtol, report
     return worst

@@ -64,7 +64,7 @@ def test_split_train_eval_predict_pipeline(tmp_path, capsys):
                      "--method", "louvain", "--ratios", "0.7,0.15,0.15",
                      "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert "entity vocabularies disjoint: True" in out
+    assert "train/inference shared entities: 0 (disjoint)" in out
 
     run_dir = tmp_path / "run"
     assert dispatch(["train", "--bundle", str(bundle_dir), "--out", str(run_dir),
@@ -93,6 +93,10 @@ def test_split_train_eval_predict_pipeline(tmp_path, capsys):
                      "--topk", "3"]) == 0
     out = capsys.readouterr().out
     assert "rank\tentity\tprobability" in out
+    assert dispatch(["predict", "--checkpoint", str(run_dir / "ckpt_best.bin"),
+                     "--bundle", str(bundle_dir), "--query", f"{fact.head} nowhere [MASK]",
+                     "--topk", "3"]) == 2
+    assert "relation 'nowhere' not in the graph vocabulary" in capsys.readouterr().err
 
 
 def test_config_file_roundtrip(tmp_path, capsys):

@@ -73,25 +73,34 @@ def test_assemble_sequence_triple(small_kg, rng):
     store, params = fresh_decoder(width=4)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
-    seq, layout = assemble_sequence([q], small_kg, rel_states, ent_states, params)
+    layout = BatchLayout((layout_for(q),))
+    ids = [[small_kg.entity_index["b"], small_kg.relation_index["s"], -1]]
+    seq = assemble_sequence(layout, ids, rel_states, ent_states, params)
     assert seq.data.shape == (3, 4)
     assert np.allclose(seq.data[0], ent_states.data[small_kg.entity_index["b"]])
     assert np.allclose(seq.data[1], rel_states.data[small_kg.relation_index["s"]])
     assert np.allclose(seq.data[2], params.mask_token.data[0])
-    # One table holds every slot's rows, so states must match the vocabularies.
+    # One table holds every slot's rows, so the states must split into one
+    # block per query.
     with pytest.raises(ShapeError):
-        assemble_sequence([q], small_kg, rel_states, ad.concat([ent_states] * 2, axis=0),
-                          params)
+        assemble_sequence(BatchLayout((layout_for(q),) * 2), ids * 2, rel_states,
+                          ent_states, params)
 
 
 def test_assemble_sequence_unknown_id(small_kg, rng):
-    from hyrel import VocabularyError
-    q = QueryFact(HyperFact("nope", "r", "b", (("k", "c"),)), TAIL, None)
+    # An id outside its block of states would read another query's row or a
+    # row of the other kind.
+    q = QueryFact.from_fact(small_kg.facts[0], TAIL)  # (a, r, MASK, k, c)
     store, params = fresh_decoder(width=4)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
-    with pytest.raises(VocabularyError):
-        assemble_sequence([q], small_kg, rel_states, ent_states, params)
+    layout = BatchLayout((layout_for(q),))
+    ne, nr = small_kg.num_entities, small_kg.num_relations
+    for ids in ([ne, 0, -1, 0, 0], [0, nr, -1, 0, 0], [0, 0, -1, 0, -1], [0, -1, -1, 0, 0]):
+        with pytest.raises(ShapeError):
+            assemble_sequence(layout, [ids], rel_states, ent_states, params)
+    seq = assemble_sequence(layout, [[0, 0, 99, 0, 0]], rel_states, ent_states, params)
+    assert np.allclose(seq.data[2], params.mask_token.data[0])
 
 
 def test_attention_reduces_to_scaled_dot_product(rng):

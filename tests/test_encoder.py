@@ -67,15 +67,22 @@ def test_indicator_out_of_range():
         indicator_init(line_graph(2), [{5}], 2)
 
 
-def test_masked_entity_never_labeled(small_kg):
+def test_masked_entity_never_labeled(small_kg, monkeypatch):
     # Query (h, r, MASK) with one qualifier: only h and v1 get labeled.
     from hyrel import TAIL, QueryFact
+    from hyrel import encoder
     from hyrel.predictor import LinkPredictor, ModelConfig
     fact = small_kg.facts[0]  # (a, r, b) with qualifier (k, c)
     query = QueryFact.from_fact(fact, TAIL)
     predictor = LinkPredictor.build(ModelConfig(width=4, encoder_depth=1), seed=0)
-    _, ent_nodes = predictor._query_nodes(small_kg, query)
-    assert ent_nodes == {small_kg.entity_index["a"], small_kg.entity_index["c"]}
+    labels, encode = [], encoder.encode
+    monkeypatch.setattr(encoder, "encode",
+                        lambda g, nodes, *args, **kw: labels.append(nodes)
+                        or encode(g, nodes, *args, **kw))
+    predictor.query_logits(small_kg, [query], predictor.build_graphs(small_kg))
+    rel = small_kg.relation_index
+    assert labels == [[{rel["r"], rel["k"]}],
+                      [{small_kg.entity_index["a"], small_kg.entity_index["c"]}]]
 
 
 def test_mp_layer_no_edges_applies_update_everywhere():

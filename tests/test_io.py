@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyrel import BundleParseError, DataError, Hkg, HyperFact, load_bundle, write_kg
+from hyrel import (BundleParseError, DataError, Hkg, HyperFact, ParseError, load_bundle,
+                   write_kg)
 from hyrel.io import (format_fact_line, load_kg, parse_fact_line, parse_fact_obj,
                       read_facts, write_bundle, DatasetBundle)
 
@@ -123,6 +124,37 @@ def test_jsonl_reader_matches_tsv(tmp_path, einstein_fact):
     path = tmp_path / "kg.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     assert load_kg(path) == Hkg([einstein_fact])
+
+
+def test_jsonl_ids_are_strings_or_decimal_integers(tmp_path):
+    assert parse_fact_obj({"triple": [7, "r", "b"], "qualifiers": [["k", -30]]}) == \
+        HyperFact("7", "r", "b", (("k", "-30"),))
+    for bad in (None, True, False, 1.5, 2.0, [1], [], {"a": 1}, "a\tx", "a\rx", "x\n"):
+        for obj in ({"triple": [bad, "r", "b"]},
+                    {"triple": ["a", "r", "b"], "qualifiers": [["k", "v"], ["k", bad]]}):
+            with pytest.raises(ParseError) as e:
+                parse_fact_obj(obj, 4)
+            assert e.value.line_no == 4
+    # A TAB inside an id would be written as two TSV tokens, a CR or LF as
+    # two lines; an over-long integer fails in the JSON reader itself.
+    path = tmp_path / "kg.jsonl"
+    path.write_text('{"triple": ["a\\tx", "r", "b"]}\n'
+                    '{"triple": ["a", "r", "b"], "qualifiers": [["k", null]]}\n'
+                    '{"triple": ["a", "r", "b"]}\n'
+                    f'{{"triple": [{"1" * 5000}, "r", "b"]}}\n', encoding="utf-8")
+    with pytest.raises(BundleParseError) as e:
+        read_facts(path)
+    assert [p.split(": ")[0] for p in e.value.problems] == [
+        "kg.jsonl:line 1", "kg.jsonl:line 2", "kg.jsonl:line 4"]
+
+
+def test_tsv_tokens_holding_a_tab_cr_or_lf_are_not_written(tmp_path):
+    for bad in ("a\tx", "a\rx", "x\n"):
+        for fact in (HyperFact(bad, "r", "b"), HyperFact("a", "r", "b", (("k", bad),))):
+            with pytest.raises(DataError):
+                format_fact_line(fact)
+            with pytest.raises(DataError):
+                write_kg(Hkg([fact]), tmp_path / "kg.txt")
 
 
 def test_a_tsv_line_of_tabs_is_a_record_and_a_blank_line_is_skipped(tmp_path):

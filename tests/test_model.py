@@ -88,3 +88,15 @@ def test_role_invariants():
         from hyrel.model import Role
         Role(RoleKind.KEY)  # key role without an index
 
+
+
+def test_given_vocabularies_are_checked():
+    facts = [HyperFact("a", "r", "b", (("k", "c"),))]
+    assert Hkg(facts, entities=("c", "b", "a", "z"), relations=("k", "r")).entity_index["a"] == 2
+    cases = [(dict(entities=("a", "a", "b", "c")), "entity 'a' appears twice"),
+             (dict(relations=("r", "k", "r")), "relation 'r' appears twice"),
+             (dict(entities=("a", "c")), "entity 'b' of a fact is missing"),
+             (dict(relations=("r",)), "relation 'k' of a fact is missing")]
+    for vocabularies, message in cases:
+        with pytest.raises(ContractError, match=message):
+            Hkg(facts, **vocabularies)

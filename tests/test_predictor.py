@@ -34,9 +34,13 @@ def test_unknown_query_ids_raise(small_kg):
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=1,
                                                 head_count=1, decoder_depth=1), seed=0)
     ctx = predictor.prepare(small_kg)
-    alien = QueryFact(HyperFact("a", "zzz", "b"), TAIL, None)
-    with pytest.raises(VocabularyError):
-        predictor.entity_scores(ctx, alien)
+    for fact, message in ((HyperFact("a", "zzz", "b"), "relation 'zzz'"),
+                          (HyperFact("a", "r", "b", (("k", "zz"),)), "entity 'zz'"),
+                          (HyperFact("zz", "r", "b", (("zzz", "c"),)), "relation 'zzz'")):
+        with pytest.raises(VocabularyError, match=f"^{message} not in the graph vocabulary$"):
+            predictor.entity_scores(ctx, QueryFact(fact, TAIL, None))
+    # The masked slot's name is a placeholder and is never looked up.
+    predictor.entity_scores(ctx, QueryFact(HyperFact("a", "r", "zz"), TAIL, None))
 
 
 def test_a_nan_encoder_parameter_reaches_every_score(small_kg):
@@ -266,6 +270,7 @@ def _one_block_at_a_time(self, ctx, queries):
     from hyrel import decoder as dec
     from hyrel import encoder as enc
     from hyrel.autodiff import Value
+    from hyrel.predictor import _slot_ids
     model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
     n = kg.num_entities
     if not queries:
@@ -274,7 +279,8 @@ def _one_block_at_a_time(self, ctx, queries):
                    dtype=model.dec_params.mask_token.data.dtype)
     relations, rel_blocks = {}, []
     for q, query in enumerate(queries):
-        rel_nodes, ent_nodes = self._query_nodes(kg, query)
+        rel_nodes = {kg.relation_index[r] for r in query.base.relations()}
+        ent_nodes = {kg.entity_index[e] for e in query.unmasked_entities()}
         key = frozenset(rel_nodes)
         if key not in relations:
             relations[key] = enc.encode(graphs.relation_graph, [rel_nodes], model.rel_params)
@@ -284,8 +290,9 @@ def _one_block_at_a_time(self, ctx, queries):
                                             model.ent_params, gates).data
     rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
     ent_states = Value.constant(ent)
-    seq, layout = dec.assemble_sequence(queries, kg, rel_states, ent_states,
-                                        model.dec_params)
+    layout = dec.BatchLayout(dec.layout_for(query) for query in queries)
+    ids = [_slot_ids(kg, query, part.mask_slot) for query, part in zip(queries, layout.layouts)]
+    seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, model.dec_params)
     x_m = dec.mask_vector(dec.decode(seq, layout, model.dec_params), layout)
     logits = dec.entity_logits(x_m, ent_states, model.dec_params.out_bias)
     return ad.rowwise_softmax(logits).data

@@ -86,10 +86,9 @@ def test_primary_adjacency_ignores_qualifiers_and_loops():
 
 def test_cluster_split_separates_components():
     kg = Hkg(list(chain_hkg(2, "x").facts) + list(chain_hkg(3, "y").facts))
-    train, ind, report = cluster_split(kg, SplitConfig(method=LOUVAIN))
+    train, ind, _ = cluster_split(kg, SplitConfig(method=LOUVAIN))
     assert not set(train.entities) & set(ind.entities)
     assert train.num_facts + ind.num_facts <= kg.num_facts
-    assert report.entity_disjoint
 
 
 def test_cluster_split_drops_straddlers():
@@ -245,9 +244,9 @@ def test_make_bundle_relation_disjoint(tmp_path):
     kg = Hkg(list(clique_hkg(6, "x").facts) + list(clique_hkg(5, "y").facts))
     cfg = SplitConfig(method=LOUVAIN, ratios=(0.8, 0.1, 0.1), seed=1,
                       relation_disjoint=True)
-    bundle, report = make_bundle(kg, cfg)
+    bundle, _ = make_bundle(kg, cfg)
     assert not set(bundle.train.relations) & set(bundle.inference.relations)
-    assert report.relation_disjoint
+    assert bundle.diagnostics().relation_disjoint
 
 
 def test_split_determinism():
