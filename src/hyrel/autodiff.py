@@ -2,9 +2,9 @@
 
 Small and closed by design: matrix product, broadcast add/multiply, transpose,
 relu, concatenation, layer normalization, row-wise softmax, gather,
-scatter-add (gated message passing), per-row column picks and sums, per-row
-cross-entropy and the total sum, which is everything the encoders, decoder
-and training loss compose from.  Arithmetic is 32-bit by default; gradient
+scatter-add (gated message passing), blockwise biased attention and dot
+products, per-row cross-entropy and the total sum, which is everything the
+encoders, decoder and training loss compose from.  Arithmetic is 32-bit by default; gradient
 checking builds the same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
@@ -633,51 +633,110 @@ def total_sum(a: Value) -> Value:
     return _record(a.data.sum(dtype=a.data.dtype).reshape(1, 1), (a,), bwd)
 
 
-def _column_sums(values: Array, cols: Array, width: int) -> Array:
-    """``out[r, k]`` = the sum of ``values[r, c]`` over the c with
-    ``cols[r, c] == k``, added in ascending c; entries of column ``width``
-    are dropped."""
-    rows = values.shape[0]
-    flat = (cols + (width + 1) * np.arange(rows)[:, None]).ravel()
-    out = np.zeros(rows * (width + 1), dtype=values.dtype)
-    np.add.at(out, flat, values.ravel())
-    return out.reshape(rows, width + 1)[:, :width]
+def attention(q: Value, k: Value, v: Value, key_bias: Value, value_bias: Value,
+              types: Array, head_count: int) -> Value:
+    """Biased multi-head self-attention within each of B blocks of L rows.
 
+    ``q``, ``k`` and ``v`` stack B blocks of L rows; head h owns columns
+    h·dh:(h+1)·dh of them and of the (T, d) tables ``key_bias`` and
+    ``value_bias``.  ``types[b, i, j]`` is the bias type of row i of block b
+    attending to its row j: a type t < T adds row i of the query dotted with
+    key-bias row t to the pair's score, scaled by dh^-1/2 with it, and the
+    pair's weight times value-bias row t to row i's sum; type T masks the
+    pair, whose weight is then exactly 0.  Every row must keep one pair.
+    Each block is one slice of stacked matmuls whose shapes depend on L, d
+    and the head count alone, so a block's rows do not depend on the other
+    blocks.  Per-type sums add a row's entries in column order.
+    """
+    (rows, d), heads = q.shape, head_count
+    blocks, length = types.shape[:2]
+    kinds, dh = key_bias.shape[0], d // max(heads, 1)
+    if heads < 1 or d != heads * dh or rows != blocks * length \
+            or types.shape != (blocks, length, length) or not k.shape == v.shape == q.shape \
+            or not key_bias.shape == value_bias.shape == (kinds, d):
+        raise ShapeError(f"{head_count}-head attention over {q.shape}, {k.shape} and {v.shape} "
+                         f"with bias tables {key_bias.shape} and {value_bias.shape} cannot "
+                         f"read pair types {types.shape}")
+    if types.size and (types.min() < 0 or types.max() > kinds):
+        raise IndexError(f"pair type out of range for {kinds} bias types")
+    if not (types < kinds).any(axis=2).all():
+        raise ContractError("a row's pair types mask every pair, so its weights are undefined")
+    inv_scale = np.asarray(dh ** -0.5, dtype=q.data.dtype)
+    # The cell of a (B, H, L, T + 1) per-type array that each pair reads.
+    num_cells = blocks * heads * length * (kinds + 1)
+    cells = np.arange(0, num_cells, kinds + 1).reshape(blocks, heads, length, 1) \
+        + types[:, None]
 
-def take_columns(x: Value, cols: Array, fill: float = 0.0) -> Value:
-    """Pick per row: ``out[r, c] = x[r, cols[r, c]]``, and ``fill`` where
-    ``cols[r, c]`` equals x's column count.  The backward pass sums each
-    picked entry's gradient back into its column (:func:`sum_columns`)."""
-    cols = np.asarray(cols, dtype=np.int64)
-    width = x.shape[1]
-    if cols.ndim != 2 or cols.shape[0] != x.shape[0]:
-        raise ShapeError(f"need one row of column picks per row of {x.shape}, got {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() > width):
-        raise IndexError(f"column pick out of range for {width} columns")
-    padded = np.concatenate([x.data, np.full((x.shape[0], 1), fill, dtype=x.data.dtype)],
-                            axis=1)
+    def split(x: Array) -> Array:   # (B·L, d) -> (B, H, L, dh)
+        return x.reshape(blocks, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def join(x: Array) -> Array:    # (B, H, L, dh) -> (B·L, d)
+        return x.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    def per_head(table: Array) -> Array:   # (T, d) -> (H, T, dh)
+        return table.reshape(kinds, heads, dh).transpose(1, 0, 2)
+
+    def table_sum(per_block: Array) -> Array:   # (B, H, T, dh) -> (T, d)
+        return per_block.sum(axis=0).transpose(1, 0, 2).reshape(kinds, d)
+
+    def pick(per_type: Array, fill: float) -> Array:   # (B, H, L, T) -> (B, H, L, L)
+        padded = np.concatenate([per_type, np.full((*per_type.shape[:3], 1), fill,
+                                                   dtype=per_type.dtype)], axis=3)
+        return padded.reshape(-1).take(cells)
+
+    def by_type(pairs: Array) -> Array:   # (B, H, L, L) -> (B, H, L, T)
+        sums = np.bincount(cells.reshape(-1), pairs.reshape(-1), minlength=num_cells)
+        return sums.reshape(blocks, heads, length, kinds + 1)[..., :kinds].astype(pairs.dtype)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    kb, vb = per_head(key_bias.data), per_head(value_bias.data)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores += pick(qh @ kb.transpose(0, 2, 1), -np.inf)
+    scores *= inv_scale
+    weights = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights /= weights.sum(axis=3, keepdims=True)
+    shares = by_type(weights)
 
     def bwd(g: Array):
-        _accumulate(x, _column_sums(g, cols, width))
+        gh = split(g)
+        if value_bias.requires_grad:
+            _accumulate(value_bias, table_sum(shares.transpose(0, 1, 3, 2) @ gh))
+        if v.requires_grad:
+            _accumulate(v, join(weights.transpose(0, 1, 3, 2) @ gh))
+        dw = gh @ vh.transpose(0, 1, 3, 2)
+        dw += pick(gh @ vb.transpose(0, 2, 1), 0.0)
+        ds = dw - (dw * weights).sum(axis=3, keepdims=True)
+        ds *= weights
+        ds *= inv_scale
+        dp = by_type(ds)
+        if q.requires_grad:
+            _accumulate(q, join(ds @ kh + dp @ kb))
+        if k.requires_grad:
+            _accumulate(k, join(ds.transpose(0, 1, 3, 2) @ qh))
+        if key_bias.requires_grad:
+            _accumulate(key_bias, table_sum(dp.transpose(0, 1, 3, 2) @ qh))
 
-    return _record(np.take_along_axis(padded, cols, axis=1), (x,), bwd)
+    return _record(join(weights @ vh + shares @ vb), (q, k, v, key_bias, value_bias), bwd)
 
 
-def sum_columns(x: Value, cols: Array, width: int) -> Value:
-    """Sum per row by column label: ``out[r, k]`` adds the ``x[r, c]`` with
-    ``cols[r, c] == k``, for k < ``width``; label ``width`` is dropped.  The
-    adjoint of :func:`take_columns`."""
-    cols = np.asarray(cols, dtype=np.int64)
-    if cols.shape != x.shape:
-        raise ShapeError(f"need one column label per entry of {x.shape}, got {cols.shape}")
-    if cols.size and (cols.min() < 0 or cols.max() > width):
-        raise IndexError(f"column label out of range for {width} columns")
+def block_dots(x: Value, rows: Value) -> Value:
+    """``out[b, j]``: row j of block b of ``rows`` dotted with row b of ``x``,
+    where ``rows`` stacks one block of n rows per row of ``x``.  Each block
+    is one slice of a stacked (B, n, d)·(B, d, 1) product, so a block's row
+    does not depend on the other blocks."""
+    blocks, d = x.shape
+    n = rows.shape[0] // max(blocks, 1)
+    if rows.shape != (blocks * n, d):
+        raise ShapeError(f"{rows.shape} rows do not split into {blocks} block(s) of {d} columns")
+    table = rows.data.reshape(blocks, n, d)
 
     def bwd(g: Array):
-        padded = np.concatenate([g, np.zeros((g.shape[0], 1), dtype=g.dtype)], axis=1)
-        _accumulate(x, np.take_along_axis(padded, cols, axis=1))
+        if x.requires_grad:
+            _accumulate(x, (g[:, None, :] @ table)[:, 0])
+        if rows.requires_grad:
+            _accumulate(rows, (g[:, :, None] * x.data[:, None, :]).reshape(-1, d))
 
-    return _record(_column_sums(x.data, cols, width), (x,), bwd)
+    return _record((table @ x.data[:, :, None])[:, :, 0], (x, rows), bwd)
 
 
 def cross_entropy(logits: Value, targets: Sequence[int] | Array | int) -> Value:

@@ -11,11 +11,16 @@ key attending to an unrelated value.  Heads are column blocks of one
 projection: head h owns columns h·dh:(h+1)·dh of the query, key and value
 maps and of both bias tables.
 
-A batch of queries is decoded as one sequence: the queries' sequences are
-laid end to end (:class:`BatchLayout`), and a block mask keeps each slot
-attending within its own query.  Each slot pair reads its bias by a per-row
-column pick of the per-type similarities, where a pair of two queries picks
-a column of -inf, so its softmax weight is exactly zero.
+A batch of queries is decoded as one padded sequence (:class:`BatchLayout`):
+query q owns rows q·L to (q+1)·L - 1, its own slots and then padding rows.
+L is the longest sequence a fact of the scoring graph has, so no batch
+changes it.  Each layer's attention is one stacked op over the queries'
+blocks (:func:`~hyrel.autodiff.attention`), where a pair with a padding key
+gets the masking type and so a weight of exactly 0: a query's rows, and so
+its scores, are the same bits in every batch.  A query longer than L (a
+test fact with more qualifiers than any fact of the graph) pads its whole
+batch to its own length instead.  It scores as it does alone while no
+batch-mate is longer, and its batch-mates score as they do padded to it.
 
 Scoring projects each query's mask slot output onto its block of the
 query-conditioned entity states: one logit per entity plus a single shared
@@ -84,52 +89,39 @@ def classify_bias(i: Role, j: Role) -> BiasType:
 
 
 @lru_cache(maxsize=512)
-def _bias_types(roles: tuple[Role, ...]) -> np.ndarray:
-    """The :class:`BiasType` value of every ordered slot pair of one layout."""
-    return np.array([[classify_bias(a, b).value for b in roles] for a in roles],
-                    dtype=np.int64).reshape(len(roles), len(roles))
+def _bias_types(roles: tuple[Role, ...], length: int = 0) -> np.ndarray:
+    """The :class:`BiasType` value of every ordered slot pair of one layout,
+    padded to ``length`` rows: a slot's pair with a padding key is masked
+    (``NUM_BIAS_TYPES``), and a padding row, whose output is never read,
+    attends to every row as ``OTHER``."""
+    n = len(roles)
+    types = np.full((max(length, n),) * 2, BiasType.OTHER.value, dtype=np.int64)
+    types[:n, n:] = NUM_BIAS_TYPES
+    types[:n, :n] = [[classify_bias(a, b).value for b in roles] for a in roles]
+    return types
 
 
 class BatchLayout:
-    """The sequences of a batch of queries, laid end to end.
+    """The sequences of a batch of queries, each padded to one length L.
 
-    Query q owns slots ``starts[q]`` to ``starts[q] + len(layouts[q]) - 1``
-    of the batch sequence, and ``mask_slots[q]`` is its mask slot there.
+    L is the sequence length of a fact with ``arity`` qualifiers, or the
+    longest query's when that is longer.  Query q owns rows q·L to
+    (q+1)·L - 1 of the batch sequence: its slots, then padding.
+    ``mask_slots[q]`` is its mask slot's row, ``types[q]`` the (L, L) bias
+    types of its row pairs, and ``len()`` counts the real slots.
     """
 
-    def __init__(self, layouts):
+    def __init__(self, layouts, arity: int = 0):
         self.layouts = tuple(layouts)
-        sizes = [len(layout) for layout in self.layouts]
-        self.starts = np.cumsum([0] + sizes[:-1]).tolist()
-        self.mask_slots = [start + layout.mask_slot
-                           for start, layout in zip(self.starts, self.layouts)]
-        self._size = sum(sizes)
-        self._selectors: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self.length = max([3 + 2 * arity, *map(len, self.layouts)])
+        self.mask_slots = [q * self.length + part.mask_slot
+                           for q, part in enumerate(self.layouts)]
+        self.types = np.array([_bias_types(part.roles, self.length) for part in self.layouts],
+                              dtype=np.int64).reshape(-1, self.length, self.length)
+        self._size = sum(map(len, self.layouts))
 
     def __len__(self):
         return self._size
-
-    def selectors(self, head_count: int, width: int, dtype_name: str) -> tuple[np.ndarray, ...]:
-        """Constant matrices that let one op sequence serve every head and type.
-
-        ``rep`` (H·S, S) stacks the batch sequence once per head and
-        ``head_cols`` (H·S, d) keeps head h's columns in row block h;
-        ``types`` (H·S, S) holds each slot pair's bias type, or
-        ``NUM_BIAS_TYPES`` for a pair of two queries, tiled once per head.
-        """
-        key = (head_count, width, dtype_name)
-        if key not in self._selectors:
-            dtype = np.dtype(dtype_name)
-            n, dh = self._size, width // head_count
-            types = np.full((n, n), NUM_BIAS_TYPES, dtype=np.int64)
-            for start, layout in zip(self.starts, self.layouts):
-                types[start:start + len(layout), start:start + len(layout)] = \
-                    _bias_types(layout.roles)
-            self._selectors[key] = (
-                np.tile(np.eye(n, dtype=dtype), (head_count, 1)),
-                np.kron(np.eye(head_count, dtype=dtype), np.ones((n, dh), dtype=dtype)),
-                np.tile(types, (head_count, 1)))
-        return self._selectors[key]
 
 
 @dataclass
@@ -156,10 +148,6 @@ class DecoderParams:
     mask_token: Value   # (1, d)
     out_bias: Value     # (1, 1), shared over every candidate entity
     layers: list[DecoderLayerParams] = field(default_factory=list)
-
-    @property
-    def head_width(self) -> int:
-        return self.width // self.head_count
 
 
 def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: int,
@@ -213,47 +201,34 @@ def assemble_sequence(layout: BatchLayout, slot_ids: Sequence[Sequence[int]],
     ``slot_ids[q]`` holds query q's dense ids in its layout's slot order: an
     entity id at entity roles and a relation id at the others; the id at the
     mask slot is not read.  The states hold one block of rows per query, in
-    batch order.  One gather reads every slot from the table [entity states;
-    relation states; mask token].
+    batch order.  One gather reads every row from the table [entity states;
+    relation states; mask token]; padding rows read the mask token.
     """
     blocks = len(layout.layouts)
     ne, nr = (states.shape[0] // max(blocks, 1) for states in (ent_states, rel_states))
     if ent_states.shape[0] != blocks * ne or rel_states.shape[0] != blocks * nr:
         raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} do not split "
                          f"into {blocks} block(s)")
+    mask = blocks * (ne + nr)
     rows: list[int] = []
     for q, (part, ids) in enumerate(zip(layout.layouts, slot_ids)):
         for slot, (role, i) in enumerate(zip(part.roles, ids)):
             size, first = (ne, q * ne) if role.is_entity else (nr, blocks * ne + q * nr)
             if slot != part.mask_slot and not 0 <= i < size:
                 raise ShapeError(f"slot {slot} of query {q} reads id {i} of {size} states")
-            rows.append(blocks * (ne + nr) if slot == part.mask_slot else first + i)
+            rows.append(mask if slot == part.mask_slot else first + i)
+        rows.extend([mask] * (layout.length - len(part)))
     table = ad.concat([ent_states, rel_states, params.mask_token], axis=0)
     return ad.gather(table, rows)
 
 
 def attention_layer(seq: Value, layout: BatchLayout,
                     layer: DecoderLayerParams, params: DecoderParams) -> Value:
-    """One block: biased multi-head attention, then the position-wise net.
-
-    Row block h of ``q``, ``weights`` and ``out`` belongs to head h; the
-    constant selectors keep each head to its own columns, and the bias-type
-    picks give each slot pair its bias and keep it within its query, so no
-    step loops over heads, types or queries.
-    """
-    rep, head_cols, types = layout.selectors(
-        params.head_count, params.width, seq.data.dtype.name)
-    inv_scale = np.asarray(params.head_width ** -0.5, dtype=seq.data.dtype).reshape(1, 1)
-    q = ad.mul(ad.matmul(rep, ad.matmul(seq, layer.wq)), head_cols)        # (H·S, d)
-    k = ad.matmul(seq, layer.wk)
-    v = ad.matmul(seq, layer.wv)
-    per_type = ad.matmul(q, ad.transpose(layer.key_bias))                  # (H·S, T)
-    bias = ad.take_columns(per_type, types, fill=-np.inf)                  # (H·S, S)
-    weights = ad.rowwise_softmax(
-        ad.mul(ad.add(ad.matmul(q, ad.transpose(k)), bias), inv_scale))
-    shares = ad.sum_columns(weights, types, NUM_BIAS_TYPES)                # (H·S, T)
-    out = ad.add(ad.matmul(weights, v), ad.matmul(shares, layer.value_bias))
-    attn = ad.matmul(rep.T, ad.mul(out, head_cols))                        # (S, d)
+    """One block: biased multi-head attention within each query's rows, then
+    the position-wise net."""
+    attn = ad.attention(ad.matmul(seq, layer.wq), ad.matmul(seq, layer.wk),
+                        ad.matmul(seq, layer.wv), layer.key_bias, layer.value_bias,
+                        layout.types, params.head_count)
     x = ad.layer_norm(ad.add(seq, attn), layer.ln1_gain, layer.ln1_bias)
     ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1)),
                            layer.ffn_w2), layer.ffn_b2)
@@ -274,11 +249,4 @@ def mask_vector(decoded: Value, layout: BatchLayout) -> Value:
 def entity_logits(x_m: Value, ent_states: Value, out_bias: Value) -> Value:
     """Row q: query q's mask vector dotted with each entity state of block q
     of ``ent_states``."""
-    blocks = x_m.shape[0]
-    n = ent_states.shape[0] // blocks
-    if ent_states.shape[0] != blocks * n:
-        raise ShapeError(f"{ent_states.shape[0]} entity states do not split into "
-                         f"{blocks} blocks")
-    own = np.arange(blocks)[:, None] * n + np.arange(n)
-    scores = ad.take_columns(ad.matmul(x_m, ad.transpose(ent_states)), own)
-    return ad.add(scores, out_bias)
+    return ad.add(ad.block_dots(x_m, ent_states), out_bias)

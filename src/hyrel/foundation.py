@@ -228,19 +228,6 @@ class FoundationGraph:
         return replace(plan, blocks=len(leave_outs), zeroed=zeroed)
 
 
-def _positions(kg: Hkg) -> tuple[np.ndarray, ...]:
-    """Head, relation and tail id per fact, then fact, key and value id per
-    qualifier in fact order, as int64 arrays."""
-    e, r, facts = kg.entity_index, kg.relation_index, kg.facts
-    quals = [kv for f in facts for kv in f.qualifiers]
-    prim = np.array([[e[f.head] for f in facts], [r[f.relation] for f in facts],
-                     [e[f.tail] for f in facts]], dtype=np.int64).reshape(3, -1)
-    qual = np.array([[r[k] for k, _ in quals], [e[v] for _, v in quals]],
-                    dtype=np.int64).reshape(2, -1)
-    fact = np.repeat(np.arange(len(facts)), [len(f.qualifiers) for f in facts])
-    return (*prim, fact, *qual)
-
-
 def _firsts(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one before."""
     first = np.ones(a.size, dtype=bool)
@@ -349,7 +336,7 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
     row = {t: i for i, t in enumerate(x for x in RelInteraction if x in cfg.relation_set)}
     n, nf = kg.num_relations, kg.num_facts
     dims = (n, len(row), n)
-    head, rel, tail, qf, qk, qv = _positions(kg)
+    head, rel, tail, qf, qk, qv = kg.positions()
     i, j = _matches(qf, qf)
     i, j = i[i != j], j[i != j]  # ordered pairs of two qualifiers of one fact
     entries = {  # intra-fact types: (src, dst, fact) per entry
@@ -390,7 +377,7 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
     row = {t: i for i, t in enumerate(x for x in EntInteraction if x in cfg.entity_set)}
     n = kg.num_entities
     dims = (n, len(row), n) + ((kg.num_relations,) if with_fact_relations else ())
-    head, rel, tail, qf, qk, qv = _positions(kg)
+    head, rel, tail, qf, qk, qv = kg.positions()
     i, j = _matches(qf, qf)
     i, j = i[i != j], j[i != j]  # ordered pairs of two qualifiers of one fact
     entries = {  # (src, dst, relation, fact) per entry

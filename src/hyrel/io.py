@@ -30,14 +30,17 @@ _BREAKS = frozenset("\t\r\n")  # characters no TSV token may hold
 
 def parse_fact_line(line: str, line_no: int | None = None) -> HyperFact:
     """Parse one TSV fact line. Raises ParseError on malformed input."""
-    tokens = line.rstrip("\r\n").split("\t")
+    line = line.rstrip("\r\n")
+    tokens = line.split("\t")
     if len(tokens) < 3 or len(tokens) % 2 == 0:
         raise ParseError(
             f"expected an odd token count >= 3 (h r t followed by key/value pairs), "
             f"got {len(tokens)}", line_no)
-    for t in tokens:
-        if t == "":
-            raise ParseError("empty token", line_no)
+    if "" in tokens:
+        raise ParseError("empty token", line_no)
+    if "\r" in line or "\n" in line:
+        bad = next(t for t in tokens if "\r" in t or "\n" in t)
+        raise ParseError(f"token {bad!r} holds a CR or LF", line_no)
     quals = tuple(zip(tokens[3::2], tokens[4::2]))
     return HyperFact(tokens[0], tokens[1], tokens[2], quals)
 

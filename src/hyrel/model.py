@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ContractError
 
 
@@ -89,12 +91,6 @@ class HyperFact:
     def relations(self) -> tuple[str, ...]:
         return (self.relation,) + tuple(k for k, _ in self.qualifiers)
 
-    def entity_roles(self) -> list[tuple[Role, str]]:
-        """All entity positions of this fact in canonical order."""
-        out = [(HEAD, self.head), (TAIL, self.tail)]
-        out.extend((value_role(i), v) for i, (_, v) in enumerate(self.qualifiers))
-        return out
-
     def entity_at(self, role: Role) -> str:
         if role.kind is RoleKind.HEAD:
             return self.head
@@ -115,7 +111,8 @@ class Hkg:
     use, each once, or construction raises :class:`ContractError`.
     """
 
-    __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index")
+    __slots__ = ("facts", "entities", "relations", "entity_index", "relation_index",
+                 "_positions")
 
     def __init__(self, facts: Iterable[HyperFact],
                  entities: Sequence[str] | None = None,
@@ -127,6 +124,29 @@ class Hkg:
         self.entity_index = _index("entity", self.entities, () if entities is None else seen_e)
         self.relation_index = _index("relation", self.relations,
                                      () if relations is None else seen_r)
+        self._positions: tuple[np.ndarray, ...] | None = None
+
+    def positions(self) -> tuple[np.ndarray, ...]:
+        """Head, relation and tail id per fact, then fact, key and value id per
+        qualifier in fact order, as read-only int64 arrays made on first use."""
+        if self._positions is None:
+            e, r, facts = self.entity_index, self.relation_index, self.facts
+            quals = [kv for f in facts for kv in f.qualifiers]
+            prim = np.array([[e[f.head] for f in facts], [r[f.relation] for f in facts],
+                             [e[f.tail] for f in facts]], dtype=np.int64).reshape(3, -1)
+            qual = np.array([[r[k] for k, _ in quals], [e[v] for _, v in quals]],
+                            dtype=np.int64).reshape(2, -1)
+            fact = np.repeat(np.arange(len(facts)), [len(f.qualifiers) for f in facts])
+            self._positions = (*prim, fact, *qual)
+            for a in self._positions:
+                a.flags.writeable = False
+        return self._positions
+
+    @property
+    def max_arity(self) -> int:
+        """The most qualifiers any fact has."""
+        fact = self.positions()[3]
+        return int(np.bincount(fact).max()) if fact.size else 0
 
     @property
     def num_entities(self) -> int:
@@ -208,10 +228,6 @@ class QueryFact:
     def from_fact(cls, fact: HyperFact, masked: Role) -> "QueryFact":
         """Mask ``masked`` in a complete fact; the answer is read off the fact."""
         return cls(fact, masked, fact.entity_at(masked))
-
-    def unmasked_entities(self) -> list[str]:
-        """Entities visible to the encoders (every entity slot except the mask)."""
-        return [e for role, e in self.base.entity_roles() if role != self.masked]
 
     @property
     def is_head_or_tail(self) -> bool:

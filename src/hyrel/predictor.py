@@ -3,10 +3,11 @@
 Given a KG and a batch of masked queries, the predictor builds (or is
 handed) the relation and entity foundation graphs, encodes each
 conditioned on every query's visible relations and entities (one block of
-rows per query), decodes the queries' fact sequences as one batch and
-scores every entity of the vocabulary for each query.  Parameters attach
-only to interaction types, layer maps and bias types, never to vocabulary
-items, so the same weights score any graph.
+rows per query), decodes the queries' fact sequences as one batch, each
+padded to the longest sequence of a fact of the graph, and scores every
+entity of the vocabulary for each query.  Parameters attach only to
+interaction types, layer maps and bias types, never to vocabulary items,
+so the same weights score any graph.
 
 Training records a tape through the parameters.  Scoring
 (:meth:`LinkPredictor.batch_scores`) runs the same forward pass, a chunk of
@@ -208,7 +209,7 @@ class LinkPredictor:
         if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
             raise ContractError("a parallel model cannot score over an entity graph with "
                                 "relation annotations: it would count some edges twice")
-        layout = dec.BatchLayout(dec.layout_for(query) for query in queries)
+        layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
         ids = [_slot_ids(kg, query, part.mask_slot)
                for query, part in zip(queries, layout.layouts)]
         rel_states = enc.encode(graphs.relation_graph, [set(row[1::2]) for row in ids],

@@ -1,10 +1,12 @@
 """Built-in verification suites behind the ``selfcheck`` subcommand.
 
-Four suites: finite-difference gradient checks over a small 64-bit model
+Five suites: finite-difference gradient checks over a small 64-bit model
 of each structure, foundation-graph equivalence against the brute-force
 reference enumerators, scores with a fact left out against scores over
-graphs rebuilt without it, and permutation equivariance of the end-to-end
-scores.  All of them also run (more thoroughly) in the test suite; this
+graphs rebuilt without it, permutation equivariance of the end-to-end
+scores, and the rows of a scored chunk against each query scored alone,
+which holds bit for bit only if the installed BLAS keeps every query's
+products apart.  All of them also run (more thoroughly) in the test suite; this
 entry point exists so an installed build can be verified without a test
 harness.
 """
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .evaluation import rank_of
+from .evaluation import CHUNK, rank_of
 from .foundation import PRESETS, build_entity_graph, build_relation_graph
 from .model import Hkg, queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
@@ -147,6 +149,29 @@ def _equivariance_suite(log: Callable[[str], None], quick: bool) -> bool:
     return ok
 
 
+def _batch_invariance_suite(log: Callable[[str], None], quick: bool) -> bool:
+    # Each query is decoded in its own padded block, so a chunk's row must be
+    # the bits the query scores alone, as ``hyrel predict`` scores it.
+    rng = np.random.default_rng(19)
+    cases = 2 if quick else 8
+    checked = mismatches = 0
+    for structure in STRUCTURES:
+        predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=6)
+        for _ in range(cases):
+            kg = random_hkg(rng, max_facts=8, min_facts=4)
+            ctx = predictor.prepare(kg)
+            queries = queries_from_facts(kg.facts)
+            for start in range(0, len(queries), CHUNK):
+                chunk = queries[start:start + CHUNK]
+                for query, row in zip(chunk, predictor.batch_scores(ctx, chunk)):
+                    checked += 1
+                    mismatches += row.tobytes() != predictor.entity_scores(ctx, query).tobytes()
+    ok = mismatches == 0
+    log(f"{'ok' if ok else 'FAIL'} - chunk rows vs each query scored alone "
+        f"({checked} queries over {len(STRUCTURES)} structures, {mismatches} not bit-equal)")
+    return ok
+
+
 def _apply(phi, tau, fact):
     from .model import HyperFact
     return HyperFact(phi[fact.head], tau[fact.relation], phi[fact.tail],
@@ -159,6 +184,7 @@ def run_selfcheck(quick: bool = False, log: Callable[[str], None] = print) -> bo
         *(_gradient_suite(log, quick, structure) for structure in STRUCTURES),
         _leave_out_suite(log, quick),
         _equivariance_suite(log, quick),
+        _batch_invariance_suite(log, quick),
     ]
     ok = all(results)
     log(f"selfcheck: {'all suites passed' if ok else 'FAILURES detected'}")

@@ -629,29 +629,83 @@ def test_gated_gather_gradient_matches_finite_differences(shared, rng):
         gated_gather(x, src, gates, [0, 1], blocks, kinds)
 
 
-def test_take_and_sum_columns_are_adjoint(rng):
-    x = Value(rng.normal(size=(3, 4)))
-    cols = np.array([[0, 3, 3, 4, 1], [2, 2, 2, 2, 2], [4, 4, 0, 1, 3]])
-    picked = ad.take_columns(x, cols, fill=-np.inf)
-    assert picked.data[0].tolist() == [x.data[0, 0], x.data[0, 3], x.data[0, 3],
-                                       -np.inf, x.data[0, 1]]
-    y = Value(rng.normal(size=(3, 5)))
-    sums = ad.sum_columns(y, cols, 4)
-    expected = np.zeros((3, 4))
-    for r in range(3):
-        for c in range(5):
-            if cols[r, c] < 4:
-                expected[r, cols[r, c]] += y.data[r, c]
-    assert np.allclose(sums.data, expected, atol=1e-12)
-    w = Value(rng.normal(size=(5, 2)))
-    fd_check(lambda: ad.total_sum(ad.matmul(ad.take_columns(x, cols), w)), {"x": x, "w": w})
-    v = Value(rng.normal(size=(4, 2)))
-    fd_check(lambda: ad.total_sum(ad.matmul(ad.sum_columns(y, cols, 4), v)),
-             {"y": y, "v": v})
-    with pytest.raises(IndexError):
-        ad.take_columns(x, cols + 1)
+def naive_block_attention(q, k, v, key_bias, value_bias, types, heads):
+    """``ad.attention`` by loops over block x head x row x key row."""
+    blocks, length = types.shape[:2]
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    for b in range(blocks):
+        for h in range(heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            for i in range(length):
+                row = b * length + i
+                keys = [j for j in range(length) if types[b, i, j] < len(key_bias)]
+                scores = np.array([q[row, cols] @ (k[b * length + j, cols]
+                                                   + key_bias[types[b, i, j], cols])
+                                   for j in keys]) / np.sqrt(dh)
+                w = np.exp(scores - scores.max())
+                w /= w.sum()
+                for wj, j in zip(w, keys):
+                    out[row, cols] += wj * (v[b * length + j, cols]
+                                            + value_bias[types[b, i, j], cols])
+    return out
+
+
+# Two blocks of three rows under three bias types; type 3 masks a pair.
+ATTENTION_TYPES = np.array([[[0, 1, 3], [2, 2, 3], [1, 0, 0]],
+                            [[3, 0, 1], [1, 1, 1], [0, 3, 2]]])
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_attention_matches_loops_and_its_gradients_hold(heads, rng):
+    q, k, v = (val(rng.normal(size=(6, 4))) for _ in range(3))
+    key_bias, value_bias = val(rng.normal(size=(3, 4))), val(rng.normal(size=(3, 4)))
+    out = ad.attention(q, k, v, key_bias, value_bias, ATTENTION_TYPES, heads)
+    expected = naive_block_attention(q.data, k.data, v.data, key_bias.data, value_bias.data,
+                                     ATTENTION_TYPES, heads)
+    assert np.abs(out.data - expected).max() <= 1e-12
+    w = rng.normal(size=(6, 4))
+    fd_check(lambda: ad.total_sum(ad.mul(ad.attention(
+        q, k, v, key_bias, value_bias, ATTENTION_TYPES, heads), w)),
+        {"q": q, "k": k, "v": v, "key_bias": key_bias, "value_bias": value_bias})
+
+
+def test_attention_blocks_do_not_read_each_other(rng):
+    # A block's rows are the bits it gives alone, whatever the other block holds.
+    q, k, v = (rng.normal(size=(6, 4)).astype(np.float32) for _ in range(3))
+    tables = [Value(rng.normal(size=(3, 4)).astype(np.float32)) for _ in range(2)]
+    both = ad.attention(*map(Value, (q, k, v)), *tables, ATTENTION_TYPES, 2).data
+    for b in range(2):
+        rows = slice(3 * b, 3 * b + 3)
+        alone = ad.attention(*(Value(x[rows]) for x in (q, k, v)), *tables,
+                             ATTENTION_TYPES[b:b + 1], 2).data
+        assert alone.tobytes() == both[rows].tobytes()
+
+
+def test_attention_rejects_bad_shapes_and_types(rng):
+    x = val(rng.normal(size=(6, 4)))
+    table = val(rng.normal(size=(3, 4)))
     with pytest.raises(ShapeError):
-        ad.sum_columns(x, cols, 4)
+        ad.attention(x, x, x, table, table, ATTENTION_TYPES[:1], 2)
+    with pytest.raises(ShapeError):
+        ad.attention(x, x, x, table, table, ATTENTION_TYPES, 3)
+    with pytest.raises(IndexError):
+        ad.attention(x, x, x, table, table, ATTENTION_TYPES + 1, 2)
+    masked = ATTENTION_TYPES.copy()
+    masked[1, 2] = 3
+    with pytest.raises(ContractError, match="mask every pair"):
+        ad.attention(x, x, x, table, table, masked, 2)
+
+
+def test_block_dots_dot_each_row_with_its_block(rng):
+    x, rows = val(rng.normal(size=(2, 3))), val(rng.normal(size=(8, 3)))
+    out = ad.block_dots(x, rows)
+    assert np.allclose(out.data, [rows.data[4 * b:4 * b + 4] @ x.data[b] for b in range(2)],
+                       atol=1e-12)
+    w = rng.normal(size=(2, 4))
+    fd_check(lambda: ad.total_sum(ad.mul(ad.block_dots(x, rows), w)), {"x": x, "rows": rows})
+    with pytest.raises(ShapeError):
+        ad.block_dots(x, val(rng.normal(size=(7, 3))))
 
 
 def test_cross_entropy_per_row(rng):
@@ -883,6 +937,9 @@ MULTI_OPERAND_OPS = {
     "concat_rows": (lambda a, b, c: ad.concat([a, b, c], axis=0), [(2, 3), (4, 3), (1, 3)]),
     "concat_columns": (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 1)]),
     "layer_norm": (ad.layer_norm, [(4, 6), (1, 6), (1, 6)]),
+    "attention": (lambda q, k, v, key_bias, value_bias: ad.attention(
+        q, k, v, key_bias, value_bias, ATTENTION_TYPES, 2), [(6, 4)] * 3 + [(3, 4)] * 2),
+    "block_dots": (ad.block_dots, [(2, 3), (8, 3)]),
 }
 
 
@@ -913,14 +970,13 @@ def test_ops_over_constants_record_nothing(rng):
     x = Value.constant(rng.normal(size=(4, 4)))
     y = Value.constant(rng.normal(size=(4, 4)))
     row = Value.constant(rng.normal(size=(1, 4)))
-    cols = np.array([[0, 4, 1, 1], [2, 2, 3, 0], [4, 4, 4, 4], [3, 2, 1, 0]])
+    types = np.array([[[0, 1], [0, 0]], [[1, 0], [0, 1]]])
     outs = [ad.add(x, y), ad.add(x, np.ones((1, 4))), ad.mul(x, row), ad.matmul(x, y),
             ad.transpose(x), ad.relu(x), ad.concat([x, y], axis=0), ad.rowwise_softmax(x),
             ad.layer_norm(x, row, row), ad.gather(x, [0, 2, 2]),
             ad.scatter_add(x, y, plan_of([0, 3], [1, 1], [1, 0, 1], [2, 0, 3])),
-            ad.total_sum(x),
-            ad.take_columns(x, cols), ad.sum_columns(x, cols, 4),
-            ad.cross_entropy(x, [0, 1, 2, 3])]
+            ad.total_sum(x), ad.attention(x, x, y, row, row, types, 2),
+            ad.block_dots(row, x), ad.cross_entropy(x, [0, 1, 2, 3])]
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._backward is None
     for v in (x, y, row):

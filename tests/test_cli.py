@@ -322,6 +322,7 @@ def test_selfcheck_quick(capsys):
     assert "ok - foundation graphs vs brute-force rules" in out
     assert "ok - gradients vs finite differences" in out
     assert "ok - score equivariance under relabeling" in out
+    assert "ok - chunk rows vs each query scored alone" in out
 
 
 def test_ablation_flag_selects_preset(tmp_path, capsys):

@@ -53,19 +53,34 @@ def test_bias_types_classify_every_slot_pair():
     assert types.tolist() == [[classify_bias(a, b).value for b in roles] for a in roles]
 
 
-def test_batch_selectors_keep_pairs_within_their_query():
-    # Slot pairs of two queries get the extra bias type, whose pick is -inf.
+def test_batch_layout_keeps_pairs_within_their_query(rng):
+    # Each query owns length rows; a pair with a padding key is masked, and no
+    # row reads another query's rows, so changing every other row leaves a
+    # query's outputs bit for bit, and their gradient reaches no other row.
     triple = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t"), TAIL))
     pair = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t", (("k", "v"),)),
                                           value_role(0)))
-    batch = BatchLayout((triple, pair))
-    assert len(batch) == 8 and batch.starts == [0, 3] and batch.mask_slots == [2, 7]
-    rep, head_cols, types = batch.selectors(2, 4, "float64")
-    assert rep.shape == (16, 8) and head_cols.shape == (16, 4) and types.shape == (16, 8)
-    for block in (types[:8], types[8:]):
-        assert (block[:3, :3] == _bias_types(triple.roles)).all()
-        assert (block[3:, 3:] == _bias_types(pair.roles)).all()
-        assert (block[:3, 3:] == len(BiasType)).all() and (block[3:, :3] == len(BiasType)).all()
+    batch = BatchLayout((triple, pair), arity=2)
+    assert len(batch) == 8 and batch.length == 7 and batch.mask_slots == [2, 11]
+    assert batch.types.shape == (2, 7, 7)
+    for types, part in zip(batch.types, (triple, pair)):
+        n = len(part)
+        assert (types[:n, :n] == _bias_types(part.roles)).all()
+        assert (types[:n, n:] == len(BiasType)).all()
+    _, params = fresh_decoder(width=8, heads=2, depth=2)
+    x = rng.normal(size=(14, 8))
+    out = decode(Value(x), batch, params).data
+    for q, part in enumerate((triple, pair)):
+        own = np.zeros(14, dtype=bool)
+        own[7 * q:7 * q + len(part)] = True
+        changed = x.copy()
+        changed[~own] = rng.normal(0.0, 100.0, size=(int((~own).sum()), 8))
+        assert decode(Value(changed), batch, params).data[own].tobytes() == out[own].tobytes()
+        seq = Value(x)
+        weights = rng.normal(size=(int(own.sum()), 8))
+        ad.backward(ad.total_sum(ad.mul(ad.gather(decode(seq, batch, params),
+                                                  np.flatnonzero(own)), weights)))
+        assert (seq.grad[~own] == 0).all() and (seq.grad[own] != 0).any()
 
 
 def test_assemble_sequence_triple(small_kg, rng):

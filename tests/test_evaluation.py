@@ -4,7 +4,7 @@ import pytest
 from hyrel import ContractError, HEAD, TAIL, Hkg, HyperFact, NumericalError, QueryFact
 from hyrel.evaluation import (Metrics, completion_index, evaluate, filter_set,
                               rank_of)
-from hyrel.model import queries_from_facts
+from hyrel.model import queries_from_facts, value_role
 from hyrel.reference import random_hkg, uniform_model_mrr
 
 
@@ -104,12 +104,14 @@ def test_filter_sets_equal_a_scan_of_the_known_facts():
         for query in queries_from_facts(facts):
             # A fact completes the query when it differs from its base at
             # the masked slot only.
-            scan = {kg.entity_index[entity] for fact in facts
-                    for role, entity in fact.entity_roles()
-                    if role == query.masked and entity != query.answer
-                    and fact.relations() == query.base.relations()
-                    and [e for r, e in fact.entity_roles() if r != role]
-                    == query.unmasked_entities()}
+            def unmasked(fact):
+                roles = [HEAD, TAIL, *map(value_role, range(fact.arity))]
+                return [fact.entity_at(role) for role in roles if role != query.masked]
+
+            scan = {kg.entity_index[fact.entity_at(query.masked)] for fact in facts
+                    if fact.relations() == query.base.relations()
+                    and fact.entity_at(query.masked) != query.answer
+                    and unmasked(fact) == unmasked(query.base)}
             assert filter_set(query, kg, index) == scan, (seed, query)
 
 

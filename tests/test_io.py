@@ -157,6 +157,15 @@ def test_tsv_tokens_holding_a_tab_cr_or_lf_are_not_written(tmp_path):
                 write_kg(Hkg([fact]), tmp_path / "kg.txt")
 
 
+def test_a_tsv_token_holding_a_cr_or_lf_is_a_parse_error():
+    # format_fact_line refuses such a token, so parsing must not make one.
+    for line in ("a\rb\tr\tc", "a\tr\tc\rd", "a\tr\tc\tk\tv\nw", "a\tr\rs\tc\r\n"):
+        with pytest.raises(ParseError, match="^line 4: token .* holds a CR or LF$") as e:
+            parse_fact_line(line, 4)
+        assert e.value.line_no == 4
+    assert parse_fact_line("a\tr\tc\r\n") == HyperFact("a", "r", "c")
+
+
 def test_a_tsv_line_of_tabs_is_a_record_and_a_blank_line_is_skipped(tmp_path):
     # "\t\t" is three empty tokens, not a blank line; " " and "" are blank.
     path = tmp_path / "facts.txt"

@@ -67,13 +67,6 @@ def test_relation_role_cannot_be_masked():
         QueryFact(fact, key_role(0), None)
 
 
-def test_unmasked_entities_skip_the_mask():
-    fact = HyperFact("h", "r", "t", (("k1", "v1"),))
-    q = QueryFact.from_fact(fact, TAIL)
-    assert q.unmasked_entities() == ["h", "v1"]
-    assert q.is_head_or_tail
-
-
 def test_duplicate_qualifiers_stay_distinct():
     fact = HyperFact("a", "r", "b", (("k", "c"), ("k", "c")))
     assert fact.arity == 2

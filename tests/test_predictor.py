@@ -1,8 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyrel import (ConfigError, ContractError, DataError, Hkg, HyperFact, QueryFact, TAIL,
-                   VocabularyError, queries_from_facts)
+from hyrel import (HEAD, ConfigError, ContractError, DataError, Hkg, HyperFact, QueryFact,
+                   TAIL, VocabularyError, queries_from_facts, value_role)
 from hyrel.autodiff import ParamStore
 from hyrel.predictor import (PARALLEL, RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig,
                              ablation_overrides)
@@ -280,7 +284,9 @@ def _one_block_at_a_time(self, ctx, queries):
     relations, rel_blocks = {}, []
     for q, query in enumerate(queries):
         rel_nodes = {kg.relation_index[r] for r in query.base.relations()}
-        ent_nodes = {kg.entity_index[e] for e in query.unmasked_entities()}
+        roles = [HEAD, TAIL, *map(value_role, range(query.base.arity))]
+        ent_nodes = {kg.entity_index[query.base.entity_at(role)] for role in roles
+                     if role != query.masked}
         key = frozenset(rel_nodes)
         if key not in relations:
             relations[key] = enc.encode(graphs.relation_graph, [rel_nodes], model.rel_params)
@@ -290,7 +296,7 @@ def _one_block_at_a_time(self, ctx, queries):
                                             model.ent_params, gates).data
     rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
     ent_states = Value.constant(ent)
-    layout = dec.BatchLayout(dec.layout_for(query) for query in queries)
+    layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
     ids = [_slot_ids(kg, query, part.mask_slot) for query, part in zip(queries, layout.layouts)]
     seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, model.dec_params)
     x_m = dec.mask_vector(dec.decode(seq, layout, model.dec_params), layout)
@@ -316,9 +322,8 @@ def test_a_stacked_chunk_scores_as_one_block_at_a_time_bit_for_bit(structure):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatch):
     # 11 queries are scored in chunks of CHUNK, the last one shorter.  Each
-    # chunk is decoded as one sequence, which is not block-exact, so a row
-    # matches its query's own entity_scores only up to the batch tolerance.
-    from test_training import BATCH_TOLERANCE
+    # query of a chunk is decoded in its own padded block, so the tolerance
+    # is zero: a row is the bits of its query's own entity_scores.
     from hyrel.evaluation import CHUNK, evaluate
     kg = random_hkg(np.random.default_rng(6), max_facts=8, min_facts=8)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
@@ -343,8 +348,50 @@ def test_evaluate_scores_chunks_within_the_batch_tolerance(structure, monkeypatc
     for _, qs, scores in chunks:
         assert scores.shape == (len(qs), kg.num_entities)
         for query, row in zip(qs, scores):
-            single = predictor.entity_scores(fresh, query)
-            assert np.abs(row - single).max() <= BATCH_TOLERANCE
+            assert row.tobytes() == predictor.entity_scores(fresh, query).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def default_model(structure):
+    """A seeded-init default-width model, built once for every example."""
+    return LinkPredictor.build(ModelConfig(structure=structure), seed=7)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_scores_rows_do_not_depend_on_the_batch(structure, seed):
+    # Every query is padded to the graph's longest sequence and decoded in its
+    # own block, so a row of any chunk of 1 to 8 queries is the bits it has
+    # alone.
+    kg = random_hkg(np.random.default_rng(seed), max_facts=6, min_facts=2)
+    predictor = default_model(structure)
+    ctx = predictor.prepare(kg)
+    queries = queries_from_facts(kg.facts)
+    alone = [predictor.batch_scores(ctx, [query]).tobytes() for query in queries]
+    for size in range(2, 9):
+        for start in range(0, len(queries), size):
+            rows = predictor.batch_scores(ctx, queries[start:start + size])
+            assert [row[None].tobytes() for row in rows] == alone[start:start + size]
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_query_longer_than_every_fact_of_the_graph_scores_on_its_own_bits(structure):
+    # A test fact may hold more qualifiers than any fact of the graph: its
+    # batch is padded to its own length, and it scores as it does alone.
+    kg = Hkg([HyperFact("a", "r", "b", (("k", "c"),)), HyperFact("b", "s", "c"),
+              HyperFact("c", "r", "d", (("s", "a"),))])
+    long = QueryFact(HyperFact("a", "r", "x", (("k", "c"), ("s", "d"), ("k", "b"))), TAIL)
+    assert 3 + 2 * long.base.arity > 3 + 2 * kg.max_arity
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
+                                                decoder_depth=1, structure=structure), seed=2)
+    ctx = predictor.prepare(kg)
+    alone = predictor.entity_scores(ctx, long)
+    assert np.isfinite(alone).all() and abs(alone.sum() - 1.0) < 1e-6
+    others = queries_from_facts(kg.facts)[:3]
+    for batch in ([long, *others], [*others, long], [others[0], long, others[1]]):
+        rows = predictor.batch_scores(ctx, batch)
+        assert rows[batch.index(long)].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
