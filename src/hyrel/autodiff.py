@@ -1,11 +1,11 @@
 """Reverse-mode differentiation over dense 2-D arrays.
 
-Small and closed by design: matrix product, broadcast add/multiply, transpose,
-relu, concatenation, layer normalization, row-wise softmax, gather,
-scatter-add (gated message passing), blockwise biased attention and dot
-products, per-row cross-entropy and the total sum, which is everything the
-encoders, decoder and training loss compose from.  Arithmetic is 32-bit by default; gradient
-checking builds the same graphs over 64-bit parameters.
+Small and closed by design: matrix product, broadcast add/multiply, relu,
+concatenation, layer normalization, row-wise softmax, gather, scatter-add
+(gated message passing), blockwise biased attention and dot products,
+per-row cross-entropy and the total sum, which is everything the encoders,
+decoder and training loss compose from.  Arithmetic is 32-bit by default;
+gradient checking builds the same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
 is always a segment sum over a :class:`Segments` plan, built once per index
@@ -33,8 +33,8 @@ buffer.
 
 Gradient buffers are owned, never shared.  In the backward sweep a node's
 first gradient contribution becomes its buffer as it is, unless it is a view
-of another node's gradient (the gradient passed through, a slice of it, or
-its transpose), which is copied; later contributions add into it.  A
+of another node's gradient (the gradient passed through, or a slice of
+it), which is copied; later contributions add into it.  A
 parameter of a :class:`ParamStore` in training already has its buffer: its
 view of the store's one flat gradient buffer, so contributions add into
 that, and the optimizer, clipping and zeroing work on the whole flat buffer
@@ -211,13 +211,6 @@ def matmul(a, b) -> Value:
             _accumulate(vb, da.T @ g)
 
     return _record(da @ db, (va, vb), bwd)
-
-
-def transpose(a: Value) -> Value:
-    def bwd(g: Array):
-        _accumulate(a, g.T, view=True)
-
-    return _record(a.data.T.copy(), (a,), bwd)
 
 
 # Set by :func:`finite_difference` while it probes: every relu appends its

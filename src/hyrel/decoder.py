@@ -18,9 +18,10 @@ changes it.  Each layer's attention is one stacked op over the queries'
 blocks (:func:`~hyrel.autodiff.attention`), where a pair with a padding key
 gets the masking type and so a weight of exactly 0: a query's rows, and so
 its scores, are the same bits in every batch.  A query longer than L (a
-test fact with more qualifiers than any fact of the graph) pads its whole
-batch to its own length instead.  It scores as it does alone while no
-batch-mate is longer, and its batch-mates score as they do padded to it.
+test fact with more qualifiers than any fact of the graph) would pad its
+whole batch to its own length, so scoring
+(:meth:`~hyrel.predictor.LinkPredictor.batch_scores`) decodes each such
+query in a batch of its own.
 
 Scoring projects each query's mask slot output onto its block of the
 query-conditioned entity states: one logit per entity plus a single shared

@@ -36,9 +36,10 @@ class ScoringModel(Protocol):
 
     ``prepare`` returns the context of one graph, and ``batch_scores`` the
     (len(queries), |E|) scores of a chunk of at most :data:`CHUNK` (4)
-    queries, one row per query.  :class:`~hyrel.predictor.LinkPredictor`
-    encodes a chunk's entity graphs as one block-stacked batch and decodes
-    the chunk as one sequence.
+    queries, one row per query.  A :class:`~hyrel.predictor.LinkPredictor`'s
+    context is its :class:`~hyrel.predictor.GraphPair`, the graph with its
+    two foundation graphs; it encodes a chunk's entity graphs as one
+    block-stacked batch and decodes the chunk as one sequence.
     """
 
     def prepare(self, kg: Hkg): ...

@@ -75,11 +75,6 @@ class HyperFact:
     tail: str
     qualifiers: tuple[tuple[str, str], ...] = ()
 
-    @classmethod
-    def of(cls, head: str, relation: str, tail: str,
-           qualifiers: Iterable[tuple[str, str]] = ()) -> "HyperFact":
-        return cls(head, relation, tail, tuple((k, v) for k, v in qualifiers))
-
     @property
     def arity(self) -> int:
         """Number of qualifier pairs."""

@@ -1,25 +1,28 @@
 """The end-to-end link predictor: two graph encoders plus the decoder.
 
-Given a KG and a batch of masked queries, the predictor builds (or is
-handed) the relation and entity foundation graphs, encodes each
-conditioned on every query's visible relations and entities (one block of
-rows per query), decodes the queries' fact sequences as one batch, each
-padded to the longest sequence of a fact of the graph, and scores every
-entity of the vocabulary for each query.  Parameters attach only to
-interaction types, layer maps and bias types, never to vocabulary items,
-so the same weights score any graph.
+:meth:`LinkPredictor.prepare` pairs a KG with its relation and entity
+foundation graphs (a :class:`GraphPair`), the one context of scoring and
+training.  Given the pair and a batch of masked queries, the predictor
+encodes each graph conditioned on every query's visible relations and
+entities (one block of rows per query), decodes the queries' fact sequences
+as one batch, each padded to the longest sequence of a fact of the graph,
+and scores every entity of the vocabulary for each query.  Parameters
+attach only to interaction types, layer maps and bias types, never to
+vocabulary items, so the same weights score any graph.
 
 Training records a tape through the parameters.  Scoring
 (:meth:`LinkPredictor.batch_scores`) runs the same forward pass, a chunk of
 queries encoded and decoded as one block-stacked batch with no fact left
 out, through constants that share the parameter arrays, so it records
-nothing.
+nothing.  A query longer than every fact of the graph is decoded in a batch
+of its own, so it pads no batch-mate's block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +82,10 @@ def ablation_overrides(name: str) -> dict[str, str]:
 
 @dataclass
 class GraphPair:
+    """A KG and its two foundation graphs (:meth:`LinkPredictor.prepare`):
+    what every query is scored and trained against."""
+
+    kg: Hkg
     relation_graph: FoundationGraph
     entity_graph: FoundationGraph
 
@@ -122,16 +129,6 @@ class _NoDraws:
         return np.zeros(size, dtype=np.float32)
 
     uniform = normal
-
-
-@dataclass
-class ScoringContext:
-    """What :meth:`LinkPredictor.batch_scores` reads: the graph, its
-    foundation graphs and the model's constant view."""
-
-    kg: Hkg
-    graphs: GraphPair
-    model: "LinkPredictor"
 
 
 class LinkPredictor:
@@ -191,24 +188,25 @@ class LinkPredictor:
                        out=fresh.store.data)
         return fresh
 
-    def build_graphs(self, kg: Hkg) -> GraphPair:
+    # prepare and batch_scores are the evaluator's scoring-model protocol.
+    def prepare(self, kg: Hkg) -> GraphPair:
+        """``kg`` with its foundation graphs, as this model's structure reads them."""
         annotated = self.cfg.structure == RELATION_DRIVEN
         interactions = preset(self.cfg.interactions)
-        return GraphPair(
-            relation_graph=build_relation_graph(kg, interactions),
-            entity_graph=build_entity_graph(kg, interactions, with_fact_relations=annotated),
-        )
+        return GraphPair(kg, build_relation_graph(kg, interactions),
+                         build_entity_graph(kg, interactions, with_fact_relations=annotated))
 
-    def query_logits(self, kg: Hkg, queries: Sequence[QueryFact], graphs: GraphPair,
+    def query_logits(self, graphs: GraphPair, queries: Sequence[QueryFact],
                      leave_outs: Sequence[int | None] | None = None) -> Value:
-        """Unnormalized scores, one row per query over every entity of ``kg``.
+        """Unnormalized scores, one row per query over every entity of ``graphs.kg``.
 
         Query q is encoded without fact ``leave_outs[q]`` (None, or no
-        ``leave_outs``: the whole graph).  ``graphs`` come from :meth:`build_graphs`.
+        ``leave_outs``: the whole graph).  ``graphs`` come from :meth:`prepare`.
         """
         if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
             raise ContractError("a parallel model cannot score over an entity graph with "
                                 "relation annotations: it would count some edges twice")
+        kg = graphs.kg
         layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
         ids = [_slot_ids(kg, query, part.mask_slot)
                for query, part in zip(queries, layout.layouts)]
@@ -222,23 +220,29 @@ class LinkPredictor:
         x_m = dec.mask_vector(decoded, layout)
         return dec.entity_logits(x_m, ent_states, self.dec_params.out_bias)
 
-    # Scoring-model protocol used by the evaluator.
-    def prepare(self, kg: Hkg) -> ScoringContext:
-        """The graphs of ``kg`` and a view of this model whose parameters are
-        constants sharing its arrays, so scoring records no tape and sees
-        in-place updates of the parameters."""
-        view = LinkPredictor(self.cfg, self.store, _constants(self.rel_params),
+    @cached_property
+    def _constant_view(self) -> "LinkPredictor":
+        """This model with every parameter a constant sharing its array, so
+        scoring through it records no tape and sees in-place updates."""
+        return LinkPredictor(self.cfg, self.store, _constants(self.rel_params),
                              _constants(self.ent_params), _constants(self.dec_params))
-        return ScoringContext(kg, self.build_graphs(kg), view)
 
-    def batch_scores(self, ctx: ScoringContext, queries: Sequence[QueryFact]) -> np.ndarray:
+    def batch_scores(self, graphs: GraphPair, queries: Sequence[QueryFact]) -> np.ndarray:
         """The (len(queries), |E|) entity distributions of a chunk of queries:
         the softmax of :meth:`query_logits` over the constant view, the
-        forward pass of a training step with no fact left out."""
+        forward pass of a training step with no fact left out.  A query with
+        more qualifiers than every fact of ``graphs.kg`` would pad its
+        batch-mates' blocks, so it is decoded alone."""
+        kg = graphs.kg
         if not queries:
-            return np.zeros((0, ctx.kg.num_entities))
-        return ad.rowwise_softmax(ctx.model.query_logits(ctx.kg, queries, ctx.graphs)).data
+            return np.zeros((0, kg.num_entities))
+        fits = np.array([query.base.arity for query in queries]) <= kg.max_arity
+        if len(queries) > 1 and not fits.all():
+            rows = iter(self.batch_scores(graphs, [q for q, fit in zip(queries, fits) if fit]))
+            return np.stack([next(rows) if fit else self.entity_scores(graphs, query)
+                             for query, fit in zip(queries, fits)])
+        return ad.rowwise_softmax(self._constant_view.query_logits(graphs, queries)).data
 
-    def entity_scores(self, ctx: ScoringContext, query: QueryFact) -> np.ndarray:
+    def entity_scores(self, graphs: GraphPair, query: QueryFact) -> np.ndarray:
         """The entity distribution of one query: a chunk of one."""
-        return self.batch_scores(ctx, [query])[0]
+        return self.batch_scores(graphs, [query])[0]

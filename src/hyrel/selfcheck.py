@@ -45,10 +45,10 @@ def gradient_report(structure: str, seed: int = 0, part: int = 0,
     for name, value in predictor.store.items():
         if name.endswith("update_b"):
             value.data[:] = 0.01
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
 
     def loss():
-        return ad.total_sum(query_losses(predictor, kg, [q for _, q in batch], graphs,
+        return ad.total_sum(query_losses(predictor, graphs, [q for _, q in batch],
                                          [f for f, _ in batch]))
 
     params = dict(predictor.store.items())
@@ -105,13 +105,13 @@ def _leave_out_suite(log: Callable[[str], None], quick: bool) -> bool:
         predictor = LinkPredictor.build(cfg, seed=4)
         for _ in range(cases):
             kg = random_hkg(rng)
-            graphs = predictor.build_graphs(kg)
+            graphs = predictor.prepare(kg)
             for f, fact in enumerate(kg.facts):
                 rest = Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
-                rebuilt = predictor.build_graphs(rest)
+                rebuilt = predictor.prepare(rest)
                 for query in queries_from_facts([fact]):
-                    masked = predictor.query_logits(kg, [query], graphs, [f]).data
-                    oracle = predictor.query_logits(kg, [query], rebuilt).data
+                    masked = predictor.query_logits(graphs, [query], [f]).data
+                    oracle = predictor.query_logits(rebuilt, [query]).data
                     checked += 1
                     mismatches += masked.tobytes() != oracle.tobytes()
     ok = mismatches == 0
@@ -159,13 +159,13 @@ def _batch_invariance_suite(log: Callable[[str], None], quick: bool) -> bool:
         predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=6)
         for _ in range(cases):
             kg = random_hkg(rng, max_facts=8, min_facts=4)
-            ctx = predictor.prepare(kg)
+            graphs = predictor.prepare(kg)
             queries = queries_from_facts(kg.facts)
             for start in range(0, len(queries), CHUNK):
                 chunk = queries[start:start + CHUNK]
-                for query, row in zip(chunk, predictor.batch_scores(ctx, chunk)):
+                for query, row in zip(chunk, predictor.batch_scores(graphs, chunk)):
                     checked += 1
-                    mismatches += row.tobytes() != predictor.entity_scores(ctx, query).tobytes()
+                    mismatches += row.tobytes() != predictor.entity_scores(graphs, query).tobytes()
     ok = mismatches == 0
     log(f"{'ok' if ok else 'FAIL'} - chunk rows vs each query scored alone "
         f"({checked} queries over {len(STRUCTURES)} structures, {mismatches} not bit-equal)")

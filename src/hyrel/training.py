@@ -34,7 +34,7 @@ from .errors import ConfigError, ContractError, DataError, NumericalError
 from .evaluation import bundle_known_facts, completion_index, evaluate
 from .io import DatasetBundle
 from .model import Hkg, HyperFact, QueryFact, queries_from_facts
-from .predictor import GraphPair, LinkPredictor, ModelConfig, ScoringContext
+from .predictor import GraphPair, LinkPredictor, ModelConfig
 
 
 @dataclass(frozen=True)
@@ -74,44 +74,46 @@ class TrainStats:
     step_losses: list[float] = field(default_factory=list)
 
 
-def query_losses(predictor: LinkPredictor, kg: Hkg, queries: Sequence[QueryFact],
-                 graphs: GraphPair, leave_outs: Sequence[int | None] | None = None,
+def query_losses(predictor: LinkPredictor, graphs: GraphPair, queries: Sequence[QueryFact],
+                 leave_outs: Sequence[int | None] | None = None,
                  stats: TrainStats | None = None) -> ad.Value:
     """The (B, 1) cross-entropies of each query's answer against all
-    entities, query q encoded without fact ``leave_outs[q]``."""
+    entities of ``graphs.kg``, query q encoded without fact ``leave_outs[q]``."""
     answers = []
     for query in queries:
-        answer = kg.entity_index.get(query.answer)
+        answer = graphs.kg.entity_index.get(query.answer)
         if answer is None:
             raise DataError(f"query answer {query.answer!r} missing from the vocabulary")
         answers.append(answer)
-    logits = predictor.query_logits(kg, queries, graphs, leave_outs)
+    logits = predictor.query_logits(graphs, queries, leave_outs)
     if stats is not None:
         for _ in queries:  # one append per query, as observers of the list count them
             stats.candidate_counts.append(logits.shape[1])
     return ad.cross_entropy(logits, answers)
 
 
-def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], kg_train: Hkg,
-               optimizer: Adam, cfg: TrainConfig, graphs: GraphPair,
-               source_facts: Sequence[int], stats: TrainStats | None = None) -> float:
+def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], optimizer: Adam,
+               cfg: TrainConfig, graphs: GraphPair, source_facts: Sequence[int],
+               stats: TrainStats | None = None) -> float:
     """One optimizer step on the mean loss of a query batch, on one tape.
 
-    ``graphs`` are the foundation graphs of ``kg_train``, built once.
-    ``source_facts`` names each query's source fact index so the leakage
-    guard can leave it out of the graphs while encoding that query; a list
-    that does not hold one index of ``kg_train`` per query is a
-    :class:`ContractError`.  A NaN or infinite loss or gradient norm raises
+    ``graphs`` is the training graph with its foundation graphs, built once.
+    ``source_facts`` names each query's source fact so the leakage guard can
+    leave it out of the graphs while encoding that query; an empty batch, or
+    a list that does not hold one fact index of ``graphs.kg`` per query, is
+    a :class:`ContractError`.  A NaN or infinite loss or gradient norm raises
     :class:`NumericalError` before the optimizer touches the parameters.
     """
+    if not batch:
+        raise ContractError("a training step needs at least one query")
     if len(source_facts) != len(batch):
         raise ContractError(f"{len(source_facts)} source facts for {len(batch)} queries")
+    facts = graphs.kg.num_facts
     for src in source_facts:
-        if not (isinstance(src, (int, np.integer)) and 0 <= src < kg_train.num_facts):
-            raise ContractError(f"source fact {src!r} out of range "
-                                f"(0..{kg_train.num_facts - 1})")
+        if not (isinstance(src, (int, np.integer)) and 0 <= src < facts):
+            raise ContractError(f"source fact {src!r} out of range (0..{facts - 1})")
     leave_outs = source_facts if cfg.leakage_guard else None
-    losses = query_losses(predictor, kg_train, batch, graphs, leave_outs, stats)
+    losses = query_losses(predictor, graphs, batch, leave_outs, stats)
     loss = ad.mul(ad.total_sum(losses),
                   np.full((1, 1), 1.0 / len(batch), dtype=losses.data.dtype))
     predictor.store.zero_grads()
@@ -218,16 +220,16 @@ class Checkpoint:
 
 class _Prepared:
     """A scoring model that prepares ``kg`` once: each pass reuses its graphs
-    and its constant view, which sees the parameters move.  It keeps the
-    filter ``index`` of the run's known facts, which never change."""
+    and the model's constant view, which sees the parameters move.  It keeps
+    the filter ``index`` of the run's known facts, which never change."""
 
     def __init__(self, predictor: LinkPredictor, kg: Hkg, known: list[HyperFact]):
-        self.ctx = predictor.prepare(kg)
+        self.graphs = predictor.prepare(kg)
         self.batch_scores = predictor.batch_scores
         self.index = completion_index(known)
 
-    def prepare(self, kg: Hkg) -> ScoringContext:
-        return self.ctx
+    def prepare(self, kg: Hkg) -> GraphPair:
+        return self.graphs
 
 
 def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = None,
@@ -259,7 +261,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
     if not queries:
         raise DataError("training graph has no facts to derive queries from")
     valid_queries = queries_from_facts(bundle.valid)
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     validation = (_Prepared(predictor, bundle.inference, bundle_known_facts(bundle))
                   if valid_queries else None)
     out = None
@@ -284,8 +286,7 @@ def fit(bundle: DatasetBundle, cfg: TrainConfig, out_dir: str | Path | None = No
             batch = [queries[i] for i in picked]
             sources = [source_of[i] for i in picked]
             try:
-                epoch_loss += train_step(predictor, batch, kg, optimizer, cfg, graphs,
-                                         sources, stats)
+                epoch_loss += train_step(predictor, batch, optimizer, cfg, graphs, sources, stats)
             except NumericalError as e:
                 raise NumericalError(f"epoch {epoch + 1}, step {steps + 1}: {e}") from e
             steps += 1

@@ -151,11 +151,11 @@ def test_criterion_03_gradient_correctness():
     for name, value in predictor.store.items():
         if name.endswith("update_b"):
             value.data[:] = 0.01
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
 
     def loss():
-        return ad.add(predictor_query_loss(predictor, kg, queries[0], graphs),
-                      predictor_query_loss(predictor, kg, queries[2], graphs))
+        return ad.add(predictor_query_loss(predictor, graphs, queries[0]),
+                      predictor_query_loss(predictor, graphs, queries[2]))
 
     params = dict(predictor.store.items())
     started = time.monotonic()
@@ -169,9 +169,9 @@ def test_criterion_03_gradient_correctness():
            f"{scalars} scalars, max rel err {worst:.2e}, {elapsed:.1f}s")
 
 
-def predictor_query_loss(predictor, kg, query, graphs):
+def predictor_query_loss(predictor, graphs, query):
     from hyrel.training import query_losses
-    return query_losses(predictor, kg, [query], graphs)
+    return query_losses(predictor, graphs, [query])
 
 
 def test_criterion_04_no_negative_sampling(overfit_run):
@@ -387,10 +387,10 @@ def _time_fixed_workload(kg, budget=24):
             break
     queries, sources = queries[:budget], sources[:budget]
     started = time.monotonic()
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     for start in range(0, budget, cfg.batch_size):
-        train_step(predictor, queries[start:start + cfg.batch_size], kg, optimizer,
-                   cfg, graphs, sources[start:start + cfg.batch_size])
+        train_step(predictor, queries[start:start + cfg.batch_size], optimizer, cfg, graphs,
+                   sources[start:start + cfg.batch_size])
     return time.monotonic() - started
 
 

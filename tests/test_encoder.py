@@ -79,7 +79,7 @@ def test_masked_entity_never_labeled(small_kg, monkeypatch):
     monkeypatch.setattr(encoder, "encode",
                         lambda g, nodes, *args, **kw: labels.append(nodes)
                         or encode(g, nodes, *args, **kw))
-    predictor.query_logits(small_kg, [query], predictor.build_graphs(small_kg))
+    predictor.query_logits(predictor.prepare(small_kg), [query])
     rel = small_kg.relation_index
     assert labels == [[{rel["r"], rel["k"]}],
                       [{small_kg.entity_index["a"], small_kg.entity_index["c"]}]]

@@ -92,11 +92,11 @@ def test_relation_driven_gradients(rng):
     for name, value in predictor.store.items():
         if name.endswith("update_b"):
             value.data[:] = 0.01
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     queries = queries_from_facts(kg.facts)
 
     def loss():
-        return query_losses(predictor, kg, [queries[1]], graphs)
+        return query_losses(predictor, graphs, [queries[1]])
 
     result = ad.check_gradients(loss, dict(predictor.store.items()), h=1e-4)
     assert max(result.values()) <= 1e-3, result
@@ -111,9 +111,9 @@ def test_relation_driven_logits_stay_on_the_parallel_scale():
     largest = {}
     for structure in STRUCTURES:
         predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=1)
-        graphs = predictor.build_graphs(kg)
+        graphs = predictor.prepare(kg)
         largest[structure] = max(
-            float(np.abs(predictor.query_logits(kg, [q], graphs).data).max()) for q in queries)
+            float(np.abs(predictor.query_logits(graphs, [q]).data).max()) for q in queries)
     assert largest[RELATION_DRIVEN] <= 10 * largest[PARALLEL], largest
 
 
@@ -125,12 +125,12 @@ def test_a_model_refuses_the_graphs_of_the_other_structure():
     models = {s: LinkPredictor.build(ModelConfig(width=8, encoder_depth=1, head_count=1,
                                                  decoder_depth=1, structure=s), seed=0)
               for s in STRUCTURES}
-    graphs = {s: model.build_graphs(kg) for s, model in models.items()}
+    graphs = {s: model.prepare(kg) for s, model in models.items()}
     assert graphs[RELATION_DRIVEN].entity_graph.num_edges > graphs[PARALLEL].entity_graph.num_edges
     for own, other in ((PARALLEL, RELATION_DRIVEN), (RELATION_DRIVEN, PARALLEL)):
-        models[own].query_logits(kg, queries, graphs[own])
+        models[own].query_logits(graphs[own], queries)
         with pytest.raises(ContractError):
-            models[own].query_logits(kg, queries, graphs[other])
+            models[own].query_logits(graphs[other], queries)
 
 
 def test_relation_projections_are_drawn_last_and_required():
@@ -218,14 +218,13 @@ def test_a_context_prepared_before_a_step_scores_with_the_stepped_parameters(sma
     from hyrel.training import TrainConfig, train_step
     cfg = TrainConfig(width=8, encoder_depth=1, head_count=1, decoder_depth=1)
     predictor = LinkPredictor.build(cfg, seed=0)
-    ctx = predictor.prepare(small_kg)  # holds no relation encoding yet
+    graphs = predictor.prepare(small_kg)
     queries = queries_from_facts(small_kg.facts)
-    before = predictor.batch_scores(predictor.prepare(small_kg), queries)
-    train_step(predictor, queries[:2], small_kg, Adam(predictor.store, lr=0.05), cfg,
-               predictor.build_graphs(small_kg), [0, 0])
+    before = predictor.batch_scores(graphs, queries)  # makes the constant view
+    train_step(predictor, queries[:2], Adam(predictor.store, lr=0.05), cfg, graphs, [0, 0])
     after = predictor.batch_scores(predictor.prepare(small_kg), queries)
     assert not np.array_equal(after, before)
-    assert predictor.batch_scores(ctx, queries).tobytes() == after.tobytes()
+    assert predictor.batch_scores(graphs, queries).tobytes() == after.tobytes()
 
 
 def test_invalid_model_config_rejected():
@@ -255,18 +254,18 @@ def test_batch_scores_are_the_softmax_of_query_logits_bit_for_bit(structure):
     kg = random_hkg(np.random.default_rng(4), max_facts=8, min_facts=8)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1, structure=structure), seed=1)
-    ctx = predictor.prepare(kg)
+    graphs = predictor.prepare(kg)
     queries = queries_from_facts(kg.facts)
     for size in range(1, CHUNK + 1):
         for start in range(0, len(queries), size):
             chunk = queries[start:start + size]
-            tracked = predictor.query_logits(kg, chunk, ctx.graphs)
+            tracked = predictor.query_logits(graphs, chunk)
             assert tracked.requires_grad
-            assert predictor.batch_scores(ctx, chunk).tobytes() == \
+            assert predictor.batch_scores(graphs, chunk).tobytes() == \
                 ad.rowwise_softmax(tracked).data.tobytes()
 
 
-def _one_block_at_a_time(self, ctx, queries):
+def _one_block_at_a_time(self, graphs, queries):
     """The oracle of :meth:`LinkPredictor.batch_scores`: an earlier form,
     which encoded each query's entity graph alone and each set of relation
     nodes once."""
@@ -275,7 +274,7 @@ def _one_block_at_a_time(self, ctx, queries):
     from hyrel import encoder as enc
     from hyrel.autodiff import Value
     from hyrel.predictor import _slot_ids
-    model, graphs, kg = ctx.model, ctx.graphs, ctx.kg
+    model, kg = self._constant_view, graphs.kg
     n = kg.num_entities
     if not queries:
         return np.zeros((0, n))
@@ -311,12 +310,12 @@ def test_a_stacked_chunk_scores_as_one_block_at_a_time_bit_for_bit(structure):
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1, structure=structure), seed=4)
     queries = queries_from_facts(kg.facts)
-    ctx, oracle_ctx = predictor.prepare(kg), predictor.prepare(kg)
+    graphs, oracle_graphs = predictor.prepare(kg), predictor.prepare(kg)
     for size in (CHUNK, 1, 3):
         for start in range(0, len(queries), size):
             chunk = queries[start:start + size]
-            assert predictor.batch_scores(ctx, chunk).tobytes() == \
-                _one_block_at_a_time(predictor, oracle_ctx, chunk).tobytes()
+            assert predictor.batch_scores(graphs, chunk).tobytes() == \
+                _one_block_at_a_time(predictor, oracle_graphs, chunk).tobytes()
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -377,21 +376,24 @@ def test_batch_scores_rows_do_not_depend_on_the_batch(structure, seed):
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_a_query_longer_than_every_fact_of_the_graph_scores_on_its_own_bits(structure):
-    # A test fact may hold more qualifiers than any fact of the graph: its
-    # batch is padded to its own length, and it scores as it does alone.
+    # A test fact may hold more qualifiers than any fact of the graph: it is
+    # decoded in a batch of its own, so it and every batch-mate score as
+    # they do alone.
     kg = Hkg([HyperFact("a", "r", "b", (("k", "c"),)), HyperFact("b", "s", "c"),
               HyperFact("c", "r", "d", (("s", "a"),))])
     long = QueryFact(HyperFact("a", "r", "x", (("k", "c"), ("s", "d"), ("k", "b"))), TAIL)
     assert 3 + 2 * long.base.arity > 3 + 2 * kg.max_arity
-    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
-                                                decoder_depth=1, structure=structure), seed=2)
+    # At the default width, padding a block changes its products' bits.
+    predictor = LinkPredictor.build(ModelConfig(structure=structure), seed=2)
     ctx = predictor.prepare(kg)
     alone = predictor.entity_scores(ctx, long)
     assert np.isfinite(alone).all() and abs(alone.sum() - 1.0) < 1e-6
     others = queries_from_facts(kg.facts)[:3]
-    for batch in ([long, *others], [*others, long], [others[0], long, others[1]]):
+    for batch in ([long, *others], [*others, long], [others[0], long, others[1]],
+                  [long, others[2], long]):
         rows = predictor.batch_scores(ctx, batch)
-        assert rows[batch.index(long)].tobytes() == alone.tobytes()
+        for query, row in zip(batch, rows):
+            assert row.tobytes() == predictor.entity_scores(ctx, query).tobytes(), query
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -402,8 +404,8 @@ def test_scoring_records_no_tape(structure, monkeypatch):
     kg = random_hkg(np.random.default_rng(5), max_facts=6, min_facts=6)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1, structure=structure), seed=2)
-    ctx = predictor.prepare(kg)
-    view, model = ctx.model, predictor
+    graphs = predictor.prepare(kg)
+    view, model = predictor._constant_view, predictor
     pairs = [(view.dec_params.out_bias, model.dec_params.out_bias),
              (view.dec_params.layers[0].wq, model.dec_params.layers[0].wq)]
     for mine, theirs in zip(view.rel_params.layers + view.ent_params.layers,
@@ -413,13 +415,13 @@ def test_scoring_records_no_tape(structure, monkeypatch):
         assert constant.data is param.data and param.requires_grad
         assert not constant.requires_grad
     query = queries_from_facts(kg.facts)[0]
-    logits = view.query_logits(kg, [query], ctx.graphs)
+    logits = view.query_logits(graphs, [query])
     assert not logits.requires_grad and logits._parents == () and logits._backward is None
     made = []
     init = Value.__init__
     monkeypatch.setattr(Value, "__init__", lambda self, *a, **k: made.append(1) or
                         init(self, *a, **k))
     for q in queries_from_facts(kg.facts):
-        predictor.entity_scores(ctx, q)
-    assert not made
+        predictor.entity_scores(graphs, q)
+    assert not made and predictor._constant_view is view  # made once per model
     assert all(v._grad is None for v in predictor.store.values())

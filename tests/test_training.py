@@ -41,12 +41,12 @@ def test_degenerate_one_fact_guard_case():
     query = QueryFact.from_fact(kg.facts[0], TAIL)
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2,
                                                 head_count=1, decoder_depth=1), seed=0)
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
         assert g.num_edges > 0 and not g.kept(0).any()
         edges, blocks = g.message_plan(False, [0]).zeroed
         assert edges.tolist() == list(range(g.num_edges)) and not blocks.any()
-    loss = query_losses(predictor, kg, [query], graphs, [0])
+    loss = query_losses(predictor, graphs, [query], [0])
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
 
 
@@ -229,10 +229,10 @@ def test_missing_answer_is_data_error():
     kg = fixed_kg()
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=1,
                                                 head_count=1, decoder_depth=1), seed=0)
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     alien = QueryFact(HyperFact("e0", "r1", "ghost"), TAIL, "ghost")
     with pytest.raises(DataError):
-        query_losses(predictor, kg, [alien], graphs)
+        query_losses(predictor, graphs, [alien])
 
 
 def test_train_step_runs_one_update():
@@ -244,7 +244,7 @@ def test_train_step_runs_one_update():
     before = predictor.store.to_bytes()
     optimizer = Adam(predictor.store, lr=cfg.step_size)
     queries = queries_from_facts(kg.facts)[:4]
-    loss = train_step(predictor, queries, kg, optimizer, cfg, predictor.build_graphs(kg),
+    loss = train_step(predictor, queries, optimizer, cfg, predictor.prepare(kg),
                       source_facts=[0, 0, 1, 1])
     assert math.isfinite(loss)
     assert predictor.store.to_bytes() != before
@@ -258,9 +258,8 @@ def test_source_fact_out_of_range_rejected():
     before = predictor.store.to_bytes()
     for bad in (kg.num_facts, -1):
         with pytest.raises(ContractError):
-            train_step(predictor, queries_from_facts(kg.facts)[:2], kg,
-                       Adam(predictor.store), cfg, predictor.build_graphs(kg),
-                       source_facts=[0, bad])
+            train_step(predictor, queries_from_facts(kg.facts)[:2], Adam(predictor.store),
+                       cfg, predictor.prepare(kg), source_facts=[0, bad])
     assert predictor.store.to_bytes() == before
 
 
@@ -273,12 +272,23 @@ def test_train_step_needs_one_source_fact_per_query():
     before = predictor.store.to_bytes()
     queries = queries_from_facts(kg.facts)[:4]
     optimizer = Adam(predictor.store)
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     for sources in ([0, 0, 1], [0, 0, 1, 1, 1], [0, 0, 1, None]):
         with pytest.raises(ContractError):
-            train_step(predictor, queries, kg, optimizer, cfg, graphs, sources)
+            train_step(predictor, queries, optimizer, cfg, graphs, sources)
     with pytest.raises(TypeError):
-        train_step(predictor, queries, kg, optimizer, cfg, graphs)
+        train_step(predictor, queries, optimizer, cfg, graphs)
+    assert predictor.store.to_bytes() == before
+
+
+def test_train_step_on_an_empty_batch_is_contract_error():
+    # The step's mean loss would divide by the batch size.
+    kg = fixed_kg()
+    cfg = TrainConfig(epochs=1, width=8, encoder_depth=1, head_count=1, decoder_depth=1)
+    predictor = LinkPredictor.build(cfg, seed=0)
+    before = predictor.store.to_bytes()
+    with pytest.raises(ContractError, match="at least one query"):
+        train_step(predictor, [], Adam(predictor.store), cfg, predictor.prepare(kg), [])
     assert predictor.store.to_bytes() == before
 
 
@@ -294,21 +304,21 @@ def test_leave_out_scores_equal_a_rebuild_without_the_fact(structure, interactio
     checked = 0
     for _ in range(40):
         kg = random_hkg(rng)
-        graphs = predictor.build_graphs(kg)
+        graphs = predictor.prepare(kg)
         batch, sources, oracles = [], [], []
         for f, fact in enumerate(kg.facts):
             rest = Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
-            rebuilt = predictor.build_graphs(rest)
+            rebuilt = predictor.prepare(rest)
             for query in queries_from_facts([fact]):
-                masked = predictor.query_logits(kg, [query], graphs, [f]).data
-                oracle = predictor.query_logits(kg, [query], rebuilt).data
+                masked = predictor.query_logits(graphs, [query], [f]).data
+                oracle = predictor.query_logits(rebuilt, [query]).data
                 assert np.array_equal(masked, oracle), (kg.facts, f, query)
                 batch.append(query)
                 sources.append(f)
                 oracles.append(oracle[0])
                 checked += 1
         # Every query of the graph in one batch, each without its own fact.
-        batched = predictor.query_logits(kg, batch, graphs, sources).data
+        batched = predictor.query_logits(graphs, batch, sources).data
         assert batched.tobytes() == np.array(oracles).tobytes(), kg.facts
     assert checked > 400
 
@@ -325,13 +335,13 @@ def test_batched_step_gradients(structure, batch):
     for name, value in predictor.store.items():
         if name.endswith("update_b"):  # off the relu kink of zero-state rows
             value.data[:] = 0.01
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     picked = [(f, q) for f, fact in enumerate(kg.facts)
               for q in queries_from_facts([fact])][::2][:batch]
     queries, sources = [q for _, q in picked], [f for f, _ in picked]
 
     def loss():
-        losses = query_losses(predictor, kg, queries, graphs, sources)
+        losses = query_losses(predictor, graphs, queries, sources)
         return ad.mul(ad.total_sum(losses), np.full((1, 1), 1.0 / batch))
 
     report = ad.check_gradients(loss, dict(predictor.store.items()), h=1e-4)
@@ -342,11 +352,11 @@ def test_batched_losses_equal_single_query_losses():
     kg = fixed_kg()
     predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=2, head_count=2,
                                                 decoder_depth=1), seed=3)
-    graphs = predictor.build_graphs(kg)
+    graphs = predictor.prepare(kg)
     picked = [(f, q) for f, fact in enumerate(kg.facts) for q in queries_from_facts([fact])]
     queries, sources = [q for _, q in picked], [f for f, _ in picked]
-    batched = query_losses(predictor, kg, queries, graphs, sources).data[:, 0]
-    single = [query_losses(predictor, kg, [q], graphs, [f]).data[0, 0] for f, q in picked]
+    batched = query_losses(predictor, graphs, queries, sources).data[:, 0]
+    single = [query_losses(predictor, graphs, [q], [f]).data[0, 0] for f, q in picked]
     assert batched.tobytes() == np.array(single).tobytes()
 
 
@@ -426,9 +436,8 @@ def test_fit_stops_on_non_finite_step(monkeypatch):
     predictor = LinkPredictor.build(cfg, seed=0)
     before = predictor.store.to_bytes()
     with pytest.raises(NumericalError):
-        train_step(predictor, queries_from_facts(kg.facts)[:4], kg,
-                   Adam(predictor.store), cfg, predictor.build_graphs(kg),
-                   [0, 0, 1, 1])
+        train_step(predictor, queries_from_facts(kg.facts)[:4], Adam(predictor.store), cfg,
+                   predictor.prepare(kg), [0, 0, 1, 1])
     assert predictor.store.to_bytes() == before
 
 
@@ -442,8 +451,8 @@ def test_the_tape_holds_no_per_pair_messages(structure):
                       structure=structure)
     predictor = LinkPredictor.build(cfg, seed=1)
     queries = queries_from_facts(kg.facts)[:3]
-    graphs = predictor.build_graphs(kg)
-    root = query_losses(predictor, kg, queries, graphs, [0, 1, 1])
+    graphs = predictor.prepare(kg)
+    root = query_losses(predictor, graphs, queries, [0, 1, 1])
     messages = set()
     for g, by_relation in ((graphs.relation_graph, False),
                            (graphs.entity_graph, structure == RELATION_DRIVEN)):
@@ -472,7 +481,7 @@ def test_gradient_buffers_are_not_shared(structure):
                       structure=structure)
     predictor = LinkPredictor.build(cfg, seed=1)
     queries = queries_from_facts(kg.facts)[:3]
-    losses = query_losses(predictor, kg, queries, predictor.build_graphs(kg), [0, 1, 1])
+    losses = query_losses(predictor, predictor.prepare(kg), queries, [0, 1, 1])
     root = ad.total_sum(losses)
     predictor.store.zero_grads()
     nodes, stack, seen = [], [root], set()
