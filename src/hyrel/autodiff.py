@@ -1,11 +1,12 @@
 """Reverse-mode differentiation over dense 2-D arrays.
 
-Small and closed by design: matrix product, broadcast add/multiply, relu,
-concatenation, layer normalization, row-wise softmax, gather, scatter-add
-(gated message passing), blockwise biased attention and dot products,
-per-row cross-entropy and the total sum, which is everything the encoders,
-decoder and training loss compose from.  Arithmetic is 32-bit by default;
-gradient checking builds the same graphs over 64-bit parameters.
+Small and closed by design: matrix product, broadcast add/multiply, the
+dense relu layer (``dense_relu``: column join, product, bias and relu as one
+node), row concatenation, layer normalization, row-wise softmax, gather,
+scatter-add (gated message passing), blockwise biased attention and dot
+products, per-row cross-entropy and the total sum, which is everything the
+encoders, decoder and training loss compose from.  Arithmetic is 32-bit by
+default; gradient checking builds the same graphs over 64-bit parameters.
 
 Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
 is always a segment sum over a :class:`Segments` plan, built once per index
@@ -23,13 +24,13 @@ themselves are a temporary of the op, never kept on the tape.
 Only what a gradient needs is recorded.  A :class:`Value` made by
 ``Value(data)`` (a parameter, or an input under a gradient check) needs a
 gradient; :meth:`Value.constant` makes one that does not, and plain arrays
-passed to ``add``, ``mul`` and ``matmul`` are constants too.  An op whose
-operands are all constants returns a constant: it keeps no parents and no
-backward step, so its inputs are freed as soon as the caller drops them,
-and a pass over constants only (scoring with a trained model) records no
-tape at all.  An op with a tracked operand records itself, and its backward
-step skips the constant operands, so no constant ever gets a gradient
-buffer.
+passed to ``add``, ``mul``, ``matmul`` and as the weight or bias of
+``dense_relu`` are constants too.  An op whose operands are all constants
+returns a constant: it keeps no parents and no backward step, so its inputs
+are freed as soon as the caller drops them, and a pass over constants only
+(scoring with a trained model) records no tape at all.  An op with a
+tracked operand records itself, and its backward step skips the constant
+operands, so no constant ever gets a gradient buffer.
 
 Gradient buffers are owned, never shared.  In the backward sweep a node's
 first gradient contribution becomes its buffer as it is, unless it is a view
@@ -218,43 +219,68 @@ def matmul(a, b) -> Value:
 _relu_masks: ContextVar[list[Array] | None] = ContextVar("relu_masks", default=None)
 
 
-def relu(a: Value) -> Value:
-    """max(a, 0), with NaN kept so that a diverged input shows downstream.
+def dense_relu(parts: Sequence[Value], w, b) -> Value:
+    """``relu(concat(parts, axis=1) @ w + b)``, one node on the tape.
 
-    Adding +0 turns -0 into +0, so every other entry equals
-    ``np.where(a > 0, a, 0)`` bit for bit, at a tenth of its cost.
+    The relu keeps NaN, so that a diverged input shows downstream, and adds
+    +0 to turn -0 into +0: every other entry equals ``np.where(y > 0, y, 0)``
+    bit for bit, at a tenth of its cost.  ``w`` and ``b`` may be constants.
+    The node keeps the joined input and the output; each part's gradient
+    is its column slice of one product, copied unless it is the whole of it.
     """
-    y = np.maximum(a.data, 0)
+    parts = list(parts)
+    if not parts:
+        raise ContractError("dense_relu of zero parts")
+    dw, vw = _operand(w)
+    db, vb = _operand(b)
+    rows = parts[0].shape[0]
+    widths = [p.shape[1] for p in parts]
+    if any(p.shape[0] != rows for p in parts) or sum(widths) != dw.shape[0] \
+            or db.shape != (1, dw.shape[1]):
+        raise ShapeError(f"cannot join {[p.shape for p in parts]} through weight {dw.shape} "
+                         f"and bias {db.shape}")
+    cat = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=1)
+    y = cat @ dw
+    y += db
+    np.maximum(y, 0, out=y)
     y += 0
     masks = _relu_masks.get()
     if masks is not None:
         masks.append(y > 0)
 
     def bwd(g: Array):
-        _accumulate(a, g * (y > 0))
+        # g is this node's own buffer, released once this step has run.
+        gm = np.multiply(g, y > 0, out=g)
+        if vb is not None:
+            _accumulate(vb, gm.sum(axis=0, keepdims=True))
+        if vw is not None:
+            _accumulate(vw, cat.T @ gm)
+        if any(p.requires_grad for p in parts):
+            dcat = gm @ dw.T
+            offset = 0
+            for p, width in zip(parts, widths):
+                if p.requires_grad:
+                    _accumulate(p, dcat[:, offset:offset + width])
+                offset += width
 
-    return _record(y, (a,), bwd)
+    return _record(y, (*parts, vw, vb), bwd)
 
 
-def concat(parts: Sequence[Value], axis: int = 1) -> Value:
-    """Concatenate along rows (axis=0) or columns (axis=1)."""
-    if axis not in (0, 1):
-        raise ShapeError(f"axis must be 0 or 1, got {axis}")
+def concat(parts: Sequence[Value]) -> Value:
+    """Stack along the rows."""
     parts = list(parts)
     if not parts:
         raise ContractError("concat of zero parts")
-    sizes = [p.shape[axis] for p in parts]
+    sizes = [p.shape[0] for p in parts]
 
     def bwd(g: Array):
         offset = 0
         for p, size in zip(parts, sizes):
             if p.requires_grad:
-                sl = (slice(offset, offset + size), slice(None)) if axis == 0 \
-                    else (slice(None), slice(offset, offset + size))
-                _accumulate(p, g[sl], view=True)
+                _accumulate(p, g[offset:offset + size], view=True)
             offset += size
 
-    return _record(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bwd)
+    return _record(np.concatenate([p.data for p in parts], axis=0), tuple(parts), bwd)
 
 
 def rowwise_softmax(a: Value) -> Value:
@@ -997,7 +1023,10 @@ class Adam:
 
     The two moment estimates are flat arrays beside it.  Adam is elementwise,
     so one update of the whole buffer gives every parameter exactly what a
-    per-tensor update would.
+    per-tensor update would.  The update runs in place: the moments and the
+    parameters are updated through one scratch buffer of two rows, made
+    once, with the operations of the textbook expression in its order, so a
+    step allocates no array of the buffer's size.
     """
 
     def __init__(self, store: ParamStore, lr: float = 1e-3,
@@ -1010,15 +1039,30 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(store.data)
         self._v = np.zeros_like(store.data)
+        self._scratch = np.empty((2, store.data.size), dtype=store.data.dtype)
 
     def step(self) -> None:
+        """``m += (1 - beta1)·(g - m)``, ``v += (1 - beta2)·(g² - v)``, then
+        ``data -= lr·(m / b1t) / (sqrt(v / b2t) + eps)``."""
         self.t += 1
         b1t = 1 - self.beta1 ** self.t
         b2t = 1 - self.beta2 ** self.t
         data, g, m, v = self.store.data, self.store.grad, self._m, self._v
-        m += (1 - self.beta1) * (g - m)
-        v += (1 - self.beta2) * (g * g - v)
-        data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        tmp, den = self._scratch
+        np.subtract(g, m, out=tmp)
+        tmp *= 1 - self.beta1
+        m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp -= v
+        tmp *= 1 - self.beta2
+        v += tmp
+        np.divide(m, b1t, out=tmp)
+        tmp *= self.lr
+        np.divide(v, b2t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        tmp /= den
+        data -= tmp
 
 
 def clip_global_norm(store: ParamStore, max_norm: float) -> float:

@@ -219,7 +219,7 @@ def assemble_sequence(layout: BatchLayout, slot_ids: Sequence[Sequence[int]],
                 raise ShapeError(f"slot {slot} of query {q} reads id {i} of {size} states")
             rows.append(mask if slot == part.mask_slot else first + i)
         rows.extend([mask] * (layout.length - len(part)))
-    table = ad.concat([ent_states, rel_states, params.mask_token], axis=0)
+    table = ad.concat([ent_states, rel_states, params.mask_token])
     return ad.gather(table, rows)
 
 
@@ -231,8 +231,8 @@ def attention_layer(seq: Value, layout: BatchLayout,
                         ad.matmul(seq, layer.wv), layer.key_bias, layer.value_bias,
                         layout.types, params.head_count)
     x = ad.layer_norm(ad.add(seq, attn), layer.ln1_gain, layer.ln1_bias)
-    ffn = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1)),
-                           layer.ffn_w2), layer.ffn_b2)
+    ffn = ad.add(ad.matmul(ad.dense_relu([x], layer.ffn_w1, layer.ffn_b1), layer.ffn_w2),
+                 layer.ffn_b2)
     return ad.layer_norm(ad.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
 
 

@@ -146,8 +146,7 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
         gates = ad.matmul(edge_states, layer.relation_proj)
     stride = 0 if edge_states is None else gates.shape[0] // plan.blocks
     agg = ad.scatter_add(states, gates, plan, stride)
-    return ad.relu(ad.add(ad.matmul(ad.concat([states, agg], axis=1), layer.update_w),
-                          layer.update_b))
+    return ad.dense_relu([states, agg], layer.update_w, layer.update_b)
 
 
 def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: EncoderParams,

@@ -90,14 +90,15 @@ def format_fact_line(fact: HyperFact) -> str:
 
 def _open_text(path: Path) -> _io.TextIOBase:
     """The file as text; bytes that are not UTF-8 decode to lone surrogates,
-    which :func:`read_facts` reports by line."""
+    which :func:`read_facts` reports by line.  A leading UTF-8 byte order
+    mark is encoding metadata, not part of the first line."""
     raw = open(path, "rb")
     if raw.read(2) == GZIP_MAGIC:
         raw.close()  # a GzipFile given a file object would never close it
         raw = gzip.open(path, "rb")
     else:
         raw.seek(0)
-    return _io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+    return _io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _check_utf8(line: str, line_no: int) -> None:

@@ -120,6 +120,19 @@ def _slot_ids(kg: Hkg, query: QueryFact, mask_slot: int) -> list[int]:
     return ids
 
 
+def check_leave_outs(kg: Hkg, leave_outs: Sequence[int | None] | None) -> None:
+    """Each of ``leave_outs`` is None or the index of a fact of ``kg``.
+
+    Anything else is a :class:`ContractError`: -1 would match the -1 padding
+    of the graphs' per-edge fact records and leave out every edge, and an
+    index past the facts would leave out nothing.
+    """
+    facts = kg.num_facts
+    for fact in leave_outs or ():
+        if fact is not None and not (isinstance(fact, (int, np.integer)) and 0 <= fact < facts):
+            raise ContractError(f"left-out fact {fact!r} out of range (0..{facts - 1})")
+
+
 class _NoDraws:
     """The rng of a :meth:`LinkPredictor.build` layout whose values are all
     overwritten next: every draw is zeros of its size."""
@@ -201,12 +214,15 @@ class LinkPredictor:
         """Unnormalized scores, one row per query over every entity of ``graphs.kg``.
 
         Query q is encoded without fact ``leave_outs[q]`` (None, or no
-        ``leave_outs``: the whole graph).  ``graphs`` come from :meth:`prepare`.
+        ``leave_outs``: the whole graph), which must be a fact of
+        ``graphs.kg`` (:func:`check_leave_outs`).  ``graphs`` come from
+        :meth:`prepare`.
         """
         if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
             raise ContractError("a parallel model cannot score over an entity graph with "
                                 "relation annotations: it would count some edges twice")
         kg = graphs.kg
+        check_leave_outs(kg, leave_outs)
         layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
         ids = [_slot_ids(kg, query, part.mask_slot)
                for query, part in zip(queries, layout.layouts)]

@@ -34,7 +34,7 @@ from .errors import ConfigError, ContractError, DataError, NumericalError
 from .evaluation import bundle_known_facts, completion_index, evaluate
 from .io import DatasetBundle
 from .model import Hkg, HyperFact, QueryFact, queries_from_facts
-from .predictor import GraphPair, LinkPredictor, ModelConfig
+from .predictor import GraphPair, LinkPredictor, ModelConfig, check_leave_outs
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,9 @@ def train_step(predictor: LinkPredictor, batch: Sequence[QueryFact], optimizer: 
         raise ContractError("a training step needs at least one query")
     if len(source_facts) != len(batch):
         raise ContractError(f"{len(source_facts)} source facts for {len(batch)} queries")
-    facts = graphs.kg.num_facts
-    for src in source_facts:
-        if not (isinstance(src, (int, np.integer)) and 0 <= src < facts):
-            raise ContractError(f"source fact {src!r} out of range (0..{facts - 1})")
+    if any(src is None for src in source_facts):
+        raise ContractError("every query of a training step needs its source fact")
+    check_leave_outs(graphs.kg, source_facts)
     leave_outs = source_facts if cfg.leakage_guard else None
     losses = query_losses(predictor, graphs, batch, leave_outs, stats)
     loss = ad.mul(ad.total_sum(losses),

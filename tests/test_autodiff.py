@@ -58,16 +58,86 @@ def test_add_mul_broadcast_gradients(rng):
 
 def test_relu_gradient(rng):
     x = Value(rng.normal(size=(4, 4)) + 0.05)  # keep entries away from the kink
-    fd_check(lambda: ad.total_sum(ad.relu(x)), {"x": x})
+    fd_check(lambda: ad.total_sum(ad.dense_relu([x], np.eye(4), np.zeros((1, 4)))), {"x": x})
 
 
-def test_concat_gradients_both_axes(rng):
+def test_concat_gradient_of_stacked_rows(rng):
     a = Value(rng.normal(size=(2, 3)))
-    b = Value(rng.normal(size=(2, 3)))
+    b = Value(rng.normal(size=(1, 3)))
     c = Value(rng.normal(size=(2, 3)))
-    fd_check(lambda: ad.total_sum(ad.matmul(ad.concat([a, b], axis=1),
-                                            ad.concat([a, b, c], axis=0))),
+    fd_check(lambda: ad.total_sum(ad.mul(ad.concat([a, b, c, a]), ad.concat([c, a, b, a]))),
              {"a": a, "b": b, "c": c})
+
+
+def test_dense_relu_gradient_matches_finite_differences(rng):
+    # A part joined twice gets the sum of its two column slices.
+    a = Value(rng.normal(size=(3, 2)))
+    b = Value(rng.normal(size=(3, 3)))
+    w = Value(rng.normal(size=(7, 4)))
+    bias = Value(rng.normal(size=(1, 4)))
+    weight = rng.normal(size=(3, 4))
+    fd_check(lambda: ad.total_sum(ad.mul(ad.dense_relu([a, b, a], w, bias), weight)),
+             {"a": a, "b": b, "w": w, "bias": bias})
+
+
+def _relu(a):
+    """The relu tape op that :func:`ad.dense_relu` replaced."""
+    y = np.maximum(a.data, 0)
+    y += 0
+    return ad._record(y, (a,), lambda g: ad._accumulate(a, g * (y > 0)))
+
+
+def _concat_columns(parts):
+    """The column concatenation that :func:`ad.dense_relu` replaced."""
+    widths = [p.shape[1] for p in parts]
+
+    def bwd(g):
+        offset = 0
+        for p, width in zip(parts, widths):
+            if p.requires_grad:
+                ad._accumulate(p, g[:, offset:offset + width], view=True)
+            offset += width
+
+    return ad._record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bwd)
+
+
+def _unfused_dense_relu(parts, w, b):
+    return _relu(ad.add(ad.matmul(_concat_columns(parts), w), b))
+
+
+# Draws of a (rows, width) input: normal, a fifth NaN, or zeros of either
+# sign and tiny negatives, which put pre-activations at and near the kink.
+DENSE_INPUTS = {
+    "normal": lambda r, shape: r.normal(size=shape),
+    "nan": lambda r, shape: np.where(r.random(shape) < 0.2, np.nan, r.normal(size=shape)),
+    "zeros": lambda r, shape: r.choice([-0.0, 0.0, -1e-45], shape),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DENSE_INPUTS))
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_relu_equals_the_unfused_chain_bit_for_bit(kind, count, dtype):
+    r = np.random.default_rng(count)
+    widths = [3, 1, 4][:count]
+    arrays = [DENSE_INPUTS[kind](r, (5, width)).astype(dtype) for width in widths]
+    arrays.append(r.normal(size=(sum(widths), 6)).astype(dtype))
+    arrays.append(np.full((1, 6), -0.0, dtype) if kind == "zeros"
+                  else r.normal(size=(1, 6)).astype(dtype))
+    weight = r.normal(size=(5, 6)).astype(dtype)
+
+    def run(op):
+        operands = [Value(a.copy()) for a in arrays]
+        out = op(operands[:-2], operands[-2], operands[-1])
+        backward(ad.total_sum(ad.mul(out, weight)))
+        return [out.data] + [v.grad for v in operands]
+
+    fused, unfused = run(ad.dense_relu), run(_unfused_dense_relu)
+    for a, b in zip(fused, unfused):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
+    out = fused[0]
+    assert not np.signbit(out[out == 0]).any()  # no -0 out of the relu
+    assert np.isnan(out).any() == (kind == "nan")
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -806,10 +876,10 @@ def test_backward_frees_the_tape_as_it_sweeps():
     # gradient buffers kept to the end of the sweep, it would add about
     # 40 buffers above its start; released as it goes, it adds a few.
     x = Value(np.ones((256, 256)))
-    scale = np.full((1, 256), 0.5)
+    half, zero = np.eye(256) / 2, np.zeros((1, 256))
     h = x
     for _ in range(20):
-        h = ad.relu(ad.mul(h, scale))
+        h = ad.dense_relu([h], half, zero)
     root = ad.total_sum(h)
     tracemalloc.start()
     try:
@@ -901,7 +971,7 @@ def test_determinism_same_seed_bitwise():
         r = np.random.default_rng(77)
         x = Value(r.normal(size=(4, 4)).astype(np.float32))
         w = Value(r.normal(size=(4, 4)).astype(np.float32))
-        loss = ad.total_sum(ad.relu(ad.matmul(x, w)))
+        loss = ad.total_sum(ad.dense_relu([x], w, np.zeros((1, 4), dtype=np.float32)))
         backward(loss)
         return loss.data.copy(), w.grad.copy()
 
@@ -928,8 +998,9 @@ MULTI_OPERAND_OPS = {
     "add": (ad.add, [(3, 4), (1, 4)]),
     "mul": (ad.mul, [(3, 4), (3, 1)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
-    "concat_rows": (lambda a, b, c: ad.concat([a, b, c], axis=0), [(2, 3), (4, 3), (1, 3)]),
-    "concat_columns": (lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 1)]),
+    "concat_rows": (lambda a, b, c: ad.concat([a, b, c]), [(2, 3), (4, 3), (1, 3)]),
+    "dense_relu": (lambda a, b, w, bias: ad.dense_relu([a, b], w, bias),
+                   [(2, 3), (2, 1), (4, 3), (1, 3)]),
     "layer_norm": (ad.layer_norm, [(4, 6), (1, 6), (1, 6)]),
     "attention": (lambda q, k, v, key_bias, value_bias: ad.attention(
         q, k, v, key_bias, value_bias, ATTENTION_TYPES, 2), [(6, 4)] * 3 + [(3, 4)] * 2),
@@ -966,7 +1037,9 @@ def test_ops_over_constants_record_nothing(rng):
     row = Value.constant(rng.normal(size=(1, 4)))
     types = np.array([[[0, 1], [0, 0]], [[1, 0], [0, 1]]])
     outs = [ad.add(x, y), ad.add(x, np.ones((1, 4))), ad.mul(x, row), ad.matmul(x, y),
-            ad.relu(x), ad.concat([x, y], axis=0), ad.rowwise_softmax(x),
+            ad.dense_relu([x], y, row), ad.dense_relu([x, y], np.ones((8, 4)), row),
+            ad.dense_relu([x, y, x], Value.constant(np.ones((12, 4))), np.zeros((1, 4))),
+            ad.concat([x, y]), ad.rowwise_softmax(x),
             ad.layer_norm(x, row, row), ad.gather(x, [0, 2, 2]),
             ad.scatter_add(x, y, plan_of([0, 3], [1, 1], [1, 0, 1], [2, 0, 3])),
             ad.total_sum(x), ad.attention(x, x, y, row, row, types, 2),
@@ -989,10 +1062,12 @@ def test_backward_from_a_constant_is_contract_error():
 def test_relu_keeps_nan_and_otherwise_equals_where_bit_for_bit():
     for dtype in (np.float32, np.float64):
         x = np.array([[np.nan, -0.0, 0.0, -np.inf, np.inf, -1e-45, 1e-45, -2.5, 3.5]],
-                     dtype=dtype)
-        y = ad.relu(Value(x)).data
+                     dtype=dtype).T
+        # One column through a weight of 1 and a bias of -0: each
+        # pre-activation is its input (its sign of zero aside).
+        y = ad.dense_relu([Value(x)], np.ones((1, 1), dtype), np.full((1, 1), -0.0, dtype)).data
         assert np.isnan(y[0, 0]) and y.dtype == dtype
-        assert y[:, 1:].tobytes() == np.where(x > 0, x, 0)[:, 1:].astype(dtype).tobytes()
+        assert y[1:].tobytes() == np.where(x > 0, x, 0)[1:].astype(dtype).tobytes()
 
 
 class _PerTensorOracle:
@@ -1058,6 +1133,38 @@ def test_flat_update_equals_the_per_tensor_formulas(dtype, max_norm):
     assert all(np.shares_memory(p.data, store.data) for p in store.values())
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_is_the_textbook_update_made_in_place(dtype):
+    # Over several steps the parameters and both moments equal the textbook
+    # expression bit for bit, the gradient is left as it was, and a step
+    # updates the same three buffers without a temporary of their size.
+    r = np.random.default_rng(5)
+    store = ParamStore()
+    store.add("a", r.normal(size=(100, 50)).astype(dtype))
+    store.add("b", r.normal(size=(1, 7)).astype(dtype))
+    lr, beta1, beta2, eps = 0.01, 0.8, 0.99, 1e-6
+    opt = Adam(store, lr, beta1, beta2, eps)
+    buffers = store.data, opt._m, opt._v
+    data, m, v = store.data.copy(), np.zeros_like(store.data), np.zeros_like(store.data)
+    for t in range(1, 7):
+        store.grad[...] = r.normal(size=store.grad.shape)
+        g = store.grad.copy()
+        m += (1 - beta1) * (g - m)
+        v += (1 - beta2) * (g * g - v)
+        data -= lr * (m / (1 - beta1 ** t)) / (np.sqrt(v / (1 - beta2 ** t)) + eps)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < store.data.nbytes // 4, peak
+        assert (store.data.tobytes(), opt._m.tobytes(), opt._v.tobytes()) == \
+            (data.tobytes(), m.tobytes(), v.tobytes())
+        assert store.grad.tobytes() == g.tobytes()
+    assert all(a is b for a, b in zip(buffers, (store.data, opt._m, opt._v)))
+
+
 def test_param_store_lays_out_one_buffer_per_state():
     store = ParamStore()
     a = store.add("a", np.ones((2, 3)))
@@ -1089,8 +1196,13 @@ def test_finite_difference_is_nan_only_where_a_relu_mask_flips():
     # relu's mask, so no central difference exists there.  The others are
     # far from it on either side.
     x = Value(np.array([[5e-5, 0.5, -0.5]]))
-    grad = finite_difference(lambda: ad.total_sum(ad.mul(ad.relu(x), ad.relu(x))), x)
+    def loss():
+        def relu():
+            return ad.dense_relu([x], np.eye(3), np.zeros((1, 3)))
+        return ad.total_sum(ad.mul(relu(), relu()))
+
+    grad = finite_difference(loss, x)
     assert np.isnan(grad[0, 0])
     assert np.allclose(grad[0, 1:], [1.0, 0.0], atol=1e-8)
-    report = check_gradients(lambda: ad.total_sum(ad.mul(ad.relu(x), ad.relu(x))), {"x": x})
+    report = check_gradients(loss, {"x": x})
     assert report.skipped == 1 and report.entries == 3 and max(report.values()) <= 1e-6

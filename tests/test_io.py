@@ -126,6 +126,31 @@ def test_jsonl_reader_matches_tsv(tmp_path, einstein_fact):
     assert load_kg(path) == Hkg([einstein_fact])
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_leading_bom_is_not_part_of_the_first_tsv_head(tmp_path, einstein_fact):
+    # Read as text, the BOM would be U+FEFF glued to the first head, so that
+    # entity would split in two.
+    again = HyperFact("a", "r", einstein_fact.head)
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(BOM + "".join(format_fact_line(f) + "\n" for f in (einstein_fact, again))
+                     .encode("utf-8"))
+    assert load_kg(path) == Hkg([einstein_fact, again])
+    gz = tmp_path / "kg.tsv.gz"
+    gz.write_bytes(gzip.compress(path.read_bytes()))
+    assert load_kg(gz) == Hkg([einstein_fact, again])
+
+
+def test_a_leading_bom_is_not_part_of_the_first_jsonl_record(tmp_path, einstein_fact):
+    obj = {"triple": ["AlbertEinstein", "educated_at", "ETH_Zurich"],
+           "qualifiers": [["academic_degree", "BSc"],
+                          ["academic_major", "math_education"]]}
+    path = tmp_path / "kg.jsonl"
+    path.write_bytes(BOM + (json.dumps(obj) + "\n").encode("utf-8"))
+    assert load_kg(path) == Hkg([einstein_fact])
+
+
 def test_jsonl_ids_are_strings_or_decimal_integers(tmp_path):
     assert parse_fact_obj({"triple": [7, "r", "b"], "qualifiers": [["k", -30]]}) == \
         HyperFact("7", "r", "b", (("k", "-30"),))

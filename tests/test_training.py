@@ -263,6 +263,24 @@ def test_source_fact_out_of_range_rejected():
     assert predictor.store.to_bytes() == before
 
 
+def test_a_leave_out_that_is_not_a_fact_is_contract_error():
+    # -1 matches the -1 padding of the graphs' per-edge fact records, so it
+    # would leave out every edge; an index past the facts would leave out
+    # nothing.  Either way the logits would come back finite and wrong.
+    kg = fixed_kg()
+    predictor = LinkPredictor.build(ModelConfig(width=8, encoder_depth=1, head_count=1,
+                                                decoder_depth=1), seed=0)
+    graphs = predictor.prepare(kg)
+    queries = queries_from_facts(kg.facts)[:2]
+    for bad in (-1, kg.num_facts, 10 ** 6, 0.0, "0"):
+        with pytest.raises(ContractError, match="left-out fact"):
+            predictor.query_logits(graphs, queries, [0, bad])
+        with pytest.raises(ContractError, match="left-out fact"):
+            query_losses(predictor, graphs, queries, [bad, None])
+    for fine in ([None, kg.num_facts - 1], [np.int64(0), None], None):
+        assert np.isfinite(predictor.query_logits(graphs, queries, fine).data).all()
+
+
 def test_train_step_needs_one_source_fact_per_query():
     # A short list would drop queries from the step; no list would leave the
     # leakage guard off.
@@ -534,18 +552,25 @@ def test_gradient_check_holds_for_any_model_seed(structure):
 
 def test_gradient_check_fails_when_relu_drops_its_mask(monkeypatch):
     from hyrel.selfcheck import gradient_report
-    relu = ad.relu
+    dense_relu = ad.dense_relu
 
-    def relu_without_mask(a):
-        out = relu(a)
+    def dense_relu_without_mask(parts, w, b):
+        out = dense_relu(parts, w, b)
+        cat = np.concatenate([p.data for p in parts], axis=1)
 
         def bwd(g):
-            a.grad[...] += g
+            w.grad[...] += cat.T @ g
+            b.grad[...] += g.sum(axis=0, keepdims=True)
+            offset = 0
+            for p in parts:
+                if p.requires_grad:
+                    p.grad[...] += (g @ w.data.T)[:, offset:offset + p.shape[1]]
+                offset += p.shape[1]
 
         out._backward = bwd
         return out
 
-    monkeypatch.setattr(ad, "relu", relu_without_mask)
+    monkeypatch.setattr(ad, "dense_relu", dense_relu_without_mask)
     report = gradient_report(STRUCTURES[0], part=0, parts=8)
     assert max(report.values()) > 1e-3
 
