@@ -199,6 +199,15 @@ def mul(a, b) -> Value:
     return _record(da * db, (va, vb), bwd)
 
 
+def _product(a: Array, b: Array) -> Array:
+    """``a @ b``, each row summed as in a product of several rows: numpy
+    sends a one-row ``a`` to gemv, whose order differs from gemm's, so a
+    one-row ``a`` is taken as row 0 of a two-row product."""
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.concatenate([a, a]) @ b)[:1]
+
+
 def matmul(a, b) -> Value:
     da, va = _operand(a)
     db, vb = _operand(b)
@@ -211,7 +220,7 @@ def matmul(a, b) -> Value:
         if vb is not None:
             _accumulate(vb, da.T @ g)
 
-    return _record(da @ db, (va, vb), bwd)
+    return _record(_product(da, db), (va, vb), bwd)
 
 
 # Set by :func:`finite_difference` while it probes: every relu appends its
@@ -240,7 +249,7 @@ def dense_relu(parts: Sequence[Value], w, b) -> Value:
         raise ShapeError(f"cannot join {[p.shape for p in parts]} through weight {dw.shape} "
                          f"and bias {db.shape}")
     cat = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts], axis=1)
-    y = cat @ dw
+    y = _product(cat, dw)
     y += db
     np.maximum(y, 0, out=y)
     y += 0

@@ -34,13 +34,12 @@ destinations in one sum over the edges in destination order
 slab by slab, so they never exist in full, and the per-pair products are a
 temporary of the op: the tape holds one node per layer's message pass.
 
-Where the gate comes from depends on the model structure.  In the parallel
-structure it is the layer's learned type vector of t.  In the
-relation-driven structure the caller passes ``edge_states`` (the relation
-encoder's output); each layer maps them through its learned
-``relation_proj``, and the gate of an edge is the mapped row of the
-relation that induced it, read from the graph's per-edge relation
-annotations.  The map keeps the gates as small as type vectors, where raw
+Where the gate comes from depends on the graph.  Over a graph without
+per-edge relation annotations it is the layer's learned type vector of t.
+Over an annotated graph (the relation-driven structure) the caller passes
+``edge_states`` (the relation encoder's output), each layer maps them
+through its learned ``relation_proj``, and an edge's gate is the mapped row
+of the relation that induced it: as small as a type vector, where raw
 relation states would grow the logits with every layer.
 """
 
@@ -123,28 +122,32 @@ def mp_layer(states: Value, g: FoundationGraph, layer: EncoderLayerParams,
              edge_states: Value | None = None, plan: MessagePlan | None = None) -> Value:
     """One round of gated message passing plus the node update.
 
-    An edge's gate is its type's row of ``layer.type_vectors``, or, given
-    ``edge_states``, its annotated relation's row of ``edge_states @
-    layer.relation_proj``.  Messages are computed once per (source, gate
-    row) pair and summed at the destinations along ``plan``
-    (:meth:`FoundationGraph.message_plan`; one block over all edges by
-    default), whose blocks stack along the rows of ``states``, and along
+    An edge's gate is its annotated relation's row of ``edge_states @
+    layer.relation_proj`` over a graph with relation annotations, else its
+    type's row of ``layer.type_vectors``; any other pairing of graph, edge
+    states and layer is a :class:`ContractError`.  Messages are computed
+    once per (source, gate row) pair and summed at the destinations along
+    ``plan`` (:meth:`FoundationGraph.message_plan`; one block over all edges
+    by default), whose blocks stack along the rows of ``states``, and along
     those of ``edge_states`` when given.
     """
-    plan = plan or g.message_plan(edge_states is not None)
+    plan = plan or g.message_plan()
     if states.shape[0] != plan.blocks * g.num_nodes:
         raise ConfigError(f"state matrix has {states.shape[0]} rows for {plan.blocks} "
                           f"block(s) of a graph of {g.num_nodes} nodes")
-    if edge_states is None:
-        gates = layer.type_vectors
+    annotated = g.relation is not None
+    if (edge_states is not None) != annotated or \
+            (layer.relation_proj if annotated else layer.type_vectors) is None:
+        raise ContractError("edge states through a layer's relation_proj gate the messages "
+                            "of a graph with relation annotations, type vectors any other")
+    if annotated:
+        gates = ad.matmul(edge_states, layer.relation_proj)
+        stride = gates.shape[0] // plan.blocks
+    else:
+        gates, stride = layer.type_vectors, 0
         if gates.shape[0] != len(g.alphabet):
             raise ConfigError(f"encoder knows {gates.shape[0]} interaction types but the "
                               f"graph alphabet has {len(g.alphabet)}")
-    elif layer.relation_proj is None:
-        raise ContractError("edge states gate only the layers that have a relation_proj")
-    else:
-        gates = ad.matmul(edge_states, layer.relation_proj)
-    stride = 0 if edge_states is None else gates.shape[0] // plan.blocks
     agg = ad.scatter_add(states, gates, plan, stride)
     return ad.dense_relu([states, agg], layer.update_w, layer.update_b)
 
@@ -160,10 +163,10 @@ def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: Enc
     edge).  ``edge_states``, when given, stacks one block of gate rows per
     query in the same order.
 
-    Precondition: ``g`` carries per-edge relation annotations exactly when
-    ``edge_states`` are given.  An annotated graph holds one edge per
-    relation that induces it, so typed messages over it would count twice
-    the edges that differ only in their relation.
+    Each layer checks that ``edge_states`` are given exactly when ``g``
+    carries per-edge relation annotations (:func:`mp_layer`): typed messages
+    over an annotated graph would count twice the edges that differ only in
+    their relation.
     """
     if params.alphabet != g.alphabet:
         raise ConfigError(f"encoder alphabet {[t.value for t in params.alphabet]} does not "
@@ -177,7 +180,7 @@ def encode(g: FoundationGraph, query_nodes: Sequence[Iterable[int]], params: Enc
                          f"{blocks} blocks")
     dtype = params.layers[0].update_w.data.dtype if params.layers else np.float32
     states = indicator_init(g, query_nodes, params.width, dtype)
-    plan = g.message_plan(edge_states is not None, leave_outs)
+    plan = g.message_plan(leave_outs)
     for layer in params.layers:
         states = mp_layer(states, g, layer, edge_states, plan)
     return states

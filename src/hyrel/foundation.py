@@ -33,12 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import MessagePlan, Segments
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .model import Hkg
 
 
@@ -161,7 +162,8 @@ class FoundationGraph:
     The rows are sorted by (src, type row, dst[, relation]), duplicate-free
     and closed under reciprocity; :attr:`edges` is their derived tuple view.
     ``relation``, when present, annotates each edge with the dense id of the
-    relation that induced it (the gates of the relation-driven structure).
+    relation that induced it; an annotated graph's messages are gated by
+    relation states, any other's by type vectors.
     ``edge_facts`` holds per edge the (at most two) facts whose removal
     alone deletes it, ascending with -1 padding last, so leaving a fact out
     is a mask (:meth:`kept`): every query of a batch shares the one cached
@@ -175,7 +177,6 @@ class FoundationGraph:
     dst: np.ndarray
     edge_facts: np.ndarray = field(repr=False)
     relation: np.ndarray | None = None
-    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_edges(self) -> int:
@@ -195,28 +196,26 @@ class FoundationGraph:
         out; an array of facts gives one row of the mask per fact."""
         return (self.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
 
-    def message_plan(self, by_relation: bool,
-                     leave_outs: Sequence[int | None] = (None,)) -> MessagePlan:
+    @cached_property
+    def _plan(self) -> tuple[np.ndarray, MessagePlan]:
+        gate = self.type_row if self.relation is None else self.relation
+        by_dst = np.argsort(self.dst, kind="stable")
+        span = int(gate.max()) + 1 if gate.size else 1
+        pairs, pair_of = np.unique(self.src * span + gate, return_inverse=True)
+        return by_dst, MessagePlan(Segments(pairs // span), Segments(pairs % span),
+                                   Segments(pair_of[by_dst]), Segments(self.dst[by_dst]))
+
+    def message_plan(self, leave_outs: Sequence[int | None] = (None,)) -> MessagePlan:
         """The :class:`MessagePlan` of one block per entry of ``leave_outs``:
         block q reads the edges left when fact ``leave_outs[q]`` is left out
-        (None: every edge).  Gate rows are edge types, or the annotated
-        relations when ``by_relation``.
+        (None: every edge).  Gate rows are the annotated relations when the
+        graph has them, else the edge types.
 
         The plan of the whole graph is built once and cached, and is what a
         single block with no fact left out gets; the others share its
         :class:`Segments` and zero the cells of the edges that :meth:`kept`
         drops."""
-        if by_relation not in self._plans:
-            gate = self.relation if by_relation else self.type_row
-            if gate is None:
-                raise ContractError("graph was built without per-edge relation annotations")
-            by_dst = np.argsort(self.dst, kind="stable")
-            span = int(gate.max()) + 1 if gate.size else 1
-            pairs, pair_of = np.unique(self.src * span + gate, return_inverse=True)
-            self._plans[by_relation] = by_dst, MessagePlan(
-                Segments(pairs // span), Segments(pairs % span),
-                Segments(pair_of[by_dst]), Segments(self.dst[by_dst]))
-        by_dst, plan = self._plans[by_relation]
+        by_dst, plan = self._plan
         leave_outs = list(leave_outs)
         if leave_outs == [None]:
             return plan

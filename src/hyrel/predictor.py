@@ -124,12 +124,12 @@ def check_leave_outs(kg: Hkg, leave_outs: Sequence[int | None] | None) -> None:
     """Each of ``leave_outs`` is None or the index of a fact of ``kg``.
 
     Anything else is a :class:`ContractError`: -1 would match the -1 padding
-    of the graphs' per-edge fact records and leave out every edge, and an
-    index past the facts would leave out nothing.
+    of the graphs' per-edge fact records and leave out every edge, an index
+    past the facts would leave out nothing, and True would leave out fact 1.
     """
     facts = kg.num_facts
     for fact in leave_outs or ():
-        if fact is not None and not (isinstance(fact, (int, np.integer)) and 0 <= fact < facts):
+        if fact is not None and not (np.issubdtype(type(fact), np.integer) and 0 <= fact < facts):
             raise ContractError(f"left-out fact {fact!r} out of range (0..{facts - 1})")
 
 
@@ -204,10 +204,9 @@ class LinkPredictor:
     # prepare and batch_scores are the evaluator's scoring-model protocol.
     def prepare(self, kg: Hkg) -> GraphPair:
         """``kg`` with its foundation graphs, as this model's structure reads them."""
-        annotated = self.cfg.structure == RELATION_DRIVEN
         interactions = preset(self.cfg.interactions)
-        return GraphPair(kg, build_relation_graph(kg, interactions),
-                         build_entity_graph(kg, interactions, with_fact_relations=annotated))
+        return GraphPair(kg, build_relation_graph(kg, interactions), build_entity_graph(
+            kg, interactions, with_fact_relations=self.cfg.structure == RELATION_DRIVEN))
 
     def query_logits(self, graphs: GraphPair, queries: Sequence[QueryFact],
                      leave_outs: Sequence[int | None] | None = None) -> Value:
@@ -218,9 +217,6 @@ class LinkPredictor:
         ``graphs.kg`` (:func:`check_leave_outs`).  ``graphs`` come from
         :meth:`prepare`.
         """
-        if self.cfg.structure == PARALLEL and graphs.entity_graph.relation is not None:
-            raise ContractError("a parallel model cannot score over an entity graph with "
-                                "relation annotations: it would count some edges twice")
         kg = graphs.kg
         check_leave_outs(kg, leave_outs)
         layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
@@ -228,7 +224,7 @@ class LinkPredictor:
                for query, part in zip(queries, layout.layouts)]
         rel_states = enc.encode(graphs.relation_graph, [set(row[1::2]) for row in ids],
                                 self.rel_params, leave_outs=leave_outs)
-        gates = None if self.cfg.structure == PARALLEL else rel_states
+        gates = None if graphs.entity_graph.relation is None else rel_states
         ent_states = enc.encode(graphs.entity_graph, [set(row[::2]) - {-1} for row in ids],
                                 self.ent_params, gates, leave_outs)
         seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, self.dec_params)

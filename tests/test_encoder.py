@@ -102,17 +102,18 @@ def test_mp_layer_identity_message():
     store, params = fresh_params((T, TR), width=3)
     params.layers[0].type_vectors.data[:] = 1.0
     states = Value(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
-    agg = ad.scatter_add(states, params.layers[0].type_vectors, g.message_plan(False))
+    agg = ad.scatter_add(states, params.layers[0].type_vectors, g.message_plan())
     assert agg.data.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 def test_mp_layer_matches_naive_loop(rng):
-    base = line_graph(3)
-    g = graph(3, base.edges, relations=(1, 0, 0, 1))
+    plain = line_graph(3)
+    annotated = graph(3, plain.edges, relations=(1, 0, 0, 1))
     states = Value(rng.normal(size=(3, 5)))
     edge_states = Value(rng.normal(size=(2, 5)))
-    # Gated by the type vectors, then by the projected rows of two relation states.
-    for gates in (None, edge_states):
+    # Gated by the type vectors over the plain graph, then by the projected
+    # rows of two relation states over the annotated one.
+    for g, gates in ((plain, None), (annotated, edge_states)):
         _, params = (fresh_params((T, TR), width=5, seed=3) if gates is None
                      else relation_gated_params((T, TR), width=5, seed=3))
         layer = params.layers[0]
@@ -158,7 +159,7 @@ def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
         for leave_out in (None, *range(kg.num_facts)):
             keep = (np.ones(g.num_edges, dtype=bool) if leave_out is None
                     else g.kept(leave_out))
-            plan = g.message_plan(gated_by_relations, [leave_out])
+            plan = g.message_plan([leave_out])
             out = mp_layer(states, g, layer, edge_states, plan)
             expected = per_edge_layer(states, g, layer, edge_states, keep)
             assert out.data.tobytes() == expected.tobytes()
@@ -170,6 +171,22 @@ def test_typed_layer_refuses_edge_states():
     states = indicator_init(g, [{0}], 3, np.float64)
     with pytest.raises(ContractError, match="relation_proj"):
         mp_layer(states, g, params.layers[0], Value(np.ones((1, 3))))
+
+
+@pytest.mark.parametrize("relation_gated,annotated,with_states", [
+    (False, False, True), (False, True, False), (False, True, True),
+    (True, False, False), (True, False, True), (True, True, False)])
+def test_every_mismatched_pairing_of_params_graph_and_edge_states_is_contract_error(
+        relation_gated, annotated, with_states):
+    # Edge states gate exactly the annotated graphs' messages, through the
+    # layers' relation_proj.  Typed messages over an annotated graph would
+    # count twice the edges that differ only in their relation.
+    kg = random_hkg(np.random.default_rng(3), max_facts=8)
+    g = build_entity_graph(kg, with_fact_relations=annotated)
+    _, params = (relation_gated_params if relation_gated else fresh_params)(g.alphabet)
+    edge_states = Value(np.ones((kg.num_relations, 4))) if with_states else None
+    with pytest.raises(ContractError):
+        encode(g, [{0}], params, edge_states)
 
 
 def test_mp_layer_rejects_alphabet_mismatch():

@@ -178,24 +178,21 @@ def without(kg, f):
     return Hkg(kg.facts[:f] + kg.facts[f + 1:], kg.entities, kg.relations)
 
 
-def masked_edges(g, leave_out, annotated=False):
-    """The edges ``g`` keeps without fact ``leave_out``, in order, after
-    checking that the masked message plan reads every edge in stable
-    destination order and zeroes the cells of exactly the edges that
-    :meth:`kept` drops, in that order."""
+def masked_edges(g, leave_out):
+    """The edges ``g`` keeps without fact ``leave_out``, in order, each with
+    its relation when ``g`` is annotated, after checking that the masked
+    message plan reads every edge, gated by its relation when annotated and
+    by its type otherwise, in stable destination order and zeroes the cells
+    of exactly the edges that :meth:`kept` drops, in that order."""
     keep = g.kept(leave_out)
-    src, type_row, dst = g.src, g.type_row, g.dst
-    order = np.argsort(dst, kind="stable")
-    gates = [(False, type_row)]
-    if annotated:
-        gates.append((True, g.relation))
-    for by_relation, gate in gates:
-        plan = g.message_plan(by_relation, [leave_out])
-        full = np.stack([src, gate, dst], axis=1)[order]
-        assert plan.blocks == 1 and plan_edges(plan).tolist() == full.tolist()
-        edges, blocks = plan.zeroed
-        assert edges.tolist() == np.flatnonzero(~keep[order]).tolist()
-        assert blocks.tolist() == [0] * edges.size
+    annotated = g.relation is not None
+    order = np.argsort(g.dst, kind="stable")
+    plan = g.message_plan([leave_out])
+    full = np.stack([g.src, g.relation if annotated else g.type_row, g.dst], axis=1)[order]
+    assert plan.blocks == 1 and plan_edges(plan).tolist() == full.tolist()
+    edges, blocks = plan.zeroed
+    assert edges.tolist() == np.flatnonzero(~keep[order]).tolist()
+    assert blocks.tolist() == [0] * edges.size
     rels = g.relation.tolist() if annotated else [None] * g.num_edges
     return [e + (r,) * annotated for e, r, k in zip(g.edges, rels, keep) if k]
 
@@ -222,7 +219,7 @@ def test_annotated_entity_graph_matches_oracle(rng):
             assert len(full) == g.num_edges
             assert full == brute_force_entity_edges(kg, cfg, with_fact_relations=True)
             for f in range(kg.num_facts):
-                assert masked_edges(g, f, annotated=True) == sorted_oracle(
+                assert masked_edges(g, f) == sorted_oracle(
                     g, brute_force_entity_edges(without(kg, f), cfg, with_fact_relations=True))
 
 
@@ -268,7 +265,7 @@ def test_dense_hub_exclusion_soundness(rng):
                 assert masked_edges(g, f) == sorted_oracle(g, oracle(without(kg, f), cfg))
         g = build_entity_graph(kg, cfg, with_fact_relations=True)
         for f in range(kg.num_facts):
-            assert masked_edges(g, f, annotated=True) == sorted_oracle(
+            assert masked_edges(g, f) == sorted_oracle(
                 g, brute_force_entity_edges(without(kg, f), cfg, with_fact_relations=True))
 
 
@@ -354,13 +351,15 @@ def test_annotated_entity_graph_carries_relations():
 
 
 def test_message_plans_are_cached_over_the_edge_arrays():
+    # The graph's annotation picks the gate rows: relations when it has them.
     kg = Hkg([HyperFact("h", "r", "t", (("k", "v"),)), HyperFact("t", "s", "v")])
-    g = build_entity_graph(kg, with_fact_relations=True)
-    src, type_row, dst = g.src, g.type_row, g.dst
-    order = np.argsort(dst, kind="stable")
-    for by_relation, gate in ((False, type_row), (True, g.relation)):
-        plan = g.message_plan(by_relation)
-        assert g.message_plan(by_relation) is plan
+    plans = []
+    for g in (build_entity_graph(kg), build_entity_graph(kg, with_fact_relations=True)):
+        src, dst = g.src, g.dst
+        gate = g.type_row if g.relation is None else g.relation
+        order = np.argsort(dst, kind="stable")
+        plan = g.message_plan()
+        assert g.message_plan() is plan and g.message_plan([None]) is plan
         full = np.stack([src, gate, dst], axis=1)[order]
         assert plan_edges(plan).tolist() == full.tolist()
         pairs = sorted(set(zip(src.tolist(), gate.tolist())))
@@ -369,7 +368,8 @@ def test_message_plans_are_cached_over_the_edge_arrays():
         assert plan.dst.order is None  # edges come in destination order
         for p, idx in ((plan.src, src), (plan.dst, dst)):
             assert p.rows.tolist() == sorted(set(idx.tolist()))
-    assert g.message_plan(False) is not g.message_plan(True)
+        plans.append(plan)
+    assert plans[0].gate.index.tolist() != plans[1].gate.index.tolist()
 
 
 def zipf_hkg(seed=23, num_facts=400, num_entities=150, num_primaries=12, num_keys=8):

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyrel import (HEAD, ConfigError, ContractError, DataError, Hkg, HyperFact, QueryFact,
@@ -359,6 +359,7 @@ def default_model(structure):
 @pytest.mark.parametrize("structure", STRUCTURES)
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
+@example(seed=1610)  # one relation: the relation graph's blocks are one row each
 def test_batch_scores_rows_do_not_depend_on_the_batch(structure, seed):
     # Every query is padded to the graph's longest sequence and decoded in its
     # own block, so a row of any chunk of 1 to 8 queries is the bits it has

@@ -44,7 +44,7 @@ def test_degenerate_one_fact_guard_case():
     graphs = predictor.prepare(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
         assert g.num_edges > 0 and not g.kept(0).any()
-        edges, blocks = g.message_plan(False, [0]).zeroed
+        edges, blocks = g.message_plan([0]).zeroed
         assert edges.tolist() == list(range(g.num_edges)) and not blocks.any()
     loss = query_losses(predictor, graphs, [query], [0])
     assert abs(float(loss.data[0, 0]) - math.log(kg.num_entities)) < 1.0
@@ -272,7 +272,8 @@ def test_a_leave_out_that_is_not_a_fact_is_contract_error():
                                                 decoder_depth=1), seed=0)
     graphs = predictor.prepare(kg)
     queries = queries_from_facts(kg.facts)[:2]
-    for bad in (-1, kg.num_facts, 10 ** 6, 0.0, "0"):
+    # A Boolean is an int to Python: True would leave out fact 1.
+    for bad in (-1, kg.num_facts, 10 ** 6, 0.0, "0", True, False, np.True_):
         with pytest.raises(ContractError, match="left-out fact"):
             predictor.query_logits(graphs, queries, [0, bad])
         with pytest.raises(ContractError, match="left-out fact"):
@@ -472,9 +473,9 @@ def test_the_tape_holds_no_per_pair_messages(structure):
     graphs = predictor.prepare(kg)
     root = query_losses(predictor, graphs, queries, [0, 1, 1])
     messages = set()
-    for g, by_relation in ((graphs.relation_graph, False),
-                           (graphs.entity_graph, structure == RELATION_DRIVEN)):
-        pairs = g.message_plan(by_relation).src.index.size
+    assert (graphs.entity_graph.relation is not None) == (structure == RELATION_DRIVEN)
+    for g in (graphs.relation_graph, graphs.entity_graph):
+        pairs = g.message_plan().src.index.size
         assert pairs != g.num_nodes
         messages.add(len(queries) * pairs)
     rows, stack, seen = [], [root], set()
