@@ -18,7 +18,7 @@ from .foundation import (EntInteraction, FoundationGraph, InteractionConfig,
                          graph_stats, preset)
 from .io import DatasetBundle, load_bundle, load_kg, parse_fact_line, write_kg
 from .model import (HEAD, PRIMARY_RELATION, TAIL, Hkg, HyperFact, QueryFact, Role,
-                    RoleKind, key_role, queries_from_facts, value_role)
+                    RoleKind, key_role, queries_from_facts, sequence_roles, value_role)
 from .evaluation import Metrics, evaluate, evaluate_bundle, rank_of
 from .predictor import LinkPredictor, ModelConfig
 from .splitting import (SplitConfig, cluster_split, khop_split, louvain_communities,

@@ -24,8 +24,8 @@ from .errors import ConfigError, ContractError, DataError, HyrelError, ShapeErro
 from .evaluation import evaluate_bundle, require_finite
 from .foundation import (InteractionConfig, build_entity_graph, build_relation_graph,
                          export_edge_list, graph_stats, preset)
-from .io import load_bundle, load_kg
-from .model import HEAD, TAIL, QueryFact, value_role
+from .io import load_bundle, load_kg, parse_fact_line
+from .model import QueryFact, sequence_roles
 from .config import format_value
 from .predictor import ablation_overrides
 from .splitting import KHOP, LOUVAIN, SplitConfig, make_bundle, write_split
@@ -222,22 +222,13 @@ def cmd_selfcheck(args) -> int:
 
 def _parse_query(text: str) -> QueryFact:
     tokens = text.split()
-    if len(tokens) < 3 or len(tokens) % 2 == 0:
-        raise DataError(f"query needs an odd token count >= 3, got {len(tokens)}")
     masked_slots = [i for i, t in enumerate(tokens) if t == MASK_TOKEN]
     if len(masked_slots) != 1:
         raise DataError(f"query must contain exactly one {MASK_TOKEN}")
-    slot = masked_slots[0]
-    if slot == 0:
-        role = HEAD
-    elif slot == 2:
-        role = TAIL
-    elif slot >= 4 and slot % 2 == 0:
-        role = value_role((slot - 4) // 2)
-    else:
-        raise DataError(f"{MASK_TOKEN} must sit in an entity slot (head, tail or a value)")
-    from .io import parse_fact_line
     fact = parse_fact_line("\t".join(tokens))
+    role = sequence_roles(fact.arity)[masked_slots[0]]
+    if not role.is_entity:
+        raise DataError(f"{MASK_TOKEN} must sit in an entity slot (head, tail or a value)")
     return QueryFact(fact, role, answer=None)
 
 

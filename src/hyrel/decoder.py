@@ -1,15 +1,16 @@
 """Edge-biased self-attention over a query fact's element sequence.
 
-The sequence lays the fact out as [head, relation, tail, key0, value0, ...],
-with one slot replaced by a learned mask vector.  Attention between two
-slots receives a learned bias chosen by the pair's structural type: the
-head/relation pair, the tail/relation pair, a relation/key pair, an aligned
-key/value pair, or anything else.  A key-side bias enters the similarity
-before the softmax and a value-side bias enters the weighted sum, so the
-model can treat e.g. a key attending to its own value differently from a
-key attending to an unrelated value.  Heads are column blocks of one
-projection: head h owns columns h·dh:(h+1)·dh of the query, key and value
-maps and of both bias tables.
+The sequence lays the fact out as [head, relation, tail, key0, value0, ...]
+(:func:`~hyrel.model.sequence_roles`, its one definition), with one slot
+replaced by a learned mask vector.  Attention between two slots receives a
+learned bias chosen by the pair's structural type: the head/relation pair,
+the tail/relation pair, a relation/key pair, an aligned key/value pair, or
+anything else.  A key-side bias enters the similarity before the softmax
+and a value-side bias enters the weighted sum, so the model can treat e.g.
+a key attending to its own value differently from a key attending to an
+unrelated value.  Heads are column blocks of one projection: head h owns
+columns h·dh:(h+1)·dh of the query, key and value maps and of both bias
+tables.
 
 A batch of queries is decoded as one padded sequence (:class:`BatchLayout`):
 query q owns rows q·L to (q+1)·L - 1, its own slots and then padding rows.
@@ -34,14 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Value
 from .errors import ConfigError, ShapeError
-from .model import QueryFact, Role, RoleKind, HEAD, PRIMARY_RELATION, TAIL, key_role, value_role
+from .model import QueryFact, Role, RoleKind, sequence_roles
 
 
 class BiasType(Enum):
@@ -53,26 +54,6 @@ class BiasType(Enum):
 
 
 NUM_BIAS_TYPES = len(BiasType)
-
-
-@dataclass(frozen=True)
-class SequenceLayout:
-    """Slot roles of one decoded sequence and the position of the mask."""
-
-    roles: tuple[Role, ...]
-    mask_slot: int
-
-    def __len__(self):
-        return len(self.roles)
-
-
-def layout_for(query: QueryFact) -> SequenceLayout:
-    roles = [HEAD, PRIMARY_RELATION, TAIL]
-    for i in range(query.base.arity):
-        roles.append(key_role(i))
-        roles.append(value_role(i))
-    mask_slot = roles.index(query.masked)
-    return SequenceLayout(tuple(roles), mask_slot)
 
 
 def classify_bias(i: Role, j: Role) -> BiasType:
@@ -90,11 +71,12 @@ def classify_bias(i: Role, j: Role) -> BiasType:
 
 
 @lru_cache(maxsize=512)
-def _bias_types(roles: tuple[Role, ...], length: int = 0) -> np.ndarray:
-    """The :class:`BiasType` value of every ordered slot pair of one layout,
-    padded to ``length`` rows: a slot's pair with a padding key is masked
-    (``NUM_BIAS_TYPES``), and a padding row, whose output is never read,
-    attends to every row as ``OTHER``."""
+def _bias_types(arity: int, length: int = 0) -> np.ndarray:
+    """The :class:`BiasType` value of every ordered slot pair of the sequence
+    of a fact with ``arity`` qualifiers, padded to ``length`` rows: a slot's
+    pair with a padding key is masked (``NUM_BIAS_TYPES``), and a padding
+    row, whose output is never read, attends to every row as ``OTHER``."""
+    roles = sequence_roles(arity)
     n = len(roles)
     types = np.full((max(length, n),) * 2, BiasType.OTHER.value, dtype=np.int64)
     types[:n, n:] = NUM_BIAS_TYPES
@@ -108,18 +90,21 @@ class BatchLayout:
     L is the sequence length of a fact with ``arity`` qualifiers, or the
     longest query's when that is longer.  Query q owns rows q·L to
     (q+1)·L - 1 of the batch sequence: its slots, then padding.
-    ``mask_slots[q]`` is its mask slot's row, ``types[q]`` the (L, L) bias
-    types of its row pairs, and ``len()`` counts the real slots.
+    ``roles[q]`` are its slots' roles, ``mask_slots[q]`` is its mask slot's
+    row, ``types[q]`` the (L, L) bias types of its row pairs, and ``len()``
+    counts the real slots.
     """
 
-    def __init__(self, layouts, arity: int = 0):
-        self.layouts = tuple(layouts)
-        self.length = max([3 + 2 * arity, *map(len, self.layouts)])
-        self.mask_slots = [q * self.length + part.mask_slot
-                           for q, part in enumerate(self.layouts)]
-        self.types = np.array([_bias_types(part.roles, self.length) for part in self.layouts],
+    def __init__(self, queries: Iterable[QueryFact], arity: int = 0):
+        queries = tuple(queries)
+        arities = [query.base.arity for query in queries]
+        self.roles = [sequence_roles(n) for n in arities]
+        self.length = len(sequence_roles(max([arity, *arities])))
+        self.mask_slots = [q * self.length + query.masked.slot
+                           for q, query in enumerate(queries)]
+        self.types = np.array([_bias_types(n, self.length) for n in arities],
                               dtype=np.int64).reshape(-1, self.length, self.length)
-        self._size = sum(map(len, self.layouts))
+        self._size = sum(map(len, self.roles))
 
     def __len__(self):
         return self._size
@@ -144,7 +129,6 @@ class DecoderLayerParams:
 
 @dataclass
 class DecoderParams:
-    width: int
     head_count: int
     mask_token: Value   # (1, d)
     out_bias: Value     # (1, 1), shared over every candidate entity
@@ -158,7 +142,7 @@ def init_decoder_params(store: ParamStore, prefix: str, width: int, head_count: 
         raise ConfigError(f"width {width} not divisible by head count {head_count}")
     dh = width // head_count
     params = DecoderParams(
-        width=width, head_count=head_count,
+        head_count=head_count,
         mask_token=store.add(f"{prefix}/mask_token",
                              rng.normal(0.0, width ** -0.5, (1, width)).astype(dtype)),
         out_bias=store.add(f"{prefix}/out_bias", np.zeros((1, 1), dtype=dtype)),
@@ -199,26 +183,27 @@ def assemble_sequence(layout: BatchLayout, slot_ids: Sequence[Sequence[int]],
                       rel_states: Value, ent_states: Value, params: DecoderParams) -> Value:
     """Stack the per-slot vectors of a batch of queries, mask slots included.
 
-    ``slot_ids[q]`` holds query q's dense ids in its layout's slot order: an
-    entity id at entity roles and a relation id at the others; the id at the
-    mask slot is not read.  The states hold one block of rows per query, in
-    batch order.  One gather reads every row from the table [entity states;
-    relation states; mask token]; padding rows read the mask token.
+    ``slot_ids[q]`` holds query q's dense ids in its sequence's slot order:
+    an entity id at entity roles and a relation id at the others; the id at
+    the mask slot is not read.  The states hold one block of rows per query,
+    in batch order.  One gather reads every row from the table [entity
+    states; relation states; mask token]; padding rows read the mask token.
     """
-    blocks = len(layout.layouts)
+    blocks = len(layout.roles)
     ne, nr = (states.shape[0] // max(blocks, 1) for states in (ent_states, rel_states))
     if ent_states.shape[0] != blocks * ne or rel_states.shape[0] != blocks * nr:
         raise ShapeError(f"states {ent_states.shape} and {rel_states.shape} do not split "
                          f"into {blocks} block(s)")
     mask = blocks * (ne + nr)
     rows: list[int] = []
-    for q, (part, ids) in enumerate(zip(layout.layouts, slot_ids)):
-        for slot, (role, i) in enumerate(zip(part.roles, ids)):
+    for q, (roles, ids) in enumerate(zip(layout.roles, slot_ids)):
+        mask_slot = layout.mask_slots[q] - q * layout.length
+        for slot, (role, i) in enumerate(zip(roles, ids)):
             size, first = (ne, q * ne) if role.is_entity else (nr, blocks * ne + q * nr)
-            if slot != part.mask_slot and not 0 <= i < size:
+            if slot != mask_slot and not 0 <= i < size:
                 raise ShapeError(f"slot {slot} of query {q} reads id {i} of {size} states")
-            rows.append(mask if slot == part.mask_slot else first + i)
-        rows.extend([mask] * (layout.length - len(part)))
+            rows.append(mask if slot == mask_slot else first + i)
+        rows.extend([mask] * (layout.length - len(roles)))
     table = ad.concat([ent_states, rel_states, params.mask_token])
     return ad.gather(table, rows)
 

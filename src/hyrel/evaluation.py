@@ -165,8 +165,10 @@ def bundle_known_facts(bundle) -> list[HyperFact]:
 
 def evaluate_bundle(model: ScoringModel, bundle, split: str = "test",
                     filtered: bool = True) -> Metrics:
-    """Evaluate one split of a bundle under the standard protocol."""
+    """Evaluate the bundle's "valid" or "test" split under the standard protocol."""
     from .model import queries_from_facts
+    if split not in ("valid", "test"):
+        raise ContractError(f"unknown split {split!r}; expected 'valid' or 'test'")
     facts = bundle.valid if split == "valid" else bundle.test
     return evaluate(model, bundle.inference, queries_from_facts(facts),
                     bundle_known_facts(bundle), filtered=filtered)

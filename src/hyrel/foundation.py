@@ -133,6 +133,16 @@ class InteractionConfig:
         _check_reciprocity_closed(self.relation_set, REL_RECIPROCAL)
         _check_reciprocity_closed(self.entity_set, ENT_RECIPROCAL)
 
+    @property
+    def relation_alphabet(self) -> tuple[RelInteraction, ...]:
+        """The active types in declaration order: the graph's and encoder's type rows."""
+        return tuple(t for t in RelInteraction if t in self.relation_set)
+
+    @property
+    def entity_alphabet(self) -> tuple[EntInteraction, ...]:
+        """The active types in declaration order: the graph's and encoder's type rows."""
+        return tuple(t for t in EntInteraction if t in self.entity_set)
+
 
 PRESETS: dict[str, InteractionConfig] = {
     "default": InteractionConfig(),
@@ -332,7 +342,7 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
     whose removal alone deletes it (see :meth:`FoundationGraph.kept`).
     """
     cfg = cfg or InteractionConfig()
-    row = {t: i for i, t in enumerate(x for x in RelInteraction if x in cfg.relation_set)}
+    row = {t: i for i, t in enumerate(cfg.relation_alphabet)}
     n, nf = kg.num_relations, kg.num_facts
     dims = (n, len(row), n)
     head, rel, tail, qf, qk, qv = kg.positions()
@@ -373,7 +383,7 @@ def build_entity_graph(kg: Hkg, cfg: InteractionConfig | None = None,
     deduplication then distinguishes edges with different annotations.
     """
     cfg = cfg or InteractionConfig()
-    row = {t: i for i, t in enumerate(x for x in EntInteraction if x in cfg.entity_set)}
+    row = {t: i for i, t in enumerate(cfg.entity_alphabet)}
     n = kg.num_entities
     dims = (n, len(row), n) + ((kg.num_relations,) if with_fact_relations else ())
     head, rel, tail, qf, qk, qv = kg.positions()

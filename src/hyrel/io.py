@@ -78,14 +78,11 @@ def _json_id(x, line_no: int | None) -> str:
 
 def format_fact_line(fact: HyperFact) -> str:
     """The fact's TSV line, without its LF; no token may hold a TAB, CR or LF."""
-    parts = [fact.head, fact.relation, fact.tail]
-    for k, v in fact.qualifiers:
-        parts.append(k)
-        parts.append(v)
-    for token in parts:
+    tokens = fact.sequence()
+    for token in tokens:
         if _BREAKS.intersection(token):
             raise DataError(f"token {token!r} holds a TAB, CR or LF")
-    return "\t".join(parts)
+    return "\t".join(tokens)
 
 
 def _open_text(path: Path) -> _io.TextIOBase:

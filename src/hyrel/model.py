@@ -3,13 +3,17 @@
 A fact is a primary triplet (head, relation, tail) plus an ordered list of
 qualifier pairs (key, value).  Keys are relation ids, values are entity ids.
 Qualifier order is preserved exactly as ingested because downstream sequence
-positions depend on it.
+positions depend on it.  :func:`sequence_roles` is the one definition of
+a fact's element sequence, ``[head, relation, tail, key0, value0, ...]``:
+:attr:`Role.slot` indexes it and :meth:`HyperFact.sequence` lists its ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +22,8 @@ from .errors import ContractError
 
 
 class RoleKind(Enum):
+    """Declared in sequence order: a kind's position is its first slot."""
+
     HEAD = "head"
     PRIMARY_RELATION = "relation"
     TAIL = "tail"
@@ -43,9 +49,15 @@ class Role:
         elif self.index is not None:
             raise ContractError(f"{self.kind.value} role takes no qualifier index")
 
-    @property
+    # Read per slot of every scored query, so each role works them out once.
+    @cached_property
     def is_entity(self) -> bool:
         return self.kind in (RoleKind.HEAD, RoleKind.TAIL, RoleKind.VALUE)
+
+    @cached_property
+    def slot(self) -> int:
+        """This role's position in :func:`sequence_roles`."""
+        return list(RoleKind).index(self.kind) + 2 * (self.index or 0)
 
     def __repr__(self):
         if self.index is None:
@@ -66,6 +78,15 @@ def value_role(i: int) -> Role:
     return Role(RoleKind.VALUE, i)
 
 
+@lru_cache(maxsize=None)
+def sequence_roles(arity: int) -> tuple[Role, ...]:
+    """The role of each slot of a fact with ``arity`` qualifiers, in
+    sequence order: [head, relation, tail, key0, value0, ...].  Entities sit
+    at the even slots and relations at the odd ones."""
+    return (HEAD, PRIMARY_RELATION, TAIL,
+            *chain.from_iterable((key_role(i), value_role(i)) for i in range(arity)))
+
+
 @dataclass(frozen=True)
 class HyperFact:
     """One hyper-relational fact. ``qualifiers`` is an ordered tuple of (key, value)."""
@@ -80,22 +101,23 @@ class HyperFact:
         """Number of qualifier pairs."""
         return len(self.qualifiers)
 
+    def sequence(self) -> tuple[str, ...]:
+        """The fact's ids in slot order (:func:`sequence_roles`)."""
+        return (self.head, self.relation, self.tail, *chain.from_iterable(self.qualifiers))
+
     def entities(self) -> tuple[str, ...]:
-        return (self.head, self.tail) + tuple(v for _, v in self.qualifiers)
+        """The ids at the entity slots, in sequence order: head, tail, values."""
+        return self.sequence()[::2]
 
     def relations(self) -> tuple[str, ...]:
-        return (self.relation,) + tuple(k for k, _ in self.qualifiers)
+        """The ids at the relation slots, in sequence order: relation, keys."""
+        return self.sequence()[1::2]
 
     def entity_at(self, role: Role) -> str:
-        if role.kind is RoleKind.HEAD:
-            return self.head
-        if role.kind is RoleKind.TAIL:
-            return self.tail
-        if role.kind is RoleKind.VALUE:
-            if role.index >= self.arity:
-                raise ContractError(f"{role!r} out of range for arity {self.arity}")
-            return self.qualifiers[role.index][1]
-        raise ContractError(f"{role!r} is not an entity position")
+        sequence = self.sequence()
+        if not role.is_entity or role.slot >= len(sequence):
+            raise ContractError(f"{role!r} is not an entity position of arity {self.arity}")
+        return sequence[role.slot]
 
 class Hkg:
     """An immutable hyper-relational KG: its facts and dense vocabulary id maps.
@@ -210,12 +232,8 @@ class QueryFact:
     answer: str | None = None
 
     def __post_init__(self):
-        if not self.masked.is_entity:
-            raise ContractError(f"cannot mask {self.masked!r}: not an entity position")
-        if self.masked.kind is RoleKind.VALUE and self.masked.index >= self.base.arity:
-            raise ContractError(
-                f"masked {self.masked!r} out of range for arity {self.base.arity}")
-        if self.answer is not None and self.base.entity_at(self.masked) != self.answer:
+        entity = self.base.entity_at(self.masked)  # raises unless an entity slot of base
+        if self.answer is not None and entity != self.answer:
             raise ContractError(
                 f"answer {self.answer!r} disagrees with entity at {self.masked!r}")
 
@@ -232,13 +250,9 @@ class QueryFact:
 def queries_from_facts(facts: Iterable[HyperFact]) -> list[QueryFact]:
     """One query per entity position of every fact.
 
-    Order is deterministic: fact order, then Head, Tail, Value(0..n-1), so a
-    fact with n qualifiers contributes exactly 2 + n queries.
+    Order is deterministic: fact order, then the entity roles in sequence
+    order (Head, Tail, Value(0..n-1)), so a fact with n qualifiers
+    contributes exactly 2 + n queries.
     """
-    out: list[QueryFact] = []
-    for f in facts:
-        out.append(QueryFact.from_fact(f, HEAD))
-        out.append(QueryFact.from_fact(f, TAIL))
-        for i in range(f.arity):
-            out.append(QueryFact.from_fact(f, value_role(i)))
-    return out
+    return [QueryFact.from_fact(f, role) for f in facts
+            for role in sequence_roles(f.arity) if role.is_entity]

@@ -32,9 +32,8 @@ from . import decoder as dec
 from . import encoder as enc
 from .autodiff import ParamStore, Value
 from .errors import ConfigError, ContractError, DataError, VocabularyError
-from .foundation import (EntInteraction, FoundationGraph, RelInteraction,
-                         build_entity_graph, build_relation_graph, preset)
-from .model import Hkg, QueryFact
+from .foundation import FoundationGraph, build_entity_graph, build_relation_graph, preset
+from .model import Hkg, QueryFact, sequence_roles
 
 PARALLEL = "parallel"
 RELATION_DRIVEN = "relation-driven"  # relation states gate the entity messages
@@ -103,21 +102,27 @@ def _constants(params):
     return params
 
 
-def _slot_ids(kg: Hkg, query: QueryFact, mask_slot: int) -> list[int]:
-    """The dense id of each slot of ``query``'s sequence [head, relation, tail,
-    key0, value0, …]: entity ids at the even slots, relation ids at the odd
-    ones, and -1 at ``mask_slot``, whose name is never read.  Relations
-    resolve first, so an unknown relation is named before an unknown entity."""
-    base = query.base
-    names = (base.head, base.relation, base.tail, *(x for pair in base.qualifiers for x in pair))
+def _slot_ids(kg: Hkg, query: QueryFact) -> list[int]:
+    """The dense id of each slot of ``query``'s sequence
+    (:func:`~hyrel.model.sequence_roles`): an entity id at entity roles, a
+    relation id at the others, and -1 at the masked slot, whose name is never
+    read.  An unknown relation is named before an unknown entity."""
+    roles, names, mask = sequence_roles(query.base.arity), query.base.sequence(), query.masked.slot
     ids = [-1] * len(names)
-    for first, kind, index in ((1, "relation", kg.relation_index), (0, "entity", kg.entity_index)):
-        for slot in range(first, len(names), 2):
-            if slot != mask_slot:
-                ids[slot] = index.get(names[slot], -1)
+    for entity, kind, index in ((False, "relation", kg.relation_index),
+                                (True, "entity", kg.entity_index)):
+        for slot, (role, name) in enumerate(zip(roles, names)):
+            if role.is_entity is entity and slot != mask:
+                ids[slot] = index.get(name, -1)
                 if ids[slot] < 0:
-                    raise VocabularyError(f"{kind} {names[slot]!r} not in the graph vocabulary")
+                    raise VocabularyError(f"{kind} {name!r} not in the graph vocabulary")
     return ids
+
+
+def _slot_nodes(layout: dec.BatchLayout, ids: list[list[int]], entity: bool) -> list[set[int]]:
+    """Per query, its ids at entity (or relation) slots, the mask's -1 left out."""
+    return [{i for role, i in zip(roles, row) if role.is_entity is entity and i >= 0}
+            for roles, row in zip(layout.roles, ids)]
 
 
 def check_leave_outs(kg: Hkg, leave_outs: Sequence[int | None] | None) -> None:
@@ -164,14 +169,12 @@ class LinkPredictor:
     def _build(cls, cfg: ModelConfig, rng, dtype) -> "LinkPredictor":
         store = ParamStore()
         interactions = preset(cfg.interactions)
-        rel_alphabet = tuple(t for t in RelInteraction if t in interactions.relation_set)
-        ent_alphabet = tuple(t for t in EntInteraction if t in interactions.entity_set)
         rel_params = enc.init_encoder_params(
-            store, "rel_encoder", rel_alphabet, cfg.encoder_depth, cfg.width, rng,
-            dtype=dtype)
+            store, "rel_encoder", interactions.relation_alphabet, cfg.encoder_depth,
+            cfg.width, rng, dtype=dtype)
         ent_params = enc.init_encoder_params(
-            store, "ent_encoder", ent_alphabet, cfg.encoder_depth, cfg.width, rng,
-            dtype=dtype, typed_messages=(cfg.structure == PARALLEL))
+            store, "ent_encoder", interactions.entity_alphabet, cfg.encoder_depth,
+            cfg.width, rng, dtype=dtype, typed_messages=(cfg.structure == PARALLEL))
         dec_params = dec.init_decoder_params(
             store, "decoder", cfg.width, cfg.head_count, cfg.decoder_depth, rng,
             dtype=dtype)
@@ -219,13 +222,12 @@ class LinkPredictor:
         """
         kg = graphs.kg
         check_leave_outs(kg, leave_outs)
-        layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
-        ids = [_slot_ids(kg, query, part.mask_slot)
-               for query, part in zip(queries, layout.layouts)]
-        rel_states = enc.encode(graphs.relation_graph, [set(row[1::2]) for row in ids],
+        layout = dec.BatchLayout(queries, kg.max_arity)
+        ids = [_slot_ids(kg, query) for query in queries]
+        rel_states = enc.encode(graphs.relation_graph, _slot_nodes(layout, ids, False),
                                 self.rel_params, leave_outs=leave_outs)
         gates = None if graphs.entity_graph.relation is None else rel_states
-        ent_states = enc.encode(graphs.entity_graph, [set(row[::2]) - {-1} for row in ids],
+        ent_states = enc.encode(graphs.entity_graph, _slot_nodes(layout, ids, True),
                                 self.ent_params, gates, leave_outs)
         seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, self.dec_params)
         decoded = dec.decode(seq, layout, self.dec_params)

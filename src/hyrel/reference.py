@@ -215,8 +215,12 @@ def permute_hkg(kg: Hkg, rng: np.random.Generator) -> tuple[Hkg, dict[str, str],
     rng.shuffle(rel_names)
     phi = dict(zip(kg.entities, ent_names))
     tau = dict(zip(kg.relations, rel_names))
-    facts = [HyperFact(phi[f.head], tau[f.relation], phi[f.tail],
-                       tuple((tau[k], phi[v]) for k, v in f.qualifiers))
-             for f in kg.facts]
+    facts = [relabel_fact(f, phi, tau) for f in kg.facts]
     order = rng.permutation(len(facts))
     return Hkg([facts[i] for i in order]), phi, tau
+
+
+def relabel_fact(fact: HyperFact, phi: Mapping[str, str], tau: Mapping[str, str]) -> HyperFact:
+    """``fact`` with every entity renamed by ``phi`` and every relation by ``tau``."""
+    return HyperFact(phi[fact.head], tau[fact.relation], phi[fact.tail],
+                     tuple((tau[k], phi[v]) for k, v in fact.qualifiers))

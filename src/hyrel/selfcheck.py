@@ -23,7 +23,7 @@ from .foundation import PRESETS, build_entity_graph, build_relation_graph
 from .model import Hkg, queries_from_facts
 from .predictor import STRUCTURES, LinkPredictor, ModelConfig
 from .reference import (brute_force_entity_edges, brute_force_relation_edges,
-                        permute_hkg, random_hkg)
+                        permute_hkg, random_hkg, relabel_fact)
 from .training import query_losses
 
 
@@ -134,7 +134,7 @@ def _equivariance_suite(log: Callable[[str], None], quick: bool) -> bool:
         scores = predictor.entity_scores(predictor.prepare(kg), query)
         pkg, phi, tau = permute_hkg(kg, rng)
         pquery = [q for q in queries_from_facts(pkg.facts)
-                  if q.base == _apply(phi, tau, query.base) and q.masked == query.masked]
+                  if q.base == relabel_fact(query.base, phi, tau) and q.masked == query.masked]
         pscores = predictor.entity_scores(predictor.prepare(pkg), pquery[0])
         for name, idx in kg.entity_index.items():
             drift = abs(scores[idx] - pscores[pkg.entity_index[phi[name]]])
@@ -172,12 +172,6 @@ def _batch_invariance_suite(log: Callable[[str], None], quick: bool) -> bool:
     log(f"{'ok' if ok else 'FAIL'} - chunk rows vs each query scored alone "
         f"({checked} queries over {len(STRUCTURES)} structures, {mismatches} not bit-equal)")
     return ok
-
-
-def _apply(phi, tau, fact):
-    from .model import HyperFact
-    return HyperFact(phi[fact.head], tau[fact.relation], phi[fact.tail],
-                     tuple((tau[k], phi[v]) for k, v in fact.qualifiers))
 
 
 def run_selfcheck(quick: bool = False, log: Callable[[str], None] = print) -> bool:

@@ -17,7 +17,7 @@ from hyrel.model import queries_from_facts
 from hyrel.predictor import LinkPredictor, ModelConfig
 from hyrel.reference import (best_modularity, brute_force_entity_edges,
                              brute_force_relation_edges, permute_hkg, random_hkg,
-                             uniform_model_mrr)
+                             relabel_fact, uniform_model_mrr)
 from hyrel.splitting import (KHOP, LOUVAIN, SplitConfig, cluster_split, khop_split,
                              louvain_communities, modularity, relation_disjoint_filter)
 from hyrel.training import TrainConfig, TrainStats, fit, train_step
@@ -115,10 +115,7 @@ def test_criterion_02_double_equivariance():
         scores = predictor.entity_scores(predictor.prepare(kg), query)
 
         pkg, phi, tau = permute_hkg(kg, rng)
-        pbase = HyperFact(phi[query.base.head], tau[query.base.relation],
-                          phi[query.base.tail],
-                          tuple((tau[k], phi[v]) for k, v in query.base.qualifiers))
-        pquery = QueryFact(pbase, query.masked, phi[query.answer])
+        pquery = QueryFact(relabel_fact(query.base, phi, tau), query.masked, phi[query.answer])
         pscores = predictor.entity_scores(predictor.prepare(pkg), pquery)
 
         mapped = np.empty_like(scores)

@@ -396,3 +396,19 @@ def test_parse_query_variants():
         _parse_query("a r b [MASK] v")
     with pytest.raises(DataError):
         _parse_query("[MASK] r [MASK]")
+
+
+@pytest.mark.parametrize("arity", range(4))
+def test_parse_query_masks_every_entity_slot_and_no_relation_slot(arity):
+    from hyrel import TAIL
+    tokens = ["h", "r", "t"] + [f"{kind}{i}" for i in range(arity) for kind in "kv"]
+    entity_slots = {0: HEAD, 2: TAIL, 4: value_role(0), 6: value_role(1), 8: value_role(2)}
+    for slot in range(len(tokens)):
+        text = " ".join("[MASK]" if i == slot else t for i, t in enumerate(tokens))
+        if slot in entity_slots:
+            query = _parse_query(text)
+            assert query.masked == entity_slots[slot] and query.answer is None
+            assert query.base.arity == arity and query.base.relation == "r"
+        else:
+            with pytest.raises(DataError, match="entity slot"):
+                _parse_query(text)

@@ -6,8 +6,8 @@ from hyrel import HEAD, TAIL, Hkg, HyperFact, QueryFact, ShapeError, value_role
 from hyrel.autodiff import ParamStore, Value
 from hyrel.decoder import (BiasType, BatchLayout, _bias_types, assemble_sequence,
                            attention_layer, classify_bias, decode, entity_logits,
-                           init_decoder_params, layout_for, mask_vector)
-from hyrel.model import PRIMARY_RELATION, key_role
+                           init_decoder_params, mask_vector)
+from hyrel.model import PRIMARY_RELATION, key_role, sequence_roles
 from hyrel.reference import naive_attention_layer
 
 
@@ -16,20 +16,6 @@ def fresh_decoder(width=8, heads=1, depth=1, seed=0, dtype=np.float64, **kw):
     rng = np.random.default_rng(seed)
     return store, init_decoder_params(store, "dec", width, heads, depth, rng,
                                       dtype=dtype, **kw)
-
-
-def test_layout_for_triple():
-    q = QueryFact.from_fact(HyperFact("h", "r", "t"), TAIL)
-    layout = layout_for(q)
-    assert [repr(r) for r in layout.roles] == ["head", "relation", "tail"]
-    assert layout.mask_slot == 2
-
-
-def test_layout_two_qualifiers_masked_value_one():
-    fact = HyperFact("h", "r", "t", (("k1", "v1"), ("k2", "v2")))
-    layout = layout_for(QueryFact.from_fact(fact, value_role(1)))
-    assert len(layout) == 7
-    assert layout.mask_slot == 6
 
 
 def test_classify_bias_table():
@@ -46,9 +32,8 @@ def test_classify_bias_table():
 
 
 def test_bias_types_classify_every_slot_pair():
-    fact = HyperFact("h", "r", "t", (("k1", "v1"), ("k2", "v2")))
-    roles = layout_for(QueryFact.from_fact(fact, HEAD)).roles
-    types = _bias_types(roles)
+    roles = sequence_roles(2)
+    types = _bias_types(2)
     assert types.shape == (len(roles), len(roles))
     assert types.tolist() == [[classify_bias(a, b).value for b in roles] for a in roles]
 
@@ -57,22 +42,22 @@ def test_batch_layout_keeps_pairs_within_their_query(rng):
     # Each query owns length rows; a pair with a padding key is masked, and no
     # row reads another query's rows, so changing every other row leaves a
     # query's outputs bit for bit, and their gradient reaches no other row.
-    triple = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t"), TAIL))
-    pair = layout_for(QueryFact.from_fact(HyperFact("h", "r", "t", (("k", "v"),)),
-                                          value_role(0)))
+    triple = QueryFact.from_fact(HyperFact("h", "r", "t"), TAIL)
+    pair = QueryFact.from_fact(HyperFact("h", "r", "t", (("k", "v"),)), value_role(0))
     batch = BatchLayout((triple, pair), arity=2)
     assert len(batch) == 8 and batch.length == 7 and batch.mask_slots == [2, 11]
+    assert batch.roles == [sequence_roles(0), sequence_roles(1)]
     assert batch.types.shape == (2, 7, 7)
-    for types, part in zip(batch.types, (triple, pair)):
-        n = len(part)
-        assert (types[:n, :n] == _bias_types(part.roles)).all()
+    for types, arity in zip(batch.types, (0, 1)):
+        n = len(sequence_roles(arity))
+        assert (types[:n, :n] == _bias_types(arity)).all()
         assert (types[:n, n:] == len(BiasType)).all()
     _, params = fresh_decoder(width=8, heads=2, depth=2)
     x = rng.normal(size=(14, 8))
     out = decode(Value(x), batch, params).data
-    for q, part in enumerate((triple, pair)):
+    for q, roles in enumerate(batch.roles):
         own = np.zeros(14, dtype=bool)
-        own[7 * q:7 * q + len(part)] = True
+        own[7 * q:7 * q + len(roles)] = True
         changed = x.copy()
         changed[~own] = rng.normal(0.0, 100.0, size=(int((~own).sum()), 8))
         assert decode(Value(changed), batch, params).data[own].tobytes() == out[own].tobytes()
@@ -88,7 +73,7 @@ def test_assemble_sequence_triple(small_kg, rng):
     store, params = fresh_decoder(width=4)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
-    layout = BatchLayout((layout_for(q),))
+    layout = BatchLayout((q,))
     ids = [[small_kg.entity_index["b"], small_kg.relation_index["s"], -1]]
     seq = assemble_sequence(layout, ids, rel_states, ent_states, params)
     assert seq.data.shape == (3, 4)
@@ -98,7 +83,7 @@ def test_assemble_sequence_triple(small_kg, rng):
     # One table holds every slot's rows, so the states must split into one
     # block per query.
     with pytest.raises(ShapeError):
-        assemble_sequence(BatchLayout((layout_for(q),) * 2), ids * 2, rel_states,
+        assemble_sequence(BatchLayout((q,) * 2), ids * 2, rel_states,
                           ent_states, params)
 
 
@@ -109,7 +94,7 @@ def test_assemble_sequence_unknown_id(small_kg, rng):
     store, params = fresh_decoder(width=4)
     rel_states = Value(rng.normal(size=(small_kg.num_relations, 4)))
     ent_states = Value(rng.normal(size=(small_kg.num_entities, 4)))
-    layout = BatchLayout((layout_for(q),))
+    layout = BatchLayout((q,))
     ne, nr = small_kg.num_entities, small_kg.num_relations
     for ids in ([ne, 0, -1, 0, 0], [0, nr, -1, 0, 0], [0, 0, -1, 0, -1], [0, -1, -1, 0, 0]):
         with pytest.raises(ShapeError):
@@ -129,7 +114,7 @@ def test_attention_reduces_to_scaled_dot_product(rng):
     head.key_bias.data[:] = 0
     head.value_bias.data[:] = 0
     fact = HyperFact("h", "r", "t")
-    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, HEAD)),))
+    layout = BatchLayout((QueryFact.from_fact(fact, HEAD),))
     x = rng.normal(size=(3, width))
     seq = Value(x)
     out = attention_layer(seq, layout, layer, params)
@@ -161,12 +146,12 @@ def test_attention_layer_matches_naive_loops(heads, rng):
             layer_weights[name.rsplit("/", 1)[1]] = value.data
     for arity in range(4):
         fact = HyperFact("h", "r", "t", tuple((f"k{i}", f"v{i}") for i in range(arity)))
-        roles = layout_for(QueryFact.from_fact(fact, HEAD)).roles
+        roles = sequence_roles(arity)
         for masked in [role for role in roles if role.is_entity]:
-            layout = layout_for(QueryFact.from_fact(fact, masked))
+            layout = BatchLayout((QueryFact.from_fact(fact, masked),))
             x = rng.normal(size=(len(layout), 8))
-            out = attention_layer(Value(x), BatchLayout((layout,)), params.layers[0], params)
-            expected = naive_attention_layer(x, layout.roles, heads, layer_weights)
+            out = attention_layer(Value(x), layout, params.layers[0], params)
+            expected = naive_attention_layer(x, roles, heads, layer_weights)
             assert np.abs(out.data - expected).max() <= 1e-10
 
 
@@ -186,7 +171,7 @@ def test_attention_tape_size_ignores_heads_and_layout(rng):
         _, params = fresh_decoder(width=8, heads=heads, depth=1)
         for arity in (0, 3):
             fact = HyperFact("h", "r", "t", tuple((f"k{i}", f"v{i}") for i in range(arity)))
-            layout = BatchLayout((layout_for(QueryFact.from_fact(fact, TAIL)),))
+            layout = BatchLayout((QueryFact.from_fact(fact, TAIL),))
             seq = Value(rng.normal(size=(len(layout), 8)))
             sizes.add(tape_size(attention_layer(seq, layout, params.layers[0], params)))
     assert len(sizes) == 1, sizes
@@ -196,7 +181,7 @@ def test_attention_weights_rows_sum_to_one(rng):
     # Realized indirectly: a singleton sequence must attend fully to itself.
     store, params = fresh_decoder(width=4, heads=2)
     fact = HyperFact("h", "r", "h")
-    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, HEAD)),))
+    layout = BatchLayout((QueryFact.from_fact(fact, HEAD),))
     seq = Value(rng.normal(size=(3, 4)))
     out = attention_layer(seq, layout, params.layers[0], params)
     assert np.isfinite(out.data).all()
@@ -209,7 +194,7 @@ def test_attention_weights_rows_sum_to_one(rng):
 def test_multi_head_shapes(rng):
     store, params = fresh_decoder(width=8, heads=4, depth=2)
     fact = HyperFact("h", "r", "t", (("k", "v"),))
-    layout = BatchLayout((layout_for(QueryFact.from_fact(fact, value_role(0))),))
+    layout = BatchLayout((QueryFact.from_fact(fact, value_role(0)),))
     seq = Value(rng.normal(size=(5, 8)))
     out = decode(seq, layout, params)
     assert out.data.shape == (5, 8)
@@ -296,7 +281,7 @@ def test_decoder_gradients(rng):
         width = 2 * heads
         store, params = fresh_decoder(width=width, heads=heads, depth=1, seed=11)
         fact = HyperFact("h", "r", "t", (("k", "v"),))
-        layout = BatchLayout((layout_for(QueryFact.from_fact(fact, value_role(0))),))
+        layout = BatchLayout((QueryFact.from_fact(fact, value_role(0)),))
         seq = Value(rng.normal(size=(5, width)))
         ents = Value(rng.normal(size=(6, width)))
 

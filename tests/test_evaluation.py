@@ -234,7 +234,7 @@ def test_metrics_output_formats():
 
 def test_metric_permutation_invariance(rng):
     from hyrel.predictor import LinkPredictor, ModelConfig
-    from hyrel.reference import permute_hkg, random_hkg
+    from hyrel.reference import permute_hkg, random_hkg, relabel_fact
 
     kg = random_hkg(rng, max_facts=5, min_facts=3)
     queries = queries_from_facts(kg.facts)
@@ -244,12 +244,24 @@ def test_metric_permutation_invariance(rng):
     base = evaluate(predictor, kg, queries, kg.facts)
 
     pkg, phi, tau = permute_hkg(kg, rng)
-    pqueries = []
-    for q in queries:
-        pbase = HyperFact(phi[q.base.head], tau[q.base.relation], phi[q.base.tail],
-                          tuple((tau[k], phi[v]) for k, v in q.base.qualifiers))
-        pqueries.append(QueryFact(pbase, q.masked, phi[q.answer]))
+    pqueries = [QueryFact(relabel_fact(q.base, phi, tau), q.masked, phi[q.answer])
+                for q in queries]
     permuted = evaluate(predictor, pkg, pqueries, pkg.facts)
     assert abs(base.mrr_all - permuted.mrr_all) < 1e-9
     assert abs(base.mrr_ht - permuted.mrr_ht) < 1e-9
     assert base.hits_all == permuted.hits_all
+
+
+def test_evaluate_bundle_scores_only_the_split_it_names():
+    # A misspelt split must not quietly score the test queries.
+    from hyrel.evaluation import evaluate_bundle
+    from hyrel.io import DatasetBundle
+    inference = Hkg([HyperFact("a", "r", "b"), HyperFact("b", "r", "c")])
+    bundle = DatasetBundle(Hkg([HyperFact("x", "s", "y")]), inference,
+                           valid=[HyperFact("a", "r", "c")],
+                           test=[HyperFact("c", "r", "a"), HyperFact("b", "r", "a")])
+    assert evaluate_bundle(OracleModel(), bundle, split="valid").count_all == 2
+    assert evaluate_bundle(OracleModel(), bundle, split="test").count_all == 4
+    for split in ("vaild", "train", "inference", "Test"):
+        with pytest.raises(ContractError, match="split"):
+            evaluate_bundle(OracleModel(), bundle, split=split)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from hyrel import (HEAD, TAIL, ContractError, Hkg, HyperFact, QueryFact,
                    queries_from_facts, value_role)
-from hyrel.model import RoleKind, key_role
+from hyrel.model import PRIMARY_RELATION, RoleKind, key_role, sequence_roles
 
 
 def test_einstein_fact_validates(einstein_fact):
@@ -28,6 +28,48 @@ def test_query_count_sums_per_fact():
     ]
     queries = queries_from_facts(facts)
     assert len(queries) == 2 + 3 + 4
+
+
+def test_sequence_of_a_triple():
+    assert sequence_roles(0) == (HEAD, PRIMARY_RELATION, TAIL)
+    assert [repr(r) for r in sequence_roles(0)] == ["head", "relation", "tail"]
+    assert HyperFact("h", "r", "t").sequence() == ("h", "r", "t")
+    assert (HEAD.slot, PRIMARY_RELATION.slot, TAIL.slot) == (0, 1, 2)
+
+
+def test_sequence_of_two_qualifiers_puts_value_one_last():
+    fact = HyperFact("h", "r", "t", (("k1", "v1"), ("k2", "v2")))
+    roles = sequence_roles(2)
+    assert roles is sequence_roles(2)  # cached: one tuple per arity
+    assert [repr(r) for r in roles] == ["head", "relation", "tail", "key(0)", "value(0)",
+                                        "key(1)", "value(1)"]
+    assert fact.sequence() == ("h", "r", "t", "k1", "v1", "k2", "v2")
+    assert value_role(1).slot == 6 and key_role(1).slot == 5
+    assert [role.slot for role in roles] == list(range(7))
+
+
+@given(st.integers(0, 3), st.data())
+@settings(max_examples=50, deadline=None)
+def test_sequence_agrees_with_entity_at_and_query_order(arity, data):
+    # Distinct names, so a slot that reads the wrong position cannot agree by
+    # chance.
+    names = st.text("abc", min_size=1, max_size=3)
+    ents = [f"e{x}" for x in data.draw(st.lists(names, min_size=arity + 2,
+                                                 max_size=arity + 2, unique=True))]
+    rels = [f"r{x}" for x in data.draw(st.lists(names, min_size=arity + 1,
+                                                 max_size=arity + 1, unique=True))]
+    fact = HyperFact(ents[0], rels[0], ents[1], tuple(zip(rels[1:], ents[2:])))
+    roles = sequence_roles(arity)
+    entity_roles = [role for role in roles if role.is_entity]
+    for role in entity_roles:
+        assert fact.sequence()[role.slot] == fact.entity_at(role)
+    for i, (key, _) in enumerate(fact.qualifiers):
+        assert fact.sequence()[key_role(i).slot] == key
+    assert fact.entities() == tuple(ents) == tuple(map(fact.entity_at, entity_roles))
+    assert fact.relations() == tuple(rels)
+    queries = queries_from_facts([fact])
+    assert [q.masked for q in queries] == [HEAD, TAIL, *map(value_role, range(arity))]
+    assert [q.answer for q in queries] == ents
 
 
 def test_query_order_is_deterministic(small_kg):

@@ -10,7 +10,7 @@ from hyrel import (HEAD, ConfigError, ContractError, DataError, Hkg, HyperFact, 
 from hyrel.autodiff import ParamStore
 from hyrel.predictor import (PARALLEL, RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig,
                              ablation_overrides)
-from hyrel.reference import permute_hkg, random_hkg
+from hyrel.reference import permute_hkg, random_hkg, relabel_fact
 
 
 def test_scores_are_a_distribution(small_kg):
@@ -69,10 +69,8 @@ def test_relation_driven_structure_runs_and_is_equivariant(rng):
 
     pkg, phi, tau = permute_hkg(kg, rng)
     q = queries[0]
-    pbase = HyperFact(phi[q.base.head], tau[q.base.relation], phi[q.base.tail],
-                      tuple((tau[k], phi[v]) for k, v in q.base.qualifiers))
-    pscores = predictor.entity_scores(predictor.prepare(pkg),
-                                      QueryFact(pbase, q.masked, phi[q.answer]))
+    pquery = QueryFact(relabel_fact(q.base, phi, tau), q.masked, phi[q.answer])
+    pscores = predictor.entity_scores(predictor.prepare(pkg), pquery)
     for name, idx in kg.entity_index.items():
         assert abs(scores[idx] - pscores[pkg.entity_index[phi[name]]]) < 1e-4
 
@@ -295,8 +293,8 @@ def _one_block_at_a_time(self, graphs, queries):
                                             model.ent_params, gates).data
     rel_states = Value.constant(np.concatenate([r.data for r in rel_blocks]))
     ent_states = Value.constant(ent)
-    layout = dec.BatchLayout((dec.layout_for(query) for query in queries), kg.max_arity)
-    ids = [_slot_ids(kg, query, part.mask_slot) for query, part in zip(queries, layout.layouts)]
+    layout = dec.BatchLayout(queries, kg.max_arity)
+    ids = [_slot_ids(kg, query) for query in queries]
     seq = dec.assemble_sequence(layout, ids, rel_states, ent_states, model.dec_params)
     x_m = dec.mask_vector(dec.decode(seq, layout, model.dec_params), layout)
     logits = dec.entity_logits(x_m, ent_states, model.dec_params.out_bias)
