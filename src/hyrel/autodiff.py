@@ -8,12 +8,14 @@ products, per-row cross-entropy and the total sum, which is everything the
 encoders, decoder and training loss compose from.  Arithmetic is 32-bit by
 default; gradient checking builds the same graphs over 64-bit parameters.
 
-Aggregation by index (``scatter_add`` and the backward pass of ``gather``)
-is always a segment sum over a :class:`Segments` plan, built once per index
-array and reused by every layer that sums over it, which returns the sums in
-their rows (:meth:`Segments.sums`).  Every run is added strictly left to
-right, so a zero cell adds nothing and leaving entries out of a sum is the
-same as zeroing them.  ``scatter_add`` passes messages along a
+Aggregation by index adds every run strictly left to right in entry order,
+so a zero cell adds nothing and leaving entries out of a sum is the same as
+zeroing them.  ``scatter_add`` sums over :class:`Segments` plans, built once
+per index array and reused by every layer that sums over it, which return
+the sums in their rows (:meth:`Segments.sums`).  The backward pass of
+``gather``, whose index is new on every call, adds in index order with
+``np.add.at`` onto -0.0, which gives the same bits with no plan to lay out.
+``scatter_add`` passes messages along a
 :class:`MessagePlan`: blocks of rows stacked along the rows share one plan,
 each block summed on its own, and zeroed (edge, block) cells leave an edge
 out of one block only.  A message shared by many edges is computed once and
@@ -584,16 +586,27 @@ def _check_rows(plan: Segments, rows: int, blocks: int, stride: int, what: str) 
         raise IndexError(f"{what} out of range for {rows} rows")
 
 
-def gather(x: Value, rows: Sequence[int] | Array | Segments) -> Value:
+def gather(x: Value, rows: Sequence[int] | Array) -> Value:
     """Select rows of ``x`` (with repetition) by index.
 
-    ``rows`` may be a :class:`Segments` plan of the index; a plain index is
-    planned here.  The backward pass sums over the plan.
+    The backward pass adds each row's gradient entries with ``np.add.at``
+    in index order onto -0.0, the exact identity of float addition, in the
+    rows the index reaches (+0.0 elsewhere): the bits of the level sums of
+    :meth:`Segments.sums`, with no plan to lay out.
     """
-    plan = rows if isinstance(rows, Segments) else Segments(rows)
-    _check_rows(plan, x.shape[0], 1, 0, "row index")
-    return _record(np.take(x.data, plan.index, axis=0), (x,),
-                   lambda g: _accumulate(x, plan.sums(g, x.shape[0])))
+    index = np.asarray(rows, dtype=np.int64)
+    if index.ndim != 1:
+        raise ShapeError(f"index must be 1-D, got shape {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= x.shape[0]):
+        raise IndexError(f"row index out of range for {x.shape[0]} rows")
+
+    def bwd(g: Array) -> None:
+        out = np.zeros((x.shape[0], g.shape[1]), dtype=g.dtype)
+        out[index] = -0.0
+        np.add.at(out, index, g)
+        _accumulate(x, out)
+
+    return _record(np.take(x.data, index, axis=0), (x,), bwd)
 
 
 def scatter_add(x: Value, gates: Value, plan: MessagePlan, stride: int = 0) -> Value:
@@ -877,7 +890,8 @@ class ParamStore:
 
     Once the model is complete, :meth:`lay_out` moves the parameters into
     one contiguous buffer (:attr:`data`, in the parameters' dtype) in
-    insertion order, and each parameter's ``data`` becomes a view of it.
+    insertion order, and each parameter's ``data`` becomes a view of its
+    span (:attr:`spans`, one slice per parameter, made once).
     The flat gradient buffer (:attr:`grad`) is made on first use, which a
     store that is only scored or saved never reaches; from then on each
     parameter's gradient is a view of the same span of it.  The optimizer,
@@ -898,6 +912,7 @@ class ParamStore:
         self._params: dict[str, Value] = {}
         self._data: Array | None = None
         self._grad: Array | None = None
+        self.spans: list[slice] = []  # each parameter's span of the flat buffers, once laid out
 
     def add(self, name: str, data) -> Value:
         if self._data is not None:
@@ -922,13 +937,11 @@ class ParamStore:
 
     def _views(self, flat: Array) -> list[Array]:
         """``flat`` cut into one view per parameter, in the parameters' shapes."""
-        views, start = [], 0
-        for v in self._params.values():
-            views.append(flat[start:start + v.data.size].reshape(v.shape))
-            start += v.data.size
-        return views
+        return [flat[span].reshape(v.shape) for v, span in zip(self._params.values(), self.spans)]
 
     def _bind(self, data: Array) -> None:
+        ends = np.cumsum([0] + [v.data.size for v in self._params.values()]).tolist()
+        self.spans = [slice(a, b) for a, b in zip(ends, ends[1:])]
         self._data = data
         for v, view in zip(self._params.values(), self._views(data)):
             v.data = view
@@ -1078,14 +1091,14 @@ def clip_global_norm(store: ParamStore, max_norm: float) -> float:
     """Scale all of ``store``'s gradients so their joint L2 norm is at most
     ``max_norm``; return the norm before scaling.
 
-    The squares are summed in float64 per parameter, in store order, and the
-    per-parameter sums added left to right.
+    The squares are summed in float64 per parameter span, in store order,
+    and the per-parameter sums added left to right.
     """
     squares = store.grad.astype(np.float64)
     squares **= 2
     total = 0.0
-    for view in store._views(squares):
-        total += float(view.sum())
+    for span in store.spans:
+        total += float(squares[span].sum())
     norm = total ** 0.5
     if norm > max_norm and norm > 0:
         store.grad[...] *= max_norm / norm

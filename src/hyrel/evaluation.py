@@ -19,7 +19,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .autodiff import _keep_heap_mapped
-from .errors import ContractError, NumericalError, VocabularyError
+from .errors import ContractError, DataError, NumericalError, VocabularyError
 from .model import Hkg, HyperFact, QueryFact, RoleKind
 
 HITS_KS = (1, 3, 10)
@@ -165,11 +165,14 @@ def bundle_known_facts(bundle) -> list[HyperFact]:
 
 def evaluate_bundle(model: ScoringModel, bundle, split: str = "test",
                     filtered: bool = True) -> Metrics:
-    """Evaluate the bundle's "valid" or "test" split under the standard protocol."""
+    """Evaluate the bundle's "valid" or "test" split under the standard
+    protocol.  An empty split is a :class:`DataError`: it has no metric."""
     from .model import queries_from_facts
     if split not in ("valid", "test"):
         raise ContractError(f"unknown split {split!r}; expected 'valid' or 'test'")
     facts = bundle.valid if split == "valid" else bundle.test
+    if not facts:
+        raise DataError(f"the {split} split has no facts to evaluate")
     return evaluate(model, bundle.inference, queries_from_facts(facts),
                     bundle_known_facts(bundle), filtered=filtered)
 

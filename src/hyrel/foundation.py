@@ -176,8 +176,10 @@ class FoundationGraph:
     relation states, any other's by type vectors.
     ``edge_facts`` holds per edge the (at most two) facts whose removal
     alone deletes it, ascending with -1 padding last, so leaving a fact out
-    is a mask (:meth:`kept`): every query of a batch shares the one cached
-    :meth:`message_plan`, and zeroes the cells of its own masked edges.
+    is a mask: every query of a batch shares the one cached
+    :meth:`message_plan`, and zeroes the cells of its own masked edges, read
+    off one index from each fact to the edges it drops, built from
+    ``edge_facts`` on the first leave-out and kept with the graph.
     """
 
     num_nodes: int
@@ -201,11 +203,6 @@ class FoundationGraph:
     def edge_set(self) -> frozenset[tuple[int, Enum, int]]:
         return frozenset(self.edges)
 
-    def kept(self, leave_out: int | Sequence[int]) -> np.ndarray:
-        """Boolean mask of the edges left when fact ``leave_out`` is left
-        out; an array of facts gives one row of the mask per fact."""
-        return (self.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
-
     @cached_property
     def _plan(self) -> tuple[np.ndarray, MessagePlan]:
         gate = self.type_row if self.relation is None else self.relation
@@ -215,6 +212,18 @@ class FoundationGraph:
         return by_dst, MessagePlan(Segments(pairs // span), Segments(pairs % span),
                                    Segments(pair_of[by_dst]), Segments(self.dst[by_dst]))
 
+    @cached_property
+    def _dropped(self) -> tuple[list[int], np.ndarray]:
+        """(starts, positions): leaving fact f out drops the edges at
+        destination-order positions ``positions[starts[f]:starts[f + 1]]``,
+        ascending.  A fact past the last of ``starts`` drops nothing."""
+        facts = self.edge_facts[self._plan[0]].ravel()  # edge-major, so positions ascend
+        held = np.flatnonzero(facts >= 0)
+        by_fact = np.argsort(facts[held], kind="stable")
+        bounds = np.arange(int(facts.max()) + 2 if facts.size else 1)
+        return (np.searchsorted(facts[held][by_fact], bounds).tolist(),
+                held[by_fact] // 2)
+
     def message_plan(self, leave_outs: Sequence[int | None] = (None,)) -> MessagePlan:
         """The :class:`MessagePlan` of one block per entry of ``leave_outs``:
         block q reads the edges left when fact ``leave_outs[q]`` is left out
@@ -223,17 +232,21 @@ class FoundationGraph:
 
         The plan of the whole graph is built once and cached, and is what a
         single block with no fact left out gets; the others share its
-        :class:`Segments` and zero the cells of the edges that :meth:`kept`
-        drops."""
-        by_dst, plan = self._plan
+        :class:`Segments` and zero the cells of the edges their fact drops,
+        read off a per-fact index built on the first leave-out."""
+        plan = self._plan[1]
         leave_outs = list(leave_outs)
         if leave_outs == [None]:
             return plan
         masked = [q for q, f in enumerate(leave_outs) if f is not None]
         zeroed = None
         if masked:
-            block, edge = np.nonzero(~self.kept([leave_outs[q] for q in masked])[:, by_dst])
-            zeroed = edge, np.asarray(masked, dtype=np.int64)[block]
+            starts, positions = self._dropped
+            last = len(starts) - 1
+            spans = [positions[starts[min(f, last)]:starts[min(f + 1, last)]]
+                     for f in (leave_outs[q] for q in masked)]
+            zeroed = (np.concatenate(spans),
+                      np.repeat(np.asarray(masked, dtype=np.int64), [s.size for s in spans]))
         return replace(plan, blocks=len(leave_outs), zeroed=zeroed)
 
 
@@ -339,7 +352,7 @@ def build_relation_graph(kg: Hkg, cfg: InteractionConfig | None = None) -> Found
     """Build the relation foundation graph of ``kg`` under ``cfg``.
 
     Nodes are all relations of the vocabulary.  Each edge records the facts
-    whose removal alone deletes it (see :meth:`FoundationGraph.kept`).
+    whose removal alone deletes it (see :class:`FoundationGraph`).
     """
     cfg = cfg or InteractionConfig()
     row = {t: i for i, t in enumerate(cfg.relation_alphabet)}

@@ -128,9 +128,9 @@ def _slot_nodes(layout: dec.BatchLayout, ids: list[list[int]], entity: bool) -> 
 def check_leave_outs(kg: Hkg, leave_outs: Sequence[int | None] | None) -> None:
     """Each of ``leave_outs`` is None or the index of a fact of ``kg``.
 
-    Anything else is a :class:`ContractError`: -1 would match the -1 padding
-    of the graphs' per-edge fact records and leave out every edge, an index
-    past the facts would leave out nothing, and True would leave out fact 1.
+    Anything else is a :class:`ContractError`: the graphs would silently
+    leave out another fact or none for a negative index, none for an index
+    past the facts, and fact 1 for True.
     """
     facts = kg.num_facts
     for fact in leave_outs or ():

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .decoder import classify_bias
-from .foundation import EntInteraction, InteractionConfig, RelInteraction
+from .foundation import EntInteraction, FoundationGraph, InteractionConfig, RelInteraction
 from .model import Hkg, HyperFact, Role
 
 Edge = tuple[int, object, int]
@@ -86,6 +86,13 @@ def brute_force_entity_edges(kg: Hkg, cfg: InteractionConfig,
                     edges.add((e[vi], EntInteraction.V2V, e[vj], r[ki]))
     return frozenset(edge if with_fact_relations else edge[:3]
                      for edge in edges if edge[1] in active)
+
+
+def kept(g: FoundationGraph, leave_out: int | Sequence[int]) -> np.ndarray:
+    """Boolean mask of the edges of ``g`` left when fact ``leave_out`` is
+    left out, read straight off ``edge_facts``; an array of facts gives one
+    row of the mask per fact."""
+    return (g.edge_facts != np.asarray(leave_out)[..., None, None]).all(axis=-1)
 
 
 def naive_message_passing(states: np.ndarray, edges: Sequence[Edge],

@@ -176,23 +176,41 @@ def test_layer_norm_gradient(rng):
 def test_gather_gradient(rng):
     x = Value(rng.normal(size=(5, 3)))
     w = Value(rng.normal(size=(3, 1)))
-    # The short index takes the per-row loop; the longer ones a segment plan.
-    for idx in ([0, 2, 2, 4], [4, 0, 2, 2, 4, 1], Segments([3, 1, 1, 0, 3])):
+    for idx in ([0, 2, 2, 4], [4, 0, 2, 2, 4, 1], np.array([3, 1, 1, 0, 3])):
         fd_check(lambda: ad.total_sum(ad.matmul(ad.gather(x, idx), w)), {"x": x})
         out = ad.gather(x, idx)
-        rows = idx.index if isinstance(idx, Segments) else idx
-        assert np.allclose(out.data, x.data[rows])
+        assert np.allclose(out.data, x.data[idx])
 
 
 def test_gather_out_of_range():
     with pytest.raises(IndexError):
         ad.gather(val([[1.0]]), [1])
     with pytest.raises(IndexError):
-        ad.gather(val([[1.0]] * 3), Segments([0, 1, 2, 3, 0]))
+        ad.gather(val([[1.0]] * 3), np.array([0, 1, 2, 3, 0]))
     with pytest.raises(IndexError):
         ad.gather(val([[1.0]] * 3), [0, 1, -1, 2, 0])
     with pytest.raises(ShapeError):
         ad.gather(val([[1.0]] * 3), [[0, 1], [1, 2], [2, 0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_gather_gradient_is_the_level_sum_bit_for_bit(data):
+    # Repeated and unreached rows, signed zeros, infinities and NaNs, both
+    # float widths, and an empty index.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    num_rows, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.integers(0, num_rows - 1), max_size=30))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e-30])
+    g = rng.normal(size=(len(rows), width)) * 10.0 ** rng.integers(-4, 5, size=(len(rows), 1))
+    g = np.where(rng.random(g.shape) < 0.3, rng.choice(special, g.shape), g).astype(dtype)
+    for index, grad in ((rows, g), ([], g[:0])):  # and an empty index, every time
+        x = Value(rng.normal(size=(num_rows, width)).astype(dtype))
+        with np.errstate(invalid="ignore", over="ignore"):  # the loss may be inf - inf
+            backward(ad.total_sum(ad.mul(ad.gather(x, index), Value.constant(grad))))
+            expected = Segments(index).sums(grad, num_rows)
+        assert x.grad.dtype == dtype and x.grad.tobytes() == expected.tobytes()
 
 
 def plan_of(src, gate, fan, dst, blocks=1, zeroed=None):
@@ -270,7 +288,7 @@ def _check_segment_sum(index, num_rows, width, seed):
     (gates,) = out._parents
     backward(ad.total_sum(ad.mul(out, weights)))
     assert np.allclose(gates.grad, weights[np.asarray(index, dtype=np.int64)], rtol=1e-6)
-    for dst in (index, Segments(index)):
+    for dst in (index, np.asarray(index, dtype=np.int64)):
         x = Value(np.zeros((num_rows, width)))
         backward(ad.total_sum(ad.mul(ad.gather(x, dst), Value(values))))
         assert np.allclose(x.grad, expected, rtol=1e-6)

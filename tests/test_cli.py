@@ -276,6 +276,22 @@ def test_non_finite_scores_are_data_errors_in_predict_and_eval(tmp_path, capsys)
     assert "mrr" not in captured.out and "NaN or infinite" in captured.err
 
 
+def test_eval_of_an_empty_split_is_data_error(tmp_path, capsys):
+    # No query means no metric: eval must not print mrr 0.0000 over 0 queries.
+    kg_path = tmp_path / "raw.txt"
+    make_raw_kg(kg_path)
+    bundle_dir = tmp_path / "bundle"
+    dispatch(["split", "--input", str(kg_path), "--out", str(bundle_dir),
+              "--method", "louvain", "--ratios", "0.7,0.15,0.15"])
+    ckpt = tmp_path / "ckpt.bin"
+    seeded_checkpoint(bundle_dir, ckpt, seed=0)
+    (bundle_dir / "test.txt").write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert dispatch(["eval", "--bundle", str(bundle_dir), "--checkpoint", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert "mrr" not in captured.out and "the test split has no facts" in captured.err
+
+
 @pytest.mark.parametrize("error", (ContractError, ShapeError))
 def test_a_broken_internal_precondition_exits_3(tmp_path, capsys, monkeypatch, error):
     def broken(path):

@@ -8,7 +8,7 @@ from hyrel.encoder import (encode, indicator_init, init_encoder_params,
                            init_relation_projections, mp_layer)
 from hyrel.foundation import (EntInteraction, FoundationGraph, build_entity_graph,
                               build_relation_graph)
-from hyrel.reference import naive_message_passing, random_hkg
+from hyrel.reference import kept, naive_message_passing, random_hkg
 
 T = EntInteraction.H2T
 TR = EntInteraction.T2H
@@ -158,7 +158,7 @@ def test_mp_layer_aggregate_is_the_per_edge_sum_bit_for_bit(gated_by_relations):
                        if gated_by_relations else None)
         for leave_out in (None, *range(kg.num_facts)):
             keep = (np.ones(g.num_edges, dtype=bool) if leave_out is None
-                    else g.kept(leave_out))
+                    else kept(g, leave_out))
             plan = g.message_plan([leave_out])
             out = mp_layer(states, g, layer, edge_states, plan)
             expected = per_edge_layer(states, g, layer, edge_states, keep)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyrel import ContractError, HEAD, TAIL, Hkg, HyperFact, NumericalError, QueryFact
+from hyrel import ContractError, DataError, HEAD, TAIL, Hkg, HyperFact, NumericalError, QueryFact
 from hyrel.evaluation import (Metrics, completion_index, evaluate, filter_set,
                               rank_of)
 from hyrel.model import queries_from_facts, value_role
@@ -265,3 +265,14 @@ def test_evaluate_bundle_scores_only_the_split_it_names():
     for split in ("vaild", "train", "inference", "Test"):
         with pytest.raises(ContractError, match="split"):
             evaluate_bundle(OracleModel(), bundle, split=split)
+
+
+def test_an_empty_split_is_a_data_error_not_a_metric():
+    from hyrel.evaluation import evaluate_bundle
+    from hyrel.io import DatasetBundle
+    inference = Hkg([HyperFact("a", "r", "b"), HyperFact("b", "r", "c")])
+    for valid, test, empty in (([], [HyperFact("c", "r", "a")], "valid"),
+                               ([HyperFact("a", "r", "c")], [], "test")):
+        bundle = DatasetBundle(inference, inference, valid=valid, test=test)
+        with pytest.raises(DataError, match=f"the {empty} split has no facts"):
+            evaluate_bundle(OracleModel(), bundle, split=empty)

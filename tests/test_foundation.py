@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyrel import ConfigError, Hkg, HyperFact
 from hyrel.foundation import (PRESETS,
@@ -11,7 +13,7 @@ from hyrel.foundation import (PRESETS,
                               build_entity_graph, build_relation_graph,
                               export_edge_list, graph_stats, preset,
                               ENT_RECIPROCAL, REL_RECIPROCAL)
-from hyrel.reference import (brute_force_entity_edges, brute_force_relation_edges,
+from hyrel.reference import (brute_force_entity_edges, brute_force_relation_edges, kept,
                              permute_hkg, random_hkg)
 
 E = EntInteraction
@@ -183,8 +185,8 @@ def masked_edges(g, leave_out):
     its relation when ``g`` is annotated, after checking that the masked
     message plan reads every edge, gated by its relation when annotated and
     by its type otherwise, in stable destination order and zeroes the cells
-    of exactly the edges that :meth:`kept` drops, in that order."""
-    keep = g.kept(leave_out)
+    of exactly the edges that :func:`~hyrel.reference.kept` drops, in that order."""
+    keep = kept(g, leave_out)
     annotated = g.relation is not None
     order = np.argsort(g.dst, kind="stable")
     plan = g.message_plan([leave_out])
@@ -360,6 +362,8 @@ def test_message_plans_are_cached_over_the_edge_arrays():
         order = np.argsort(dst, kind="stable")
         plan = g.message_plan()
         assert g.message_plan() is plan and g.message_plan([None]) is plan
+        g.message_plan([None, None])
+        assert "_dropped" not in vars(g)  # scoring never builds the per-fact index
         full = np.stack([src, gate, dst], axis=1)[order]
         assert plan_edges(plan).tolist() == full.tolist()
         pairs = sorted(set(zip(src.tolist(), gate.tolist())))
@@ -370,6 +374,40 @@ def test_message_plans_are_cached_over_the_edge_arrays():
             assert p.rows.tolist() == sorted(set(idx.tolist()))
         plans.append(plan)
     assert plans[0].gate.index.tolist() != plans[1].gate.index.tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_leave_out_cells_are_those_the_mask_drops(data):
+    # Every fact alone, a repeated fact that drops no entity edge, a fact id
+    # past the graph's, and batches mixing None and facts: the zeroed cells
+    # are the mask's, block by block, edges ascending in destination order.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    kg = random_hkg(rng, max_facts=10, num_entities=data.draw(st.integers(2, 6)),
+                    num_relations=3)
+    kg = Hkg(kg.facts + (kg.facts[0],))
+    cfg = data.draw(st.sampled_from(list(PRESETS.values())))
+    for g in (build_relation_graph(kg, cfg), build_entity_graph(kg, cfg),
+              build_entity_graph(kg, cfg, with_fact_relations=True)):
+        order = np.argsort(g.dst, kind="stable")
+        for f in range(kg.num_facts + 1):
+            edges, blocks = g.message_plan([f]).zeroed
+            assert edges.tolist() == np.flatnonzero(~kept(g, f)[order]).tolist()
+            assert blocks.tolist() == [0] * edges.size
+        if isinstance(g.alphabet[0], EntInteraction):  # the copies hold every edge
+            assert g.message_plan([0]).zeroed[0].size == 0
+        leave_outs = data.draw(st.lists(st.none() | st.integers(0, kg.num_facts),
+                                        min_size=1, max_size=6))
+        masked = [q for q, f in enumerate(leave_outs) if f is not None]
+        plan = g.message_plan(leave_outs)
+        assert plan.blocks == len(leave_outs)
+        if not masked:
+            assert plan.zeroed is None
+            continue
+        block, edge = np.nonzero(~kept(g, [leave_outs[q] for q in masked])[:, order])
+        assert [a.dtype for a in plan.zeroed] == [np.int64, np.int64]
+        assert plan.zeroed[0].tolist() == edge.tolist()
+        assert plan.zeroed[1].tolist() == np.asarray(masked)[block].tolist()
 
 
 def zipf_hkg(seed=23, num_facts=400, num_entities=150, num_primaries=12, num_keys=8):

@@ -16,7 +16,7 @@ from hyrel.evaluation import CHUNK, evaluate
 from hyrel.foundation import preset
 from hyrel.io import DatasetBundle
 from hyrel.predictor import RELATION_DRIVEN, STRUCTURES, LinkPredictor, ModelConfig
-from hyrel.reference import random_hkg
+from hyrel.reference import kept, random_hkg
 from hyrel.training import (Checkpoint, TrainConfig, TrainStats, fit, query_losses,
                             train_step)
 
@@ -43,7 +43,7 @@ def test_degenerate_one_fact_guard_case():
                                                 head_count=1, decoder_depth=1), seed=0)
     graphs = predictor.prepare(kg)
     for g in (graphs.relation_graph, graphs.entity_graph):
-        assert g.num_edges > 0 and not g.kept(0).any()
+        assert g.num_edges > 0 and not kept(g, 0).any()
         edges, blocks = g.message_plan([0]).zeroed
         assert edges.tolist() == list(range(g.num_edges)) and not blocks.any()
     loss = query_losses(predictor, graphs, [query], [0])
@@ -248,6 +248,26 @@ def test_train_step_runs_one_update():
                       source_facts=[0, 0, 1, 1])
     assert math.isfinite(loss)
     assert predictor.store.to_bytes() != before
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_a_warm_guarded_step_lays_out_no_segment_plan(structure, monkeypatch):
+    # The graphs' plans are built by the first step; a later step reuses
+    # them, and neither a leave-out mask nor a gather's gradient plans anew.
+    kg = fixed_kg()
+    cfg = TrainConfig(epochs=1, batch_size=4, seed=0, width=8, encoder_depth=1,
+                      head_count=1, decoder_depth=1, structure=structure)
+    assert cfg.leakage_guard
+    predictor = LinkPredictor.build(cfg, seed=0)
+    optimizer, graphs = Adam(predictor.store, lr=cfg.step_size), predictor.prepare(kg)
+    queries = queries_from_facts(kg.facts)[:4]
+    train_step(predictor, queries, optimizer, cfg, graphs, source_facts=[0, 0, 1, 1])
+    plans = []
+    init = ad.Segments.__init__
+    monkeypatch.setattr(ad.Segments, "__init__",
+                        lambda self, index: (plans.append(index), init(self, index))[1])
+    train_step(predictor, queries[::-1], optimizer, cfg, graphs, source_facts=[1, 1, 0, 0])
+    assert plans == []
 
 
 def test_source_fact_out_of_range_rejected():
